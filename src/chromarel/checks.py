@@ -479,13 +479,15 @@ def _check_min_pre(g: Graph) -> _CheckResult:
             if k_colorable(g, kk, Precoloring({v0: 1}, kk)) is None:
                 failures.append((f"size-1 p({v0})=1 at k={kk}", "extends", "stuck"))
     cert = min_nonextensible(g, k, max_size=2)
-    rels = _relations_of(g)
+    # A precoloring can pin only a nonadjacent relation: an adjacent pair
+    # cannot share a color, and with one color no pair can differ.
+    certifiable = k > 1 and any(not r.adjacent for r in _relations_of(g))
     ran += 1
-    if (cert is not None) != bool(rels):
+    if (cert is not None) != certifiable:
         failures.append(
             (
                 "size-2 certificate exists",
-                str(bool(rels)),
+                str(certifiable),
                 str(cert is not None),
             )
         )
@@ -517,7 +519,7 @@ CHECKS: dict[str, tuple[Callable[[Graph], _CheckResult], str]] = {
     "SUBDIV": (_check_subdiv, "subdividing any edge of a critical graph drops chi and makes both halves edge relations"),
     "CRIT-ADJ": (_check_crit_adj, "critical vertices are adjacent to related pairs as the adjacency theorem demands"),
     "DC-BOUND": (_check_dc_bound, "double-critical graphs have k-2 common neighbors per edge, chains confirmed on complete instances"),
-    "MIN-PRE": (_check_min_pre, "single precolored vertices always extend; size-2 certificates appear exactly with relations"),
+    "MIN-PRE": (_check_min_pre, "single precolored vertices always extend; size-2 certificates appear exactly with nonadjacent relations"),
 }
 
 

@@ -23,9 +23,9 @@ from .graphs import EditError, Graph
 from .io import FORMATS, FormatError, format_for_path, parse_graph, serialize_graph
 from .polynomial import BudgetError, chromatic_polynomial, evaluate
 from .relations import (
+    RelationKind,
     RouteDisagreementError,
     criticality,
-    relation_report,
     scan_relations,
     to_dot,
 )
@@ -101,10 +101,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.relations or args.dot:
         rels = scan_relations(g)
     if args.relations:
-        report = relation_report(g)
         result["relations"] = {
-            "edges": report["edges"],
-            "identities": report["identities"],
+            "edges": [[r.u, r.v] for r in rels if r.kind is RelationKind.EDGE],
+            "identities": [[r.u, r.v] for r in rels if r.kind is RelationKind.IDENTITY],
         }
     if args.criticality:
         crit = criticality(g)

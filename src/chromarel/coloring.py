@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .graphs import Graph, _bits, bipartition
+from .graphs import Graph, _bits, _component_of, bipartition
 
 
 @dataclass(frozen=True)
@@ -355,14 +355,7 @@ def kempe_chain(g: Graph, c: Coloring, u: int, b: int) -> KempeChain:
     for v, col in enumerate(c.assignment):
         if col == a or col == b:
             member |= 1 << v
-    comp = 1 << u
-    frontier = comp
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= g.rows[v] & member
-        frontier = nxt & ~comp
-        comp |= frontier
+    comp = _component_of(g.rows, 1 << u, member)
     return KempeChain(frozenset(_bits(comp)), frozenset((a, b)))
 
 

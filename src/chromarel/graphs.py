@@ -228,24 +228,37 @@ def mutate(g: Graph, edit: Edit) -> tuple[Graph, EditTrace]:
     raise TypeError(f"not an edit: {edit!r}")
 
 
+def _merge_rows(rows: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
+    """Rows after merging u and v into a new last vertex w.
+
+    Survivors keep their order and renumber densely: bits a < b are squeezed
+    out by mask-and-shift, and w is set wherever a row touched a or b. Any
+    uv edge disappears, so identify and contract share this kernel.
+    """
+    a, b = min(u, v), max(u, v)
+    ab = 1 << a | 1 << b
+    w = 1 << (len(rows) - 2)
+    low = (1 << a) - 1
+    mid = (1 << b) - (1 << (a + 1))
+    out = []
+    for x, r in enumerate(rows):
+        if x == a or x == b:
+            continue
+        s = r & low | (r & mid) >> 1 | (r >> (b + 1)) << (b - 1)
+        out.append(s | w if r & ab else s)
+    r = (rows[a] | rows[b]) & ~ab
+    out.append(r & low | (r & mid) >> 1 | (r >> (b + 1)) << (b - 1))
+    return tuple(out)
+
+
 def _merge_pair(g: Graph, u: int, v: int, kind: EditKind) -> tuple[Graph, EditTrace]:
-    # Shared by identify (uv must be absent) and contract (uv removed first).
+    # Shared by identify (uv absent) and contract (uv present; the kernel drops it).
     a, b = min(u, v), max(u, v)
     w = g.n - 2
-
-    def f(x: int) -> int:
-        if x == u or x == v:
-            return w
-        return x - (x > a) - (x > b)
-
-    edges = set()
-    for x, y in g.edges():
-        if {x, y} == {u, v}:
-            continue
-        fx, fy = f(x), f(y)
-        edges.add((min(fx, fy), max(fx, fy)))
-    id_map: dict[int, int | None] = {x: f(x) for x in range(g.n)}
-    h = Graph.from_edges(g.n - 1, sorted(edges))
+    id_map: dict[int, int | None] = {
+        x: w if x == a or x == b else x - (x > a) - (x > b) for x in range(g.n)
+    }
+    h = Graph._make(g.n - 1, _merge_rows(g.rows, u, v))
     return h, EditTrace(kind, id_map, new_vertex=w)
 
 
@@ -317,32 +330,38 @@ def delete_vertices(g: Graph, drop: Iterable[int]) -> tuple[Graph, dict[int, int
     return induced_subgraph(g, (x for x in range(g.n) if x not in dropped))
 
 
-def _component_masks(g: Graph) -> list[int]:
+def _component_of(rows: tuple[int, ...], start: int, within: int) -> int:
+    """Mask of the vertices reachable from the mask `start` inside `within`."""
+    comp = frontier = start
+    while frontier:
+        nxt = 0
+        for u in _bits(frontier):
+            nxt |= rows[u]
+        frontier = nxt & within & ~comp
+        comp |= frontier
+    return comp
+
+
+def _component_masks(n: int, rows: tuple[int, ...]) -> list[int]:
+    """Vertex masks of the components, ordered by least vertex."""
+    full = (1 << n) - 1
     seen = 0
     comps = []
-    for s in range(g.n):
-        if seen >> s & 1:
-            continue
-        comp = 1 << s
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for u in _bits(frontier):
-                nxt |= g.rows[u]
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        comps.append(comp)
+    for s in range(n):
+        if not seen >> s & 1:
+            comp = _component_of(rows, 1 << s, full)
+            seen |= comp
+            comps.append(comp)
     return comps
 
 
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists of the components, each ascending, ordered by least vertex."""
-    return [list(_bits(mask)) for mask in _component_masks(g)]
+    return [list(_bits(mask)) for mask in _component_masks(g.n, g.rows)]
 
 
 def is_connected(g: Graph) -> bool:
-    return len(_component_masks(g)) <= 1
+    return len(_component_masks(g.n, g.rows)) <= 1
 
 
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import _bits
+from .graphs import _bits, _component_masks, _merge_rows
 
 
 class BudgetError(ValueError):
@@ -70,25 +70,6 @@ def _power_shifted(n: int, c: int, shift: int) -> list[int]:
     return [0] * shift + out
 
 
-def _component_masks(n: int, rows: tuple[int, ...]) -> list[int]:
-    seen = 0
-    comps = []
-    for s in range(n):
-        if seen >> s & 1:
-            continue
-        comp = 1 << s
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for u in _bits(frontier):
-                nxt |= rows[u]
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
 def _induced_rows(rows: tuple[int, ...], mask: int) -> tuple[int, tuple[int, ...]]:
     verts = list(_bits(mask))
     idx = {x: i for i, x in enumerate(verts)}
@@ -99,22 +80,6 @@ def _induced_rows(rows: tuple[int, ...], mask: int) -> tuple[int, tuple[int, ...
             nr |= 1 << idx[y]
         out.append(nr)
     return len(verts), tuple(out)
-
-
-def _contract_rows(n: int, rows: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
-    # Merge adjacent u, v into a new last vertex; survivors renumber densely.
-    a, b = min(u, v), max(u, v)
-    w = n - 2
-    new_rows = [0] * (n - 1)
-    for x in range(n):
-        fx = w if x in (u, v) else x - (x > a) - (x > b)
-        for y in _bits(rows[x]):
-            if x in (u, v) and y in (u, v):
-                continue
-            fy = w if y in (u, v) else y - (y > a) - (y > b)
-            new_rows[fx] |= 1 << fy
-            new_rows[fy] |= 1 << fx
-    return tuple(new_rows)
 
 
 _POLY_CACHE: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
@@ -158,7 +123,7 @@ def _poly(n: int, rows: tuple[int, ...]) -> list[int]:
             del_rows[u] &= ~(1 << v)
             del_rows[v] &= ~(1 << u)
             deleted = _poly(n, tuple(del_rows))
-            contracted = _poly(n - 1, _contract_rows(n, rows, u, v))
+            contracted = _poly(n - 1, _merge_rows(rows, u, v))
             result = _sub(deleted, contracted)
     _POLY_CACHE[key] = tuple(result)
     return result

@@ -19,6 +19,8 @@ from enum import Enum
 from .coloring import Precoloring, chromatic_number, k_colorable
 from .graphs import (
     Graph,
+    _bits,
+    _component_of,
     add_edge,
     delete_edge,
     delete_vertex,
@@ -76,6 +78,22 @@ def _without_edge(g: Graph, u: int, v: int) -> Graph:
     return delete_edge(g, u, v)[0] if g.has_edge(u, v) else g
 
 
+def _equal_witness(g: Graph, u: int, v: int, k: int) -> tuple[int, ...] | None:
+    """Colors of a k-coloring of g-uv that gives u and v one color, or None."""
+    merged, trace = identify_vertices(_without_edge(g, u, v), u, v)
+    c = k_colorable(merged, k)
+    if c is None:
+        return None
+    return tuple(c.assignment[trace.id_map[x]] for x in range(g.n))
+
+
+def _distinct_witness(g: Graph, u: int, v: int, k: int) -> tuple[int, ...] | None:
+    """Colors of a k-coloring of g+uv, which separates u and v in g-uv, or None."""
+    target = g if g.has_edge(u, v) else add_edge(g, u, v)[0]
+    c = k_colorable(target, k)
+    return None if c is None else c.assignment
+
+
 def is_implicit_edge(g: Graph, u: int, v: int) -> bool:
     """True iff no coloring of g-uv into {1..chi(g)} makes u and v equal.
 
@@ -83,10 +101,7 @@ def is_implicit_edge(g: Graph, u: int, v: int) -> bool:
     identifying u and v in g-uv is still chi(g)-colorable.
     """
     _pair_check(g, u, v)
-    k = chromatic_number(g)
-    h = _without_edge(g, u, v)
-    merged, _ = identify_vertices(h, u, v)
-    return k_colorable(merged, k) is None
+    return _equal_witness(g, u, v, chromatic_number(g)) is None
 
 
 def is_implicit_identity(g: Graph, u: int, v: int) -> bool:
@@ -96,9 +111,7 @@ def is_implicit_identity(g: Graph, u: int, v: int) -> bool:
     chi(g)-colorable; for adjacent pairs that graph is g itself.
     """
     _pair_check(g, u, v)
-    k = chromatic_number(g)
-    target = g if g.has_edge(u, v) else add_edge(g, u, v)[0]
-    return k_colorable(target, k) is None
+    return _distinct_witness(g, u, v, chromatic_number(g)) is None
 
 
 def implicit_via_sets(g: Graph, u: int, v: int, kind: RelationKind) -> bool:
@@ -129,18 +142,135 @@ def implicit_via_sets(g: Graph, u: int, v: int, kind: RelationKind) -> bool:
     raise ValueError(f"unknown relation kind {kind!r}")
 
 
+def _class_of(classes: list[int], x: int) -> int:
+    return next(i for i, cls in enumerate(classes) if cls >> x & 1)
+
+
+def _flip(classes: list[int], a: int, b: int, chain: int) -> list[int]:
+    """Swap color classes a and b on the Kempe chain `chain`."""
+    out = list(classes)
+    out[a] = classes[a] & ~chain | classes[b] & chain
+    out[b] = classes[b] & ~chain | classes[a] & chain
+    return out
+
+
+class _WitnessPool:
+    """Proper k-colorings of g, and the pair questions they already settle.
+
+    Colorings are kept as k color-class masks. same[u] has bit v once some
+    k-coloring of g-uv gives u and v one color, so uv is no edge relation;
+    differ[u] has bit v once one gives them distinct colors, so uv is no
+    identity. Only proper colorings of g enter the pool, and every pool
+    coloring separates each adjacent pair. Open questions try a Kempe flip
+    of every pool coloring, newest first: a flip costs far less than the
+    solver call it may save.
+    """
+
+    def __init__(self, g: Graph, k: int):
+        self.rows = g.rows
+        self.k = k
+        self.full = (1 << g.n) - 1
+        self.same = [0] * g.n
+        self.differ = [0] * g.n
+        self.colorings: list[list[int]] = []
+
+    def add(self, assignment: tuple[int, ...]) -> None:
+        classes = [0] * self.k
+        for x, c in enumerate(assignment):
+            classes[c - 1] |= 1 << x
+        self._add_classes(classes)
+
+    def _add_classes(self, classes: list[int]) -> None:
+        self.colorings.append(classes)
+        for cls in classes:
+            for x in _bits(cls):
+                self.same[x] |= cls
+                self.differ[x] |= self.full ^ cls
+
+    def refutes_edge(self, u: int, v: int) -> bool:
+        """True once some k-coloring of g-uv is known to give u and v one color.
+
+        Tries Kempe flips: if the {c(u),c(v)} chain through u in g-uv misses
+        v, flipping it gives u the color of v.
+        """
+        if self.same[u] >> v & 1:
+            return True
+        rows = self.rows
+        adjacent = rows[u] >> v & 1
+        if adjacent:
+            rows = list(rows)
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+        for classes in reversed(self.colorings):
+            a = _class_of(classes, u)
+            b = _class_of(classes, v)
+            chain = _component_of(rows, 1 << u, classes[a] | classes[b])
+            if not chain >> v & 1:
+                # for an adjacent pair the flip colors g-uv only: it answers
+                # this question and may not enter the pool
+                if not adjacent:
+                    self._add_classes(_flip(classes, a, b, chain))
+                return True
+        return False
+
+    def refutes_identity(self, u: int, v: int) -> bool:
+        """True once some k-coloring of g-uv is known to separate u and v.
+
+        Tries Kempe flips: if some {c(u),i} chain through u misses v,
+        flipping it moves u off the color of v.
+        """
+        if self.differ[u] >> v & 1:
+            return True
+        # u and v share a color in every pool coloring, so they are
+        # nonadjacent and g-uv is g itself
+        for classes in reversed(self.colorings):
+            a = _class_of(classes, u)
+            for i in range(self.k):
+                if i == a:
+                    continue
+                chain = _component_of(self.rows, 1 << u, classes[a] | classes[i])
+                if not chain >> v & 1:
+                    self._add_classes(_flip(classes, a, i, chain))
+                    return True
+        return False
+
+
 def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelation]:
     """Classify every unordered pair at k = chi(g).
+
+    The definition route keeps a pool of witness k-colorings of g. A pair
+    question that a pool coloring, or one Kempe flip of it, answers needs no
+    solver call; the rest go to the exact solver as in is_implicit_edge and
+    is_implicit_identity, and satisfiable answers that color g join the pool.
+    Every negative answer therefore rests on a concrete coloring and every
+    relation on a solver refutation.
 
     With cross_validate (the default) every answer is recomputed through the
     independent-set route and any disagreement aborts the scan.
     """
     k = chromatic_number(g)
+    pool = _WitnessPool(g, k)
+    pool.add(k_colorable(g, k).assignment)
     out: list[ImplicitRelation] = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            edge_rel = is_implicit_edge(g, u, v)
-            ident_rel = is_implicit_identity(g, u, v)
+            adjacent = g.has_edge(u, v)
+            edge_rel = False
+            if not pool.refutes_edge(u, v):
+                colors = _equal_witness(g, u, v, k)
+                if colors is None:
+                    edge_rel = True
+                elif not adjacent:
+                    pool.add(colors)
+            # adjacent pairs are never identities: the pool's colorings
+            # of g separate them, as g is k-colorable
+            ident_rel = False
+            if not pool.refutes_identity(u, v):
+                colors = _distinct_witness(g, u, v, k)
+                if colors is None:
+                    ident_rel = True
+                else:
+                    pool.add(colors)
             if cross_validate:
                 edge_sets = implicit_via_sets(g, u, v, RelationKind.EDGE)
                 if edge_rel != edge_sets:
@@ -164,7 +294,7 @@ def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelati
                         RelationKind.EDGE if edge_rel else RelationKind.IDENTITY,
                         k,
                         "definition",
-                        g.has_edge(u, v),
+                        adjacent,
                     )
                 )
     return out

@@ -1,6 +1,15 @@
 import pytest
 
-from chromarel import CorpusSpec, default_corpus, iter_corpus, run_check, run_checks
+from chromarel import (
+    CorpusSpec,
+    Graph,
+    RelationKind,
+    default_corpus,
+    iter_corpus,
+    run_check,
+    run_checks,
+    scan_relations,
+)
 from chromarel.checks import CHECKS
 import chromarel.checks as checks_mod
 
@@ -128,3 +137,17 @@ def test_report_json_shape():
         "elapsed",
     }
     assert "elapsed" not in report.to_json_dict(include_elapsed=False)
+
+
+def test_min_pre_expects_no_certificate_for_unpinnable_relations():
+    # gnp:9:0.5:107 is HbE[vl{, whose only relation joins adjacent vertices;
+    # no proper precoloring can give them one color
+    (_, g), = iter_corpus(CorpusSpec(families=("gnp:9:0.5:107",)))
+    rels = [(r.u, r.v, r.kind, r.adjacent) for r in scan_relations(g)]
+    assert rels == [(0, 5, RelationKind.EDGE, True)]
+    # with one color every pair is an identity no precoloring can separate
+    empty = Graph(3, [0, 0, 0])
+    assert len(scan_relations(empty)) == 3
+    report = run_check("MIN-PRE", [("gnp:9:0.5:107", g), ("empty3", empty)])
+    assert report.verdict == "pass", report.failures
+

@@ -4,7 +4,12 @@ import sys
 
 import pytest
 
+import chromarel.cli as cli_mod
+import chromarel.relations as relations_mod
 from chromarel.cli import main
+from chromarel.families import cycle_graph, gnp, path_graph
+from chromarel.io import serialize_graph
+from chromarel.relations import relation_report
 
 
 def run_cli(capsys, *argv):
@@ -45,6 +50,33 @@ def test_analyze_output_is_byte_stable(capsys, p4_file):
     _, first, _ = run_cli(capsys, "analyze", p4_file, "--relations")
     _, second, _ = run_cli(capsys, "analyze", p4_file, "--relations")
     assert first == second
+
+
+@pytest.mark.parametrize("g", [path_graph(4), cycle_graph(6), gnp(9, 0.5, 107), gnp(10, 0.4, 3)])
+def test_analyze_relations_are_relation_reports_lists(capsys, tmp_path, g):
+    path = tmp_path / "g.g6"
+    path.write_text(serialize_graph(g, "graph6"))
+    _, out, _ = run_cli(capsys, "analyze", str(path), "--relations")
+    report = relation_report(g)
+    relations = {"edges": report["edges"], "identities": report["identities"]}
+    expected = {"chi": report["chi"], "m": g.m, "n": g.n, "relations": relations}
+    assert out == json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_analyze_scans_once(capsys, p4_file, monkeypatch):
+    calls = []
+    for name in ("scan_relations", "criticality"):
+        real = getattr(relations_mod, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(relations_mod, name, counted)
+        monkeypatch.setattr(cli_mod, name, counted)
+    code, _, _ = run_cli(capsys, "analyze", p4_file, "--relations", "--criticality")
+    assert code == 0
+    assert sorted(calls) == ["criticality", "scan_relations"]
 
 
 def test_analyze_extension_exit_codes(capsys, p4_file):

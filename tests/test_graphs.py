@@ -225,3 +225,30 @@ def test_identify_merges_neighborhoods(g):
         merged = {trace.id_map[x] for x in g.neighbors(u)}
         merged |= {trace.id_map[x] for x in g.neighbors(v)}
         assert set(h.neighbors(w)) == merged
+
+
+def _merge_reference(g, u, v):
+    # the merge spelled out edge by edge through the validating constructor
+    a, b = min(u, v), max(u, v)
+    w = g.n - 2
+    f = {x: w if x in (u, v) else x - (x > a) - (x > b) for x in range(g.n)}
+    edges = {
+        (min(f[x], f[y]), max(f[x], f[y])) for x, y in g.edges() if {x, y} != {u, v}
+    }
+    return Graph.from_edges(g.n - 1, sorted(edges)), f
+
+
+@given(graphs(min_n=2, max_n=9))
+def test_merge_kernel_matches_from_edges_reference(g):
+    for u in range(g.n):
+        for v in range(g.n):
+            if u == v:
+                continue
+            merge = contract_edge if g.has_edge(u, v) else identify_vertices
+            h, trace = merge(g, u, v)
+            ref, f = _merge_reference(g, u, v)
+            assert h.rows == ref.rows
+            assert trace.id_map == f
+            assert trace.new_vertex == g.n - 2
+            Graph(h.n, h.rows)  # symmetric, loop-free, in range
+

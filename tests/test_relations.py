@@ -24,6 +24,10 @@ from chromarel.families import (
     path_graph,
     wheel_graph,
 )
+from chromarel.io import parse_graph
+from hypothesis import given
+
+from conftest import graphs
 
 import oracles
 
@@ -104,6 +108,51 @@ def test_scan_named_graphs_match_enumeration():
         expected = oracles.relations_by_assignment(g)
         got = {(r.u, r.v): r.kind.value for r in scan_relations(g)}
         assert got == expected
+
+
+def _pairwise_relations(g):
+    out = []
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if is_implicit_edge(g, u, v):
+                out.append((u, v, "edge", g.has_edge(u, v)))
+            elif is_implicit_identity(g, u, v):
+                out.append((u, v, "identity", g.has_edge(u, v)))
+    return out
+
+
+def _scanned(g):
+    return [
+        (r.u, r.v, r.kind.value, r.adjacent)
+        for r in scan_relations(g, cross_validate=False)
+    ]
+
+
+def test_witness_scan_matches_pairwise_on_every_small_labeled_graph():
+    # disconnected graphs included, edgeless ones (chi = 1) among them
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            assert _scanned(g) == _pairwise_relations(g), g.edges()
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(n) for n in range(2, 6)]
+    + [cycle_graph(n) for n in range(4, 10)]
+    + [parse_graph("HbE[vl{", "graph6"), wheel_graph(6), moser_spindle(), grotzsch()],
+)
+def test_witness_scan_matches_pairwise_on_named_graphs(g):
+    assert _scanned(g) == _pairwise_relations(g)
+
+
+def test_witness_scan_keeps_adjacent_edge_relations():
+    # every edge of an even cycle is an edge relation
+    assert (0, 1, "edge", True) in _scanned(cycle_graph(6))
+
+
+@given(graphs(max_n=10))
+def test_witness_scan_matches_pairwise(g):
+    assert _scanned(g) == _pairwise_relations(g)
 
 
 def test_identity_pairs_are_never_adjacent():
