@@ -8,7 +8,6 @@ embedded in reports as graph6 strings.
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -142,39 +141,23 @@ def _path_parity(g: Graph, u: int, v: int) -> int | None:
     return None
 
 
-def _check_bip_ie(g: Graph) -> _CheckResult:
-    # On connected bipartite graphs the edge relation is exactly "joined by
-    # an odd path once uv is removed".
+def _check_bip(g: Graph, parity: int) -> _CheckResult:
+    # On connected bipartite graphs, once uv is removed, the edge relation is
+    # exactly "joined by an odd path" (parity 1) and the identity relation
+    # exactly "joined by an even path" (parity 0).
     if g.m == 0 or not is_connected(g) or bipartition(g) is None:
         return 0, [], []
+    name, decide = ("edge", is_implicit_edge) if parity else ("identity", is_implicit_identity)
     ran = 0
     failures: list[_Finding] = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
             h = delete_edge(g, u, v)[0] if g.has_edge(u, v) else g
-            parity = _path_parity(h, u, v)
-            expected = parity == 1
-            got = is_implicit_edge(g, u, v)
+            expected = _path_parity(h, u, v) == parity
+            got = decide(g, u, v)
             ran += 1
             if got != expected:
-                failures.append((f"pair ({u},{v})", f"edge relation {expected}", str(got)))
-    return ran, failures, []
-
-
-def _check_bip_ii(g: Graph) -> _CheckResult:
-    if g.m == 0 or not is_connected(g) or bipartition(g) is None:
-        return 0, [], []
-    ran = 0
-    failures: list[_Finding] = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            h = delete_edge(g, u, v)[0] if g.has_edge(u, v) else g
-            parity = _path_parity(h, u, v)
-            expected = parity == 0
-            got = is_implicit_identity(g, u, v)
-            ran += 1
-            if got != expected:
-                failures.append((f"pair ({u},{v})", f"identity relation {expected}", str(got)))
+                failures.append((f"pair ({u},{v})", f"{name} relation {expected}", str(got)))
     return ran, failures, []
 
 
@@ -508,8 +491,8 @@ def _check_min_pre(g: Graph) -> _CheckResult:
 
 
 CHECKS: dict[str, tuple[Callable[[Graph], _CheckResult], str]] = {
-    "BIP-IE": (_check_bip_ie, "bipartite edge relations match odd-path reachability in g-uv"),
-    "BIP-II": (_check_bip_ii, "bipartite identity relations match even-path reachability in g-uv"),
+    "BIP-IE": (lambda g: _check_bip(g, 1), "bipartite edge relations match odd-path reachability in g-uv"),
+    "BIP-II": (lambda g: _check_bip(g, 0), "bipartite identity relations match even-path reachability in g-uv"),
     "IE2-EQ": (_check_ie2, "definition route agrees with the independent-set route on every pair"),
     "CIS-INV": (_check_cis_inv, "relations survive removing critical independent sets, iterated"),
     "KEMPE": (_check_kempe, "every coloring carries the chains each relation demands"),
@@ -603,6 +586,8 @@ def run_check(
                 break
             absorb(name, serialize_graph(g, "graph6"), CHECKS[check_id][0](g))
     else:
+        import concurrent.futures  # deferred: most processes never fan out
+
         tagged = [(name, serialize_graph(g, "graph6")) for name, g in items]
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = pool.map(

@@ -153,6 +153,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         ids = sorted(CHECKS)
 
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.exhaustive is not None and args.exhaustive < 1:
+        raise CliError(f"--exhaustive must be at least 1, got {args.exhaustive}")
     if args.exhaustive is None and args.families is None and args.random is None:
         corpus = default_corpus()
     else:
@@ -166,6 +170,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 random_arg = (int(n_str), float(p_str), args.seed, int(count_str))
             except ValueError as exc:
                 raise CliError(f"bad --random value {args.random!r}; expected N,P,COUNT") from exc
+            if random_arg[0] < 1 or random_arg[3] < 1:
+                raise CliError(f"bad --random value {args.random!r}; N and COUNT must be at least 1")
         corpus = CorpusSpec(
             families=families,
             exhaustive_n=args.exhaustive,

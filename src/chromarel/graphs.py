@@ -173,15 +173,10 @@ def delete_vertex(g: Graph, u: int) -> tuple[Graph, EditTrace]:
     """Remove vertex u; higher ids shift down by one."""
     if not (0 <= u < g.n):
         raise EditError(f"vertex {u} outside 0..{g.n - 1}")
-    low = (1 << u) - 1
-    rows = tuple(
-        (r & low) | (r >> (u + 1)) << u
-        for x, r in enumerate(g.rows)
-        if x != u
-    )
+    rows = _keep_rows(g.rows, ((1 << g.n) - 1) ^ 1 << u)
     labels = None
     if g.labels is not None:
-        labels = tuple(lab for x, lab in enumerate(g.labels) if x != u)
+        labels = g.labels[:u] + g.labels[u + 1 :]
     id_map: dict[int, int | None] = {
         x: (x if x < u else x - 1) for x in range(g.n) if x != u
     }
@@ -226,6 +221,33 @@ def mutate(g: Graph, edit: Edit) -> tuple[Graph, EditTrace]:
     if isinstance(edit, AddEdge):
         return add_edge(g, edit.u, edit.v)
     raise TypeError(f"not an edit: {edit!r}")
+
+
+def _keep_rows(rows: tuple[int, ...], keep: int) -> tuple[int, ...]:
+    """Rows of the subgraph induced on the vertex mask keep.
+
+    Survivors keep their order and renumber densely: each maximal run of kept
+    bits shifts down by the number of dropped vertices below it, so a row
+    costs one mask-and-shift per run. Every vertex removal uses this kernel.
+    """
+    runs = []
+    below = 0
+    rest = keep
+    while rest:
+        low = rest & -rest
+        above = rest & (rest + low)
+        run = rest ^ above
+        runs.append((run, low.bit_length() - 1 - below))
+        below += run.bit_count()
+        rest = above
+    out = []
+    for x in _bits(keep):
+        r = rows[x]
+        s = 0
+        for run, shift in runs:
+            s |= (r & run) >> shift
+        out.append(s)
+    return tuple(out)
 
 
 def _merge_rows(rows: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
@@ -306,28 +328,29 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, in
 
     Returns the subgraph and the old-id to new-id mapping.
     """
-    kept = sorted(set(keep))
-    for x in kept:
+    mask = 0
+    for x in keep:
         g._check_vertex(x)
-    id_map = {x: i for i, x in enumerate(kept)}
-    rows = []
-    for x in kept:
-        row = 0
-        r = g.rows[x]
-        for y in kept:
-            if r >> y & 1:
-                row |= 1 << id_map[y]
-        rows.append(row)
-    labels = None
-    if g.labels is not None:
-        labels = tuple(g.labels[x] for x in kept)
-    return Graph._make(len(kept), tuple(rows), labels), id_map
+        mask |= 1 << x
+    return _induced_on(g, mask)
 
 
 def delete_vertices(g: Graph, drop: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Remove a vertex set; returns the rest with its old-to-new id mapping."""
-    dropped = set(drop)
-    return induced_subgraph(g, (x for x in range(g.n) if x not in dropped))
+    mask = (1 << g.n) - 1
+    for x in drop:
+        if 0 <= x < g.n:
+            mask &= ~(1 << x)
+    return _induced_on(g, mask)
+
+
+def _induced_on(g: Graph, keep: int) -> tuple[Graph, dict[int, int]]:
+    kept = list(_bits(keep))
+    labels = None
+    if g.labels is not None:
+        labels = tuple(g.labels[x] for x in kept)
+    h = Graph._make(len(kept), _keep_rows(g.rows, keep), labels)
+    return h, {x: i for i, x in enumerate(kept)}
 
 
 def _component_of(rows: tuple[int, ...], start: int, within: int) -> int:

@@ -1,10 +1,20 @@
-"""Chromatic polynomials by memoized deletion and contraction."""
+"""Chromatic polynomials by exact reductions and memoized edge recursion.
+
+Each graph is reduced by the first rule that applies: edgeless and complete
+graphs in closed form; a product over components; trees in closed form; a
+simplicial vertex v, whose d neighbors form a clique, gives
+P(G) = (k - d) P(G - v). Otherwise a vertex pair is branched on:
+addition-contraction P(G) = P(G + uv) + P(G / uv) on a missing pair when
+more than half of all pairs are edges, and deletion-contraction
+P(G) = P(G - uv) - P(G / uv) on an edge otherwise, so both branches head
+toward the closed forms.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import _bits, _component_masks, _merge_rows
+from .graphs import _bits, _component_masks, _keep_rows, _merge_rows
 
 
 class BudgetError(ValueError):
@@ -47,10 +57,11 @@ def _mul(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
-def _sub(p: list[int], q: list[int]) -> list[int]:
+def _add(p: list[int], q: list[int], sign: int) -> list[int]:
+    # p + sign * q
     out = list(p) + [0] * (len(q) - len(p))
     for i, b in enumerate(q):
-        out[i] -= b
+        out[i] += sign * b
     return out
 
 
@@ -70,19 +81,33 @@ def _power_shifted(n: int, c: int, shift: int) -> list[int]:
     return [0] * shift + out
 
 
-def _induced_rows(rows: tuple[int, ...], mask: int) -> tuple[int, tuple[int, ...]]:
-    verts = list(_bits(mask))
-    idx = {x: i for i, x in enumerate(verts)}
-    out = []
-    for x in verts:
-        nr = 0
-        for y in _bits(rows[x] & mask):
-            nr |= 1 << idx[y]
-        out.append(nr)
-    return len(verts), tuple(out)
-
-
 _POLY_CACHE: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
+
+
+def _simplicial(n: int, rows: tuple[int, ...]) -> int | None:
+    """A vertex whose neighborhood is a clique, or None."""
+    for v in range(n):
+        nb = rows[v]
+        for u in _bits(nb):
+            if nb & ~rows[u] != 1 << u:
+                break
+        else:
+            return v
+    return None
+
+
+def _branch_pair(n: int, rows: tuple[int, ...], dense: bool) -> tuple[int, int]:
+    # Dense: the missing pair with the most common neighbors; its merge
+    # sheds the most edges, so the merged branch stays smallest. Sparse: an
+    # edge at a vertex of least degree, so deleting edges soon leaves a
+    # simplicial vertex; ties again go to the most common neighbors.
+    if dense:
+        full = (1 << n) - 1
+        cands = ((u, v) for u in range(n) for v in _bits(full & ~rows[u] & ~((2 << u) - 1)))
+    else:
+        low = min(r.bit_count() for r in rows)
+        cands = ((u, v) for u in range(n) if rows[u].bit_count() == low for v in _bits(rows[u]))
+    return max(cands, key=lambda p: (rows[p[0]] & rows[p[1]]).bit_count())
 
 
 def _poly(n: int, rows: tuple[int, ...]) -> list[int]:
@@ -90,51 +115,53 @@ def _poly(n: int, rows: tuple[int, ...]) -> list[int]:
     hit = _POLY_CACHE.get(key)
     if hit is not None:
         return list(hit)
-    m = sum(r.bit_count() for r in rows) // 2
-    if m == 0:
-        result = [0] * n + [1]
-    elif m == n * (n - 1) // 2:
-        result = _falling_poly(n)
-    else:
-        comps = _component_masks(n, rows)
-        if len(comps) > 1:
-            result = [1]
-            for mask in comps:
-                cn, crows = _induced_rows(rows, mask)
-                result = _mul(result, _poly(cn, crows))
-        elif m == n - 1:  # connected, so a tree
-            result = _power_shifted(n - 1, -1, 1)
-        else:
-            # pick the edge with the most common neighbors; its contraction
-            # sheds the most edges, so the denser branch stays smallest
-            best = None
-            best_common = -1
-            for u in range(n):
-                ru = rows[u]
-                for v in _bits(ru):
-                    if v <= u:
-                        continue
-                    common = (ru & rows[v]).bit_count()
-                    if common > best_common:
-                        best_common = common
-                        best = (u, v)
-            u, v = best
-            del_rows = list(rows)
-            del_rows[u] &= ~(1 << v)
-            del_rows[v] &= ~(1 << u)
-            deleted = _poly(n, tuple(del_rows))
-            contracted = _poly(n - 1, _merge_rows(rows, u, v))
-            result = _sub(deleted, contracted)
+    result = _reduce(n, rows)
     _POLY_CACHE[key] = tuple(result)
     return result
 
 
-def chromatic_polynomial(g, max_vertices: int = 20) -> ChromaticPolynomial:
-    """Exact chromatic polynomial via deletion and contraction.
+def _reduce(n: int, rows: tuple[int, ...]) -> list[int]:
+    m = sum(r.bit_count() for r in rows) // 2
+    pairs = n * (n - 1) // 2
+    if m == 0:
+        return [0] * n + [1]
+    if m == pairs:
+        return _falling_poly(n)
+    comps = _component_masks(n, rows)
+    if len(comps) > 1:
+        result = [1]
+        for mask in comps:
+            result = _mul(result, _poly(mask.bit_count(), _keep_rows(rows, mask)))
+        return result
+    if m == n - 1:  # connected, so a tree
+        return _power_shifted(n - 1, -1, 1)
+    v = _simplicial(n, rows)
+    if v is not None:
+        # P(G) = (k - d) P(G - v) when N(v) is a d-clique
+        rest = _poly(n - 1, _keep_rows(rows, ((1 << n) - 1) ^ 1 << v))
+        return _mul([-rows[v].bit_count(), 1], rest)
+    dense = 2 * m > pairs
+    u, v = _branch_pair(n, rows, dense)
+    flipped = list(rows)
+    flipped[u] ^= 1 << v
+    flipped[v] ^= 1 << u
+    # dense: P(G) = P(G + uv) + P(G / uv); sparse: P(G) = P(G - uv) - P(G / uv)
+    return _add(
+        _poly(n, tuple(flipped)),
+        _poly(n - 1, _merge_rows(rows, u, v)),
+        1 if dense else -1,
+    )
 
-    Memoized on the exact labeled adjacency, shared across calls. Instances
-    with more than `max_vertices` vertices are refused; pass a larger budget
-    to force the computation.
+
+def chromatic_polynomial(g, max_vertices: int = 20) -> ChromaticPolynomial:
+    """Exact chromatic polynomial.
+
+    Components, trees and simplicial vertices are peeled off exactly; what
+    remains is branched by addition-contraction when dense and by
+    deletion-contraction when sparse (see the module docstring). Memoized
+    on the exact labeled adjacency, shared across calls. Instances with more
+    than `max_vertices` vertices are refused; pass a larger budget to force
+    the computation.
     """
     if g.n > max_vertices:
         raise BudgetError(

@@ -232,3 +232,37 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "chromarel" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "corpus",
+    [
+        ("--exhaustive", "-2"),
+        ("--exhaustive", "0"),
+        ("--random", "5,0.5,-1"),
+        ("--random", "5,0.5,0"),
+        ("--random", "0,0.5,3"),
+        ("--exhaustive", "2", "--jobs", "0"),
+        ("--exhaustive", "2", "--jobs", "-1"),
+    ],
+)
+def test_verify_rejects_empty_or_nonpositive_corpus(capsys, corpus):
+    # these used to run nothing and report a vacuous pass
+    code, out, err = run_cli(capsys, "verify", "--checks", "BIP-IE", *corpus)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "at least 1" in err
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, chromarel.cli; print('concurrent.futures' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

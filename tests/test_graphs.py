@@ -252,3 +252,33 @@ def test_merge_kernel_matches_from_edges_reference(g):
             assert trace.new_vertex == g.n - 2
             Graph(h.n, h.rows)  # symmetric, loop-free, in range
 
+
+def _induced_reference(g, kept):
+    # the induced subgraph spelled out edge by edge through the validating constructor
+    f = {x: i for i, x in enumerate(sorted(kept))}
+    edges = [(f[x], f[y]) for x, y in g.edges() if x in f and y in f]
+    return Graph.from_edges(len(f), edges), f
+
+
+@given(graphs(max_n=9), st.data())
+def test_removal_kernel_matches_from_edges_reference(g, data):
+    labels = tuple(f"v{x}" for x in range(g.n))
+    g = Graph(g.n, g.rows, labels)
+    kept = data.draw(st.sets(st.integers(min_value=0, max_value=max(g.n - 1, 0))))
+    kept &= set(range(g.n))
+    ref, f = _induced_reference(g, kept)
+    for h, id_map in (
+        induced_subgraph(g, kept),
+        delete_vertices(g, set(range(g.n)) - kept),
+    ):
+        assert h.rows == ref.rows
+        assert id_map == f
+        assert h.labels == tuple(labels[x] for x in sorted(kept))
+        Graph(h.n, h.rows)  # symmetric, loop-free, in range
+    for u in range(g.n):
+        h, trace = delete_vertex(g, u)
+        ref, f = _induced_reference(g, set(range(g.n)) - {u})
+        assert h.rows == ref.rows
+        assert trace.id_map == {**f, u: None}
+        assert h.labels == labels[:u] + labels[u + 1 :]
+        Graph(h.n, h.rows)

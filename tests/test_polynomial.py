@@ -19,6 +19,7 @@ from chromarel.families import (
     moser_spindle,
     path_graph,
     petersen,
+    wheel_graph,
 )
 
 import oracles
@@ -36,6 +37,13 @@ from conftest import graphs
         (cycle_graph(4), (0, -3, 6, -4, 1)),
         (cycle_graph(5), (0, 4, -10, 10, -5, 1)),  # (k-1)^5 - (k-1)
         (complete_graph(4), (0, -6, 11, -6, 1)),
+        # octahedron K6 minus a perfect matching: every neighborhood is a
+        # 4-cycle, so only addition-contraction applies at the top;
+        # k(k-1)(k-2)(k^3-9k^2+29k-32)
+        (
+            Graph.from_edges(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if v != u + 3]),
+            (0, -64, 154, -137, 58, -12, 1),
+        ),
     ],
 )
 def test_known_polynomials(g, coeffs):
@@ -61,8 +69,10 @@ def test_evaluate():
 
 
 def test_matches_interpolated_enumeration_exhaustively():
-    # brute-force counts at k = 0..n determine the polynomial uniquely
-    for n in range(1, 5):
+    # brute-force counts at k = 0..n determine the polynomial uniquely; every
+    # labeled graph on five vertices, disconnected ones included, reaches each
+    # reduction (components, trees, simplicial vertices, addition, deletion)
+    for n in range(1, 6):
         for g in enumerate_graphs(n, connected_only=False):
             counts = [oracles.count_by_assignment(g, k) for k in range(n + 1)]
             assert (
@@ -133,3 +143,54 @@ def test_deletion_contraction_identity(g, data):
 def test_coefficient_sum_is_count_at_one(g):
     p = chromatic_polynomial(g)
     assert sum(p.coefficients) == (0 if g.m else 1)
+
+
+@st.composite
+def dense_graphs(draw, min_n=2, max_n=9):
+    # more than half of all pairs are edges, so addition-contraction runs
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    missing = draw(
+        st.lists(st.sampled_from(pairs), unique=True, max_size=(len(pairs) - 1) // 2)
+    )
+    return Graph.from_edges(n, [e for e in pairs if e not in missing])
+
+
+@given(dense_graphs())
+def test_dense_graphs_count_colorings(g):
+    assert 4 * g.m > g.n * (g.n - 1)
+    p = chromatic_polynomial(g)
+    for k in range(g.n + 1):
+        assert evaluate(p, k) == count_colorings(g, k)
+
+
+def _agrees(g, closed_form):
+    p = chromatic_polynomial(g)
+    assert p.degree == g.n
+    # n + 1 points fix a degree-n polynomial
+    for k in range(g.n + 1):
+        assert evaluate(p, k) == closed_form(k), (g.edges(), k)
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_fan_closed_form(n):
+    # apex n-1 over the path 0..n-2
+    g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 2)] + [(i, n - 1) for i in range(n - 1)])
+    _agrees(g, lambda k: k * (k - 1) * (k - 2) ** (n - 2))
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_wheel_closed_form(n):
+    # W_n: n vertices, a hub over an (n-1)-cycle
+    _agrees(
+        wheel_graph(n - 1),
+        lambda k: k * ((k - 2) ** (n - 1) + (-1) ** (n - 1) * (k - 2)),
+    )
+
+
+@given(st.lists(st.integers(min_value=0), min_size=0, max_size=14))
+def test_tree_closed_form(picks):
+    # vertex i + 1 hangs off some earlier vertex
+    n = len(picks) + 1
+    g = Graph.from_edges(n, [(p % (i + 1), i + 1) for i, p in enumerate(picks)])
+    _agrees(g, lambda k: k * (k - 1) ** (n - 1))
