@@ -1,105 +1,59 @@
 """Exact chromatic analysis: colorings, polynomials, and the hidden
 edge/identity relations that minimal stuck precolorings reveal."""
 
-from .graphs import (
-    EditError,
-    EditKind,
-    EditTrace,
-    Graph,
-    add_edge,
-    bipartition,
-    common_neighbors,
-    connected_components,
-    contract_edge,
-    delete_edge,
-    delete_vertex,
-    delete_vertices,
-    identify_vertices,
-    independent_sets,
-    induced_subgraph,
-    is_connected,
-    subdivide_edge,
-)
-from .io import FORMATS, FormatError, format_for_path, parse_graph, serialize_graph
-from .coloring import (
-    Coloring,
-    ColoringStream,
-    KempeChain,
-    Precoloring,
-    chromatic_number,
-    colorings,
-    count_colorings,
-    flip,
-    k_colorable,
-    kempe_chain,
-)
-from .planarity import is_planar
-from .polynomial import BudgetError, ChromaticPolynomial, chromatic_polynomial, evaluate
-from .relations import (
-    CriticalityReport,
-    ImplicitRelation,
-    NonExtensibleCertificate,
-    RelationKind,
-    RouteDisagreementError,
-    criticality,
-    critical_independent_sets,
-    implicit_via_sets,
-    is_critical_independent_set,
-    is_implicit_edge,
-    is_implicit_identity,
-    min_nonextensible,
-    relation_report,
-    scan_relations,
-    to_dot,
-)
-from .families import (
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
-    enumerate_graphs,
-    generate,
-    gnp,
-    grotzsch,
-    moser_spindle,
-    mycielski,
-    path_graph,
-    petersen,
-    wheel_graph,
-)
-from .checks import (
-    CHECKS,
-    CheckFailure,
-    CheckReport,
-    CorpusSpec,
-    default_corpus,
-    iter_corpus,
-    run_check,
-    run_checks,
-)
+import importlib
+
+# The public names of each module. A name resolves on first access
+# (PEP 562), so a process imports only the modules it uses: `chromarel poly`
+# never loads the relation scan or the check catalog.
+_EXPORTS = {
+    "graphs": (
+        "EditError", "EditKind", "EditTrace", "Graph",
+        "add_edge", "bipartition", "common_neighbors", "connected_components",
+        "contract_edge", "delete_edge", "delete_vertex", "delete_vertices",
+        "identify_vertices", "independent_sets", "induced_subgraph",
+        "is_connected", "subdivide_edge",
+    ),
+    "io": ("FORMATS", "FormatError", "format_for_path", "parse_graph", "serialize_graph"),
+    "coloring": (
+        "Coloring", "ColoringStream", "KempeChain", "Precoloring",
+        "chromatic_number", "colorings", "count_colorings", "flip",
+        "k_colorable", "kempe_chain",
+    ),
+    "planarity": ("is_planar",),
+    "polynomial": ("BudgetError", "ChromaticPolynomial", "chromatic_polynomial", "evaluate"),
+    "relations": (
+        "CriticalityReport", "ImplicitRelation", "NonExtensibleCertificate",
+        "RelationKind", "RouteDisagreementError",
+        "criticality", "critical_independent_sets", "implicit_via_sets",
+        "is_critical_independent_set", "is_implicit_edge", "is_implicit_identity",
+        "min_nonextensible", "relation_report", "scan_relations", "to_dot",
+    ),
+    "families": (
+        "complete_bipartite", "complete_graph", "cycle_graph", "enumerate_graphs",
+        "generate", "gnp", "grotzsch", "moser_spindle", "mycielski",
+        "path_graph", "petersen", "wheel_graph",
+    ),
+    "checks": (
+        "CHECKS", "CheckFailure", "CheckReport", "CorpusSpec",
+        "default_corpus", "iter_corpus", "run_check", "run_checks",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EditError", "EditKind", "EditTrace", "Graph",
-    "add_edge", "bipartition", "common_neighbors", "connected_components",
-    "contract_edge", "delete_edge", "delete_vertex", "delete_vertices",
-    "identify_vertices", "independent_sets", "induced_subgraph",
-    "is_connected", "subdivide_edge",
-    "FORMATS", "FormatError", "format_for_path", "parse_graph", "serialize_graph",
-    "Coloring", "ColoringStream", "KempeChain", "Precoloring",
-    "chromatic_number", "colorings", "count_colorings", "flip",
-    "k_colorable", "kempe_chain",
-    "is_planar",
-    "BudgetError", "ChromaticPolynomial", "chromatic_polynomial", "evaluate",
-    "CriticalityReport", "ImplicitRelation", "NonExtensibleCertificate",
-    "RelationKind", "RouteDisagreementError",
-    "criticality", "critical_independent_sets", "implicit_via_sets",
-    "is_critical_independent_set", "is_implicit_edge", "is_implicit_identity",
-    "min_nonextensible", "relation_report", "scan_relations", "to_dot",
-    "complete_bipartite", "complete_graph", "cycle_graph", "enumerate_graphs",
-    "generate", "gnp", "grotzsch", "moser_spindle", "mycielski",
-    "path_graph", "petersen", "wheel_graph",
-    "CHECKS", "CheckFailure", "CheckReport", "CorpusSpec",
-    "default_corpus", "iter_corpus", "run_check", "run_checks",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{home}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

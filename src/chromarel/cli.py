@@ -5,6 +5,10 @@ whitespace, one trailing newline, so identical inputs give byte-identical
 output. Timings and progress go to stderr only. Exit status 0 means success,
 1 means a failed check or a non-extensible precoloring, 2 means bad usage
 or unreadable input.
+
+Each command imports the modules it uses when it runs, on top of graphs and
+io, so a process loads only those: `poly` needs polynomial, not the relation
+scan or the check catalog.
 """
 
 from __future__ import annotations
@@ -14,21 +18,14 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .checks import CHECKS, CorpusSpec, default_corpus, run_check
-from .coloring import Precoloring, chromatic_number, k_colorable
-from .families import generate
 from .graphs import EditError, Graph
 from .io import FORMATS, FormatError, format_for_path, parse_graph, serialize_graph
-from .polynomial import BudgetError, chromatic_polynomial, evaluate
-from .relations import (
-    RelationKind,
-    RouteDisagreementError,
-    criticality,
-    scan_relations,
-    to_dot,
-)
+
+if TYPE_CHECKING:
+    from .coloring import Precoloring
 
 
 class CliError(Exception):
@@ -70,6 +67,8 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _parse_precoloring(text: str, k: int) -> Precoloring:
+    from .coloring import Precoloring
+
     assignment: dict[int, int] = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -94,6 +93,9 @@ def _parse_precoloring(text: str, k: int) -> Precoloring:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .coloring import chromatic_number, k_colorable
+    from .relations import RelationKind, criticality, scan_relations, to_dot
+
     g = _read_graph(args.file, args.format)
     k = chromatic_number(g)
     result: dict = {"n": g.n, "m": g.m, "chi": k}
@@ -138,6 +140,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .checks import CHECKS, CorpusSpec, default_corpus, run_check
+
     if args.checks:
         ids = []
         for piece in args.checks.split(","):
@@ -201,6 +205,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .families import generate
+
     try:
         g = generate(args.family, *args.params)
     except ValueError as exc:
@@ -226,6 +232,8 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
+    from .polynomial import BudgetError, chromatic_polynomial, evaluate
+
     g = _read_graph(args.file, args.format)
     try:
         poly = chromatic_polynomial(g, max_vertices=args.max_vertices)
@@ -311,6 +319,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _route_disagreement() -> tuple[type[Exception], ...]:
+    # An except clause evaluates its class only once an exception reaches it,
+    # and only a command that loaded the relation module can raise this one.
+    relations = sys.modules.get("chromarel.relations")
+    return (relations.RouteDisagreementError,) if relations is not None else ()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -319,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RouteDisagreementError as exc:
+    except _route_disagreement() as exc:
         # two supposedly equivalent decision procedures disagreed; surface it
         # like a failed check rather than a usage problem
         print(f"error: {exc}", file=sys.stderr)

@@ -5,9 +5,9 @@ coloring of g-uv into {1..k} gives u and v the same color, and an implicit
 identity when none gives them different colors. The edge uv is removed first
 when present, so the relations are independent of adjacency. Each relation
 can be decided two ways: by direct colorability (the definition route) or by
-searching for an independent set whose removal drops the chromatic number
-(the set route). scan_relations runs both and refuses to return if they ever
-disagree.
+searching the maximal independent sets for one whose removal drops the
+chromatic number (the set route). scan_relations runs both and refuses to
+return if they ever disagree.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class ImplicitRelation:
     v: int
     kind: RelationKind
     k: int  # chromatic level at which the relation holds
-    witness_route: str  # "definition" or "independent-set"
     adjacent: bool  # whether uv was an edge of the original graph
 
 
@@ -78,6 +77,10 @@ def _without_edge(g: Graph, u: int, v: int) -> Graph:
     return delete_edge(g, u, v)[0] if g.has_edge(u, v) else g
 
 
+def _with_edge(g: Graph, u: int, v: int) -> Graph:
+    return g if g.has_edge(u, v) else add_edge(g, u, v)[0]
+
+
 def _equal_witness(g: Graph, u: int, v: int, k: int) -> tuple[int, ...] | None:
     """Colors of a k-coloring of g-uv that gives u and v one color, or None."""
     merged, trace = identify_vertices(_without_edge(g, u, v), u, v)
@@ -89,8 +92,7 @@ def _equal_witness(g: Graph, u: int, v: int, k: int) -> tuple[int, ...] | None:
 
 def _distinct_witness(g: Graph, u: int, v: int, k: int) -> tuple[int, ...] | None:
     """Colors of a k-coloring of g+uv, which separates u and v in g-uv, or None."""
-    target = g if g.has_edge(u, v) else add_edge(g, u, v)[0]
-    c = k_colorable(target, k)
+    c = k_colorable(_with_edge(g, u, v), k)
     return None if c is None else c.assignment
 
 
@@ -120,26 +122,23 @@ def implicit_via_sets(g: Graph, u: int, v: int, kind: RelationKind) -> bool:
     Edge: {u,v} is an implicit edge iff no independent set of g-uv contains
     both endpoints and has chi(g - S) < chi(g). Identity: {u,v} is an
     implicit identity iff no independent set of g-u contains v and has
-    chi(g - S) < chi(g).
+    chi(g - S) < chi(g); those are the independent sets of g+uv containing
+    v, so no vertex ids move. Deleting more vertices never raises chi, so
+    only the maximal such sets need testing.
     """
     _pair_check(g, u, v)
     k = chromatic_number(g)
     if kind is RelationKind.EDGE:
-        h = _without_edge(g, u, v)
-        for s in independent_sets(h, (u, v)):
-            rest, _ = delete_vertices(g, s)
-            if chromatic_number(rest) < k:
-                return False
-        return True
-    if kind is RelationKind.IDENTITY:
-        h, trace = delete_vertex(g, u)
-        back = {new: old for old, new in trace.id_map.items() if new is not None}
-        for s in independent_sets(h, (trace.id_map[v],)):
-            rest, _ = delete_vertices(g, (back[x] for x in s))
-            if chromatic_number(rest) < k:
-                return False
-        return True
-    raise ValueError(f"unknown relation kind {kind!r}")
+        h, seed = _without_edge(g, u, v), (u, v)
+    elif kind is RelationKind.IDENTITY:
+        h, seed = _with_edge(g, u, v), (v,)
+    else:
+        raise ValueError(f"unknown relation kind {kind!r}")
+    for s in independent_sets(h, seed, mode="maximal"):
+        rest, _ = delete_vertices(g, s)
+        if chromatic_number(rest) < k:
+            return False
+    return True
 
 
 def _class_of(classes: list[int], x: int) -> int:
@@ -293,7 +292,6 @@ def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelati
                         v,
                         RelationKind.EDGE if edge_rel else RelationKind.IDENTITY,
                         k,
-                        "definition",
                         adjacent,
                     )
                 )
@@ -374,7 +372,6 @@ class NonExtensibleCertificate:
 
     precoloring: Precoloring
     k: int
-    exhausted: bool = True
 
     @property
     def size(self) -> int:

@@ -117,3 +117,73 @@ def relations_by_assignment(g):
             elif seen_equal and not seen_distinct:
                 out[(u, v)] = "identity"
     return out
+
+
+def _independent(g, s):
+    return not any(g.has_edge(a, b) for a, b in itertools.combinations(s, 2))
+
+
+def maximal_independent_sets_by_subsets(g):
+    """Every maximal independent set, found by testing every vertex subset:
+    a subset is one exactly when its members are the vertices with no
+    neighbour in it."""
+    nbrs = [0] * g.n
+    for a, b in g.edges():
+        nbrs[a] |= 1 << b
+        nbrs[b] |= 1 << a
+    return [
+        frozenset(x for x in range(g.n) if s >> x & 1)
+        for s in range(1 << g.n)
+        if all((s >> x & 1) == (not nbrs[x] & s) for x in range(g.n))
+    ]
+
+
+def induced_chromatic_numbers(g):
+    """chi of the subgraph induced on every vertex subset, keyed by the
+    sorted vertex tuple: strip one independent set holding the least vertex
+    and take the best."""
+    chi = {(): 0}
+    for size in range(1, g.n + 1):
+        for t in itertools.combinations(range(g.n), size):
+            first, rest = t[0], t[1:]
+            best = size
+            for r in range(len(rest) + 1):
+                for extra in itertools.combinations(rest, r):
+                    block = (first, *extra)
+                    if _independent(g, block):
+                        left = tuple(x for x in t if x not in block)
+                        best = min(best, 1 + chi[left])
+            chi[t] = best
+    return chi
+
+
+def relations_by_independent_sets(g):
+    """Classify every pair by the independent-set characterization, over
+    every vertex subset.
+
+    uv is an edge relation iff no subset holding u and v, independent once
+    uv is ignored, lowers chi when removed; an identity iff no independent
+    subset holding v but not u does. Returns {(u, v): "edge" | "identity"}
+    like relations_by_assignment.
+    """
+    chi = induced_chromatic_numbers(g)
+    full = tuple(range(g.n))
+    k = chi[full]
+    lowering = [
+        set(s)
+        for size in range(g.n + 1)
+        for s in itertools.combinations(full, size)
+        if chi[tuple(x for x in full if x not in s)] < k
+    ]
+    out = {}
+    for u, v in itertools.combinations(full, 2):
+        edge = not any(
+            u in s and v in s and _independent(g, s - {u}) and _independent(g, s - {v})
+            for s in lowering
+        )
+        identity = not any(v in s and u not in s and _independent(g, s) for s in lowering)
+        if edge:
+            out[(u, v)] = "edge"
+        elif identity:
+            out[(u, v)] = "identity"
+    return out

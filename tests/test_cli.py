@@ -1,10 +1,10 @@
 import json
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
-import chromarel.cli as cli_mod
 import chromarel.relations as relations_mod
 from chromarel.cli import main
 from chromarel.families import cycle_graph, gnp, path_graph
@@ -73,10 +73,20 @@ def test_analyze_scans_once(capsys, p4_file, monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(relations_mod, name, counted)
-        monkeypatch.setattr(cli_mod, name, counted)
     code, _, _ = run_cli(capsys, "analyze", p4_file, "--relations", "--criticality")
     assert code == 0
     assert sorted(calls) == ["criticality", "scan_relations"]
+
+
+def test_route_disagreement_exits_1(capsys, p4_file, monkeypatch):
+    real = relations_mod.implicit_via_sets
+    monkeypatch.setattr(
+        relations_mod, "implicit_via_sets", lambda *args: not real(*args)
+    )
+    code, out, err = run_cli(capsys, "analyze", p4_file, "--relations")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: route disagreement")
 
 
 def test_analyze_extension_exit_codes(capsys, p4_file):
@@ -266,3 +276,65 @@ def test_cli_import_leaves_out_the_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+
+def _fresh_process(*code):
+    source = "".join(textwrap.dedent(part) for part in code)
+    proc = subprocess.run([sys.executable, "-c", source], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+_PRINT_LOADED = """
+import json, sys
+print(json.dumps(sorted(m[10:] for m in sys.modules if m.startswith("chromarel."))))
+"""
+
+
+def test_cli_import_loads_no_command_modules():
+    (loaded,) = _fresh_process("import chromarel.cli", _PRINT_LOADED)
+    assert json.loads(loaded) == ["cli", "graphs", "io"]
+
+
+def test_poly_run_loads_only_its_modules(tmp_path):
+    path = tmp_path / "c5.g6"
+    path.write_text(serialize_graph(cycle_graph(5), "graph6"))
+    poly, loaded = _fresh_process(
+        f"""
+        from chromarel.cli import main
+        main(["poly", {str(path)!r}, "--eval", "3"])
+        """,
+        _PRINT_LOADED,
+    )
+    assert json.loads(poly)["eval"] == {"3": 30}
+    assert json.loads(loaded) == ["cli", "graphs", "io", "polynomial"]
+
+
+def test_package_names_resolve_to_their_home_objects():
+    # a fresh process, so that every name goes through the lazy lookup
+    lines = _fresh_process(
+        """
+        import importlib, json, chromarel
+        DATA = {"FORMATS": "chromarel.io", "CHECKS": "chromarel.checks",
+                "__version__": "chromarel"}
+        homes = set()
+        for name in chromarel.__all__:
+            obj = getattr(chromarel, name)
+            home = DATA.get(name) or obj.__module__
+            assert getattr(importlib.import_module(home), name) is obj, name
+            homes.add(home)
+        print(json.dumps(sorted(homes)))
+        print(set(chromarel.__all__) <= set(dir(chromarel)))
+        try:
+            chromarel.no_such_name
+        except AttributeError as exc:
+            print(exc)
+        """
+    )
+    homes, listed, missing = lines
+    modules = ("checks", "coloring", "families", "graphs", "io", "planarity", "polynomial",
+               "relations")
+    assert json.loads(homes) == ["chromarel", *(f"chromarel.{m}" for m in modules)]
+    assert listed == "True"
+    assert missing == "module 'chromarel' has no attribute 'no_such_name'"

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -21,9 +23,11 @@ from chromarel import (
     subdivide_edge,
 )
 from chromarel.graphs import AddEdge, DeleteEdge, DeleteVertex, mutate
-from chromarel.families import cycle_graph, path_graph, complete_graph
+from chromarel.families import cycle_graph, path_graph, complete_graph, enumerate_graphs
 
 from conftest import graphs
+
+import oracles
 
 
 def test_from_edges_basic():
@@ -187,7 +191,37 @@ def test_independent_sets_seeded():
     with pytest.raises(ValueError):
         list(independent_sets(g, must_include=(0, 1)))
     with pytest.raises(ValueError):
+        independent_sets(g, must_include=(0, 1), mode="maximal")
+    with pytest.raises(ValueError):
         independent_sets(g, mode="most")
+
+
+def test_maximal_independent_sets_match_subset_oracle():
+    # every labeled graph on up to six vertices, every seed of at most two
+    # vertices: each maximal set holding the seed appears exactly once
+    assert list(independent_sets(Graph(0, ()), mode="maximal")) == [frozenset()]
+    wrong = []
+    for n in range(1, 7):
+        seeds = [s for size in range(3) for s in itertools.combinations(range(n), size)]
+        for g in enumerate_graphs(n, connected_only=False):
+            everything = oracles.maximal_independent_sets_by_subsets(g)
+            for seed in seeds:
+                if len(seed) == 2 and g.has_edge(*seed):
+                    continue
+                got = list(independent_sets(g, seed, mode="maximal"))
+                want = {s for s in everything if s.issuperset(seed)}
+                if len(got) != len(want) or set(got) != want:
+                    wrong.append((g.edges(), seed))
+    assert wrong == []
+
+
+def test_delete_vertices_rejects_out_of_range_ids():
+    g = cycle_graph(5)
+    for bad in (5, -1):
+        with pytest.raises(EditError):
+            delete_vertices(g, [0, bad])
+        with pytest.raises(EditError):
+            delete_vertex(g, bad)
 
 
 @given(graphs(max_n=7), st.data())
