@@ -16,7 +16,7 @@ _EXPORTS = {
     ),
     "io": ("FORMATS", "FormatError", "format_for_path", "parse_graph", "serialize_graph"),
     "coloring": (
-        "Coloring", "ColoringStream", "KempeChain", "Precoloring",
+        "Coloring", "KempeChain", "Precoloring",
         "chromatic_number", "colorings", "count_colorings", "flip",
         "k_colorable", "kempe_chain",
     ),

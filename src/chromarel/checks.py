@@ -31,6 +31,7 @@ from .graphs import (
     identify_vertices,
     subdivide_edge,
     _bits,
+    _memo,
 )
 from .io import parse_graph, serialize_graph
 from .planarity import is_planar
@@ -100,26 +101,14 @@ def iter_corpus(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
             yield from emit(f"gnp({n},{p},{seed + i})", gnp(n, p, seed + i))
 
 
-_SCAN_CACHE: dict[tuple[int, tuple[int, ...]], tuple] = {}
-_CRIT_CACHE: dict[tuple[int, tuple[int, ...]], object] = {}
-
-
+@_memo
 def _relations_of(g: Graph):
-    key = (g.n, g.rows)
-    hit = _SCAN_CACHE.get(key)
-    if hit is None:
-        hit = tuple(scan_relations(g))
-        _SCAN_CACHE[key] = hit
-    return hit
+    return tuple(scan_relations(g))
 
 
+@_memo
 def _criticality_of(g: Graph):
-    key = (g.n, g.rows)
-    hit = _CRIT_CACHE.get(key)
-    if hit is None:
-        hit = criticality(g)
-        _CRIT_CACHE[key] = hit
-    return hit
+    return criticality(g)
 
 
 def _path_parity(g: Graph, u: int, v: int) -> int | None:

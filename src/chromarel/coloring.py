@@ -1,7 +1,6 @@
 """Exact coloring: decision solver, enumeration, counting, Kempe chains.
 
-Colors are 1-based. "into-k" semantics means maps into {1..k} (not
-necessarily onto); "exactly-k" filters to colorings whose image has size k.
+Colors are 1-based, and a k-coloring maps into {1..k}, not necessarily onto.
 """
 
 from __future__ import annotations
@@ -9,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .graphs import Graph, _bits, _component_of, bipartition
+from .graphs import Graph, _bits, _component_of, _memo, bipartition
 
 
 @dataclass(frozen=True)
@@ -147,9 +146,6 @@ def k_colorable(g: Graph, k: int, pre: Precoloring | None = None) -> Coloring | 
     return Coloring(tuple(colors), k)
 
 
-_CHI_CACHE: dict[tuple[int, tuple[int, ...]], int] = {}
-
-
 def _greedy_clique_size(g: Graph) -> int:
     if g.n == 0:
         return 0
@@ -185,19 +181,14 @@ def _greedy_coloring_size(g: Graph) -> int:
 
 
 def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number, cached on the graph value."""
-    if g._chi is not None:
-        return g._chi
-    key = (g.n, g.rows)
-    chi = _CHI_CACHE.get(key)
-    if chi is None:
-        chi = _compute_chi(g)
-        _CHI_CACHE[key] = chi
-    g._chi = chi
-    return chi
+    """Exact chromatic number, memoized on the graph value (n, rows) by the
+    package's bounded LRU memo, shared across calls."""
+    return _chromatic(g.n, g.rows)
 
 
-def _compute_chi(g: Graph) -> int:
+@_memo
+def _chromatic(n: int, rows: tuple[int, ...]) -> int:
+    g = Graph._make(n, rows)
     if g.n == 0:
         return 0
     if all(r == 0 for r in g.rows):
@@ -212,53 +203,21 @@ def _compute_chi(g: Graph) -> int:
     return ub
 
 
-@dataclass(frozen=True)
-class ColoringStream:
-    """Iterable of colorings plus the flags describing what it enumerates."""
-
-    semantics: str
-    symmetry: str
-    k: int
-    _items: tuple = ()
-
-    def __iter__(self) -> Iterator[Coloring]:
-        return iter(self._items)
-
-
-def colorings(
-    g: Graph,
-    k: int,
-    semantics: str = "into-k",
-    symmetry: str = "labeled",
-) -> ColoringStream:
-    """Stream of proper colorings in lexicographic assignment order.
-
-    symmetry "fix-first-vertex" pins vertex 0 to color 1, collapsing palette
-    permutations; use it only for existence or universal checks, and read the
-    stream header to see that it was applied.
-    """
-    if semantics not in ("into-k", "exactly-k"):
-        raise ValueError(f"unknown semantics {semantics!r}")
-    if symmetry not in ("labeled", "fix-first-vertex"):
-        raise ValueError(f"unknown symmetry {symmetry!r}")
+def colorings(g: Graph, k: int) -> Iterator[Coloring]:
+    """Proper colorings of g into {1..k}, generated in lexicographic
+    assignment order."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return ColoringStream(semantics, symmetry, k, tuple(_enumerate(g, k, semantics, symmetry)))
+    return _enumerate(g, k)
 
 
-def _enumerate(g: Graph, k: int, semantics: str, symmetry: str) -> Iterator[Coloring]:
+def _enumerate(g: Graph, k: int) -> Iterator[Coloring]:
     n = g.n
-    if n == 0:
-        if semantics == "into-k" or k == 0:
-            yield Coloring((), k)
-        return
     colors = [0] * n
     rows = g.rows
 
-    def rec(v: int, used: int) -> Iterator[Coloring]:
+    def rec(v: int) -> Iterator[Coloring]:
         if v == n:
-            if semantics == "exactly-k" and used.bit_count() != k:
-                return
             yield Coloring(tuple(colors), k)
             return
         banned = 0
@@ -266,34 +225,24 @@ def _enumerate(g: Graph, k: int, semantics: str, symmetry: str) -> Iterator[Colo
             if w < v:
                 banned |= 1 << (colors[w] - 1)
         avail = ((1 << k) - 1) & ~banned
-        if v == 0 and symmetry == "fix-first-vertex":
-            avail &= 1
         while avail:
             bit = avail & -avail
             avail ^= bit
             colors[v] = bit.bit_length()
-            yield from rec(v + 1, used | bit)
+            yield from rec(v + 1)
         colors[v] = 0
 
-    yield from rec(0, 0)
+    yield from rec(0)
 
 
-_PARTITION_CACHE: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
-
-
-def _independent_partition_counts(g: Graph) -> tuple[int, ...]:
+@_memo
+def _independent_partition_counts(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
     """counts[j] = partitions of the vertices into j nonempty independent classes.
 
     Computed by direct backtracking over vertices in index order, classes kept
     in first-use order so each partition is visited exactly once.
     """
-    key = (g.n, g.rows)
-    hit = _PARTITION_CACHE.get(key)
-    if hit is not None:
-        return hit
-    n = g.n
     counts = [0] * (n + 1)
-    rows = g.rows
     class_masks: list[int] = []
 
     def rec(v: int) -> None:
@@ -311,9 +260,7 @@ def _independent_partition_counts(g: Graph) -> tuple[int, ...]:
         class_masks.pop()
 
     rec(0)
-    result = tuple(counts)
-    _PARTITION_CACHE[key] = result
-    return result
+    return tuple(counts)
 
 
 def count_colorings(g: Graph, k: int) -> int:
@@ -326,7 +273,7 @@ def count_colorings(g: Graph, k: int) -> int:
     if k < 0:
         raise ValueError("k must be nonnegative")
     total = 0
-    for j, nj in enumerate(_independent_partition_counts(g)):
+    for j, nj in enumerate(_independent_partition_counts(g.n, g.rows)):
         if nj and j <= k:
             ways = 1
             for i in range(j):

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
+
+# The package's one memo. Memoized functions take a graph's value, (n, rows),
+# or a Graph, which hashes and compares by that value. Past the cap the least
+# recently used entry is evicted, so a long computation runs in bounded memory.
+_MEMO_SIZE = 1 << 16
+_memo = functools.lru_cache(maxsize=_MEMO_SIZE)
 
 
 class EditError(ValueError):
@@ -28,7 +35,7 @@ class Graph:
     how ids moved.
     """
 
-    __slots__ = ("n", "rows", "labels", "_chi")
+    __slots__ = ("n", "rows", "labels")
 
     def __init__(self, n: int, rows: Iterable[int], labels: tuple[str, ...] | None = None):
         rows = tuple(rows)
@@ -52,7 +59,6 @@ class Graph:
         self.n = n
         self.rows = rows
         self.labels = labels
-        self._chi: int | None = None
 
     @classmethod
     def _make(cls, n: int, rows: tuple[int, ...], labels: tuple[str, ...] | None = None) -> Graph:
@@ -61,7 +67,6 @@ class Graph:
         g.n = n
         g.rows = rows
         g.labels = labels
-        g._chi = None
         return g
 
     @classmethod
@@ -145,26 +150,6 @@ class EditTrace:
     new_vertex: int | None = None
 
 
-@dataclass(frozen=True)
-class DeleteVertex:
-    u: int
-
-
-@dataclass(frozen=True)
-class DeleteEdge:
-    u: int
-    v: int
-
-
-@dataclass(frozen=True)
-class AddEdge:
-    u: int
-    v: int
-
-
-Edit = DeleteVertex | DeleteEdge | AddEdge
-
-
 def _identity_map(n: int) -> dict[int, int | None]:
     return {u: u for u in range(n)}
 
@@ -210,17 +195,6 @@ def add_edge(g: Graph, u: int, v: int) -> tuple[Graph, EditTrace]:
         Graph._make(g.n, tuple(rows), g.labels),
         EditTrace(EditKind.ADD_EDGE, _identity_map(g.n)),
     )
-
-
-def mutate(g: Graph, edit: Edit) -> tuple[Graph, EditTrace]:
-    """Apply a single edit descriptor."""
-    if isinstance(edit, DeleteVertex):
-        return delete_vertex(g, edit.u)
-    if isinstance(edit, DeleteEdge):
-        return delete_edge(g, edit.u, edit.v)
-    if isinstance(edit, AddEdge):
-        return add_edge(g, edit.u, edit.v)
-    raise TypeError(f"not an edit: {edit!r}")
 
 
 def _keep_rows(rows: tuple[int, ...], keep: int) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import _bits, _component_masks, _keep_rows, _merge_rows
+from .graphs import _bits, _component_masks, _keep_rows, _memo, _merge_rows
 
 
 class BudgetError(ValueError):
@@ -57,7 +57,7 @@ def _mul(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
-def _add(p: list[int], q: list[int], sign: int) -> list[int]:
+def _add(p: tuple[int, ...], q: tuple[int, ...], sign: int) -> list[int]:
     # p + sign * q
     out = list(p) + [0] * (len(q) - len(p))
     for i, b in enumerate(q):
@@ -79,9 +79,6 @@ def _power_shifted(n: int, c: int, shift: int) -> list[int]:
     for _ in range(n):
         out = _mul(out, [c, 1])
     return [0] * shift + out
-
-
-_POLY_CACHE: dict[tuple[int, tuple[int, ...]], tuple[int, ...]] = {}
 
 
 def _simplicial(n: int, rows: tuple[int, ...]) -> int | None:
@@ -110,14 +107,10 @@ def _branch_pair(n: int, rows: tuple[int, ...], dense: bool) -> tuple[int, int]:
     return max(cands, key=lambda p: (rows[p[0]] & rows[p[1]]).bit_count())
 
 
-def _poly(n: int, rows: tuple[int, ...]) -> list[int]:
-    key = (n, rows)
-    hit = _POLY_CACHE.get(key)
-    if hit is not None:
-        return list(hit)
-    result = _reduce(n, rows)
-    _POLY_CACHE[key] = tuple(result)
-    return result
+@_memo
+def _poly(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
+    # a tuple: every caller of a memo hit shares the one object
+    return tuple(_reduce(n, rows))
 
 
 def _reduce(n: int, rows: tuple[int, ...]) -> list[int]:
@@ -159,13 +152,13 @@ def chromatic_polynomial(g, max_vertices: int = 20) -> ChromaticPolynomial:
     Components, trees and simplicial vertices are peeled off exactly; what
     remains is branched by addition-contraction when dense and by
     deletion-contraction when sparse (see the module docstring). Memoized
-    on the exact labeled adjacency, shared across calls. Instances with more
-    than `max_vertices` vertices are refused; pass a larger budget to force
-    the computation.
+    on the exact labeled adjacency by the package's bounded LRU memo, shared
+    across calls. Instances with more than `max_vertices` vertices are
+    refused; pass a larger budget to force the computation.
     """
     if g.n > max_vertices:
         raise BudgetError(
             f"n={g.n} exceeds the {max_vertices}-vertex budget; "
             "raise max_vertices to force this computation"
         )
-    return ChromaticPolynomial(tuple(_poly(g.n, g.rows)))
+    return ChromaticPolynomial(_poly(g.n, g.rows))

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import chromarel.coloring as coloring_mod
 from chromarel import (
     Coloring,
+    Graph,
     Precoloring,
     chromatic_number,
     colorings,
@@ -96,13 +98,26 @@ def test_coloring_stream_counts():
     c4 = cycle_graph(4)
     assert len(list(colorings(c4, 2))) == 2
     assert len(list(colorings(c4, 3))) == 18
-    assert len(list(colorings(c4, 3, semantics="exactly-k"))) == 12
-    # pinning vertex 0 to color 1 kills the palette symmetry factor
-    fixed = list(colorings(c4, 3, symmetry="fix-first-vertex"))
-    assert len(fixed) == 6
-    assert all(c.color(0) == 1 for c in fixed)
-    stream = colorings(c4, 2)
-    assert list(stream) == list(stream)  # reusable, not a one-shot iterator
+    s = colorings(c4, 2)
+    assert iter(s) is s  # a generator, consumed once
+
+
+def test_colorings_are_lazy_and_lexicographic():
+    s = colorings(path_graph(3), 2)
+    assert next(s).assignment == (1, 2, 1)
+    assert [c.assignment for c in s] == [(2, 1, 2)]
+    with pytest.raises(ValueError):
+        colorings(path_graph(3), -1)  # raises at the call, before any item is drawn
+
+
+def test_equal_graphs_share_one_chi_computation():
+    a = cycle_graph(7)
+    b = Graph.from_edges(7, [(i, (i + 1) % 7) for i in range(7)], labels=tuple("abcdefg"))
+    assert a == b and a is not b
+    coloring_mod._chromatic.cache_clear()
+    assert chromatic_number(a) == chromatic_number(b) == 3
+    info = coloring_mod._chromatic.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_colorings_are_proper_and_distinct():

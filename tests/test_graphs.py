@@ -22,7 +22,6 @@ from chromarel import (
     is_connected,
     subdivide_edge,
 )
-from chromarel.graphs import AddEdge, DeleteEdge, DeleteVertex, mutate
 from chromarel.families import cycle_graph, path_graph, complete_graph, enumerate_graphs
 
 from conftest import graphs
@@ -123,15 +122,20 @@ def test_subdivide_edge():
     assert set(h.edges()) == {(0, 2), (0, 3), (1, 2), (1, 3)}
 
 
-def test_mutate_descriptors():
-    g = cycle_graph(4)
-    h, _ = mutate(g, DeleteEdge(0, 1))
-    assert not h.has_edge(0, 1)
-    h2, _ = mutate(h, AddEdge(0, 2))
-    assert h2.has_edge(0, 2)
-    h3, trace = mutate(g, DeleteVertex(3))
-    assert h3.n == 3
-    assert trace.id_map[3] is None
+def test_every_memo_has_the_one_shared_cap():
+    import chromarel.checks as checks
+    import chromarel.coloring as coloring
+    import chromarel.polynomial as polynomial
+    from chromarel.graphs import _MEMO_SIZE
+
+    memos = [
+        coloring._chromatic,
+        coloring._independent_partition_counts,
+        polynomial._poly,
+        checks._relations_of,
+        checks._criticality_of,
+    ]
+    assert all(f.cache_info().maxsize == _MEMO_SIZE for f in memos)
 
 
 def test_induced_subgraph_and_delete_vertices():
