@@ -8,11 +8,10 @@ import importlib
 # never loads the relation scan or the check catalog.
 _EXPORTS = {
     "graphs": (
-        "EditError", "EditKind", "EditTrace", "Graph",
-        "add_edge", "bipartition", "common_neighbors", "connected_components",
-        "contract_edge", "delete_edge", "delete_vertex", "delete_vertices",
-        "identify_vertices", "independent_sets", "induced_subgraph",
-        "is_connected", "subdivide_edge",
+        "EditError", "Graph",
+        "add_edge", "bipartition", "common_neighbors", "contract_edge",
+        "delete_edge", "delete_vertices", "identify_vertices",
+        "independent_sets", "is_connected", "subdivide_edge",
     ),
     "io": ("FORMATS", "FormatError", "format_for_path", "parse_graph", "serialize_graph"),
     "coloring": (
@@ -26,7 +25,7 @@ _EXPORTS = {
         "CriticalityReport", "ImplicitRelation", "NonExtensibleCertificate",
         "RelationKind", "RouteDisagreementError",
         "criticality", "critical_independent_sets", "implicit_via_sets",
-        "is_critical_independent_set", "is_implicit_edge", "is_implicit_identity",
+        "is_implicit_edge", "is_implicit_identity",
         "min_nonextensible", "relation_report", "scan_relations", "to_dot",
     ),
     "families": (

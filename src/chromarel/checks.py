@@ -38,6 +38,7 @@ from .planarity import is_planar
 from .polynomial import chromatic_polynomial, evaluate
 from .relations import (
     RelationKind,
+    _without_edge,
     criticality,
     critical_independent_sets,
     implicit_via_sets,
@@ -56,14 +57,13 @@ class CorpusSpec:
     """What to run a check over.
 
     families are generate() tokens (parameters after colons, e.g. "path:6").
-    exhaustive_n adds every connected labeled graph of each order 1..n
-    (connected can be relaxed). random adds count seeded G(n,p) samples.
+    exhaustive_n adds every connected labeled graph of each order 1..n.
+    random adds count seeded G(n,p) samples.
     filters restrict the whole corpus: connected, bipartite, planar, chi=K.
     """
 
     families: tuple[str, ...] = ()
     exhaustive_n: int | None = None
-    exhaustive_connected: bool = True
     random: tuple[int, float, int, int] | None = None  # n, p, seed, count
     filters: tuple[str, ...] = ()
 
@@ -93,7 +93,7 @@ def iter_corpus(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
         yield from emit(token, g)
     if spec.exhaustive_n is not None:
         for n in range(1, spec.exhaustive_n + 1):
-            for g in enumerate_graphs(n, connected_only=spec.exhaustive_connected):
+            for g in enumerate_graphs(n, connected_only=True):
                 yield from emit(serialize_graph(g, "graph6"), g)
     if spec.random is not None:
         n, p, seed, count = spec.random
@@ -141,8 +141,7 @@ def _check_bip(g: Graph, parity: int) -> _CheckResult:
     failures: list[_Finding] = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            h = delete_edge(g, u, v)[0] if g.has_edge(u, v) else g
-            expected = _path_parity(h, u, v) == parity
+            expected = _path_parity(_without_edge(g, u, v), u, v) == parity
             got = decide(g, u, v)
             ran += 1
             if got != expected:
@@ -258,40 +257,27 @@ def _check_kempe(g: Graph) -> _CheckResult:
     return ran, failures, []
 
 
-def _check_poly_ie(g: Graph) -> _CheckResult:
-    rels = [r for r in _relations_of(g) if r.kind is RelationKind.EDGE]
+def _check_poly(g: Graph, kind: RelationKind) -> _CheckResult:
+    # Merging a related pair in g-uv leaves P(merged, k) = 0 for an edge
+    # relation and P(merged, k) = P(g, k) for an identity, which is never
+    # adjacent, so g-uv is g.
+    rels = [r for r in _relations_of(g) if r.kind is kind]
     if not rels:
         return 0, [], []
     k = chromatic_number(g)
+    if kind is RelationKind.EDGE:
+        base, expected = 0, f"P(merged, {k}) = 0"
+    else:
+        base = evaluate(chromatic_polynomial(g), k)
+        expected = f"P(merged, {k}) = P(g, {k}) = {base}"
     ran = 0
     failures: list[_Finding] = []
     for r in rels:
-        h = delete_edge(g, r.u, r.v)[0] if g.has_edge(r.u, r.v) else g
-        merged, _ = identify_vertices(h, r.u, r.v)
-        val = evaluate(chromatic_polynomial(merged), k)
-        ran += 1
-        if val != 0:
-            failures.append((f"pair ({r.u},{r.v})", f"P(merged, {k}) = 0", str(val)))
-    return ran, failures, []
-
-
-def _check_poly_ii(g: Graph) -> _CheckResult:
-    rels = [r for r in _relations_of(g) if r.kind is RelationKind.IDENTITY]
-    if not rels:
-        return 0, [], []
-    k = chromatic_number(g)
-    base = evaluate(chromatic_polynomial(g), k)
-    ran = 0
-    failures: list[_Finding] = []
-    for r in rels:
-        h = delete_edge(g, r.u, r.v)[0] if g.has_edge(r.u, r.v) else g
-        merged, _ = identify_vertices(h, r.u, r.v)
+        merged, _ = identify_vertices(_without_edge(g, r.u, r.v), r.u, r.v)
         val = evaluate(chromatic_polynomial(merged), k)
         ran += 1
         if val != base:
-            failures.append(
-                (f"pair ({r.u},{r.v})", f"P(merged, {k}) = P(g, {k}) = {base}", str(val))
-            )
+            failures.append((f"pair ({r.u},{r.v})", expected, str(val)))
     return ran, failures, []
 
 
@@ -303,9 +289,8 @@ def _check_planar_add(g: Graph) -> _CheckResult:
     for r in _relations_of(g):
         if g.has_edge(r.u, r.v):
             continue
-        bigger, _ = add_edge(g, r.u, r.v)
         ran += 1
-        if is_planar(bigger):
+        if is_planar(add_edge(g, r.u, r.v)):
             failures.append(
                 (f"{r.kind.value} pair ({r.u},{r.v})", "g+uv nonplanar", "still planar")
             )
@@ -319,8 +304,8 @@ def _check_subdiv(g: Graph) -> _CheckResult:
     ran = 0
     failures: list[_Finding] = []
     for u, v in g.edges():
-        h, trace = subdivide_edge(g, u, v)
-        w = trace.new_vertex
+        h = subdivide_edge(g, u, v)
+        w = g.n
         chi_h = chromatic_number(h)
         ran += 1
         if chi_h != k - 1:
@@ -394,7 +379,7 @@ def _check_dc_bound(g: Graph) -> _CheckResult:
         # every coloring of g-uv merges only u,v and each of the k-2 chains
         # runs through its own common neighbor
         for u, v in g.edges():
-            h = delete_edge(g, u, v)[0]
+            h = delete_edge(g, u, v)
             ran += 1
             if not is_implicit_identity(h, u, v):
                 failures.append((f"edge ({u},{v})", "identity pair in g-uv", "not identity"))
@@ -485,8 +470,8 @@ CHECKS: dict[str, tuple[Callable[[Graph], _CheckResult], str]] = {
     "IE2-EQ": (_check_ie2, "definition route agrees with the independent-set route on every pair"),
     "CIS-INV": (_check_cis_inv, "relations survive removing critical independent sets, iterated"),
     "KEMPE": (_check_kempe, "every coloring carries the chains each relation demands"),
-    "POLY-IE": (_check_poly_ie, "edge relations zero the merged graph's polynomial at k"),
-    "POLY-II": (_check_poly_ii, "identity relations equate the merged and original polynomials at k"),
+    "POLY-IE": (lambda g: _check_poly(g, RelationKind.EDGE), "edge relations zero the merged graph's polynomial at k"),
+    "POLY-II": (lambda g: _check_poly(g, RelationKind.IDENTITY), "identity relations equate the merged and original polynomials at k"),
     "PLANAR-ADD": (_check_planar_add, "adding a related nonadjacent pair to planar 4-chromatic g breaks planarity"),
     "SUBDIV": (_check_subdiv, "subdividing any edge of a critical graph drops chi and makes both halves edge relations"),
     "CRIT-ADJ": (_check_crit_adj, "critical vertices are adjacent to related pairs as the adjacency theorem demands"),

@@ -21,9 +21,6 @@ class Coloring:
     def color(self, u: int) -> int:
         return self.assignment[u]
 
-    def used_colors(self) -> frozenset[int]:
-        return frozenset(self.assignment)
-
     def is_proper(self, g: Graph) -> bool:
         if len(self.assignment) != g.n:
             return False
@@ -53,9 +50,6 @@ class Precoloring:
                 raise ValueError(f"color {c} at vertex {v} outside 1..{k}")
         self.assignment = dict(sorted(assignment.items()))
         self.k = k
-
-    def domain(self) -> tuple[int, ...]:
-        return tuple(self.assignment)
 
     def validate_against(self, g: Graph) -> None:
         """Raise unless the domain fits g and no precolored edge is monochrome."""

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Iterator
 
 # The package's one memo. Memoized functions take a graph's value, (n, rows),
@@ -31,13 +29,16 @@ class Graph:
 
     Adjacency is stored as one integer bit row per vertex: bit v of
     ``rows[u]`` is set iff uv is an edge. Instances are immutable; every
-    destructive operation returns a new Graph plus an EditTrace describing
-    how ids moved.
+    edit returns a new Graph, and ids move by two rules. Removing vertices
+    keeps the survivors in order and renumbers them densely. Merging u and v
+    (identify or contract) renumbers the other vertices the same way and
+    puts the merged vertex last, at id n-2; subdividing an edge appends the
+    new vertex at id n. Edge deletion and addition move no id.
     """
 
-    __slots__ = ("n", "rows", "labels")
+    __slots__ = ("n", "rows")
 
-    def __init__(self, n: int, rows: Iterable[int], labels: tuple[str, ...] | None = None):
+    def __init__(self, n: int, rows: Iterable[int]):
         rows = tuple(rows)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
@@ -52,30 +53,19 @@ class Graph:
             for v in _bits(rows[u]):
                 if not rows[v] >> u & 1:
                     raise ValueError(f"edge {u}-{v} lacks its mirror entry")
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError("labels must have one entry per vertex")
         self.n = n
         self.rows = rows
-        self.labels = labels
 
     @classmethod
-    def _make(cls, n: int, rows: tuple[int, ...], labels: tuple[str, ...] | None = None) -> Graph:
+    def _make(cls, n: int, rows: tuple[int, ...]) -> Graph:
         # Trusted fast path: callers guarantee symmetry and loop-freeness.
         g = object.__new__(cls)
         g.n = n
         g.rows = rows
-        g.labels = labels
         return g
 
     @classmethod
-    def from_edges(
-        cls,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        labels: tuple[str, ...] | None = None,
-    ) -> Graph:
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -86,14 +76,11 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u},{v})")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, tuple(rows), labels)
+        return cls(n, tuple(rows))
 
     @property
     def m(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -127,61 +114,18 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class EditKind(Enum):
-    DELETE_VERTEX = "delete_vertex"
-    DELETE_EDGE = "delete_edge"
-    ADD_EDGE = "add_edge"
-    IDENTIFY = "identify"
-    CONTRACT_EDGE = "contract_edge"
-    SUBDIVIDE_EDGE = "subdivide_edge"
-
-
-@dataclass(frozen=True)
-class EditTrace:
-    """How vertex ids moved under an edit.
-
-    id_map sends every old id to its new id, or to None when the vertex was
-    removed outright. Identified or contracted endpoints both map to the
-    replacement vertex. new_vertex is set iff the edit created a vertex.
-    """
-
-    kind: EditKind
-    id_map: dict[int, int | None]
-    new_vertex: int | None = None
-
-
-def _identity_map(n: int) -> dict[int, int | None]:
-    return {u: u for u in range(n)}
-
-
-def delete_vertex(g: Graph, u: int) -> tuple[Graph, EditTrace]:
-    """Remove vertex u; higher ids shift down by one."""
-    if not (0 <= u < g.n):
-        raise EditError(f"vertex {u} outside 0..{g.n - 1}")
-    rows = _keep_rows(g.rows, ((1 << g.n) - 1) ^ 1 << u)
-    labels = None
-    if g.labels is not None:
-        labels = g.labels[:u] + g.labels[u + 1 :]
-    id_map: dict[int, int | None] = {
-        x: (x if x < u else x - 1) for x in range(g.n) if x != u
-    }
-    id_map[u] = None
-    return Graph._make(g.n - 1, rows, labels), EditTrace(EditKind.DELETE_VERTEX, id_map)
-
-
-def delete_edge(g: Graph, u: int, v: int) -> tuple[Graph, EditTrace]:
+def delete_edge(g: Graph, u: int, v: int) -> Graph:
+    """Remove the edge uv."""
     if not g.has_edge(u, v):
         raise EditError(f"edge ({u},{v}) not present")
     rows = list(g.rows)
     rows[u] &= ~(1 << v)
     rows[v] &= ~(1 << u)
-    return (
-        Graph._make(g.n, tuple(rows), g.labels),
-        EditTrace(EditKind.DELETE_EDGE, _identity_map(g.n)),
-    )
+    return Graph._make(g.n, tuple(rows))
 
 
-def add_edge(g: Graph, u: int, v: int) -> tuple[Graph, EditTrace]:
+def add_edge(g: Graph, u: int, v: int) -> Graph:
+    """Add the edge uv between distinct nonadjacent vertices."""
     g._check_vertex(u)
     g._check_vertex(v)
     if u == v:
@@ -191,10 +135,7 @@ def add_edge(g: Graph, u: int, v: int) -> tuple[Graph, EditTrace]:
     rows = list(g.rows)
     rows[u] |= 1 << v
     rows[v] |= 1 << u
-    return (
-        Graph._make(g.n, tuple(rows), g.labels),
-        EditTrace(EditKind.ADD_EDGE, _identity_map(g.n)),
-    )
+    return Graph._make(g.n, tuple(rows))
 
 
 def _keep_rows(rows: tuple[int, ...], keep: int) -> tuple[int, ...]:
@@ -247,84 +188,52 @@ def _merge_rows(rows: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _merge_pair(g: Graph, u: int, v: int, kind: EditKind) -> tuple[Graph, EditTrace]:
-    # Shared by identify (uv absent) and contract (uv present; the kernel drops it).
-    a, b = min(u, v), max(u, v)
-    w = g.n - 2
-    id_map: dict[int, int | None] = {
-        x: w if x == a or x == b else x - (x > a) - (x > b) for x in range(g.n)
-    }
-    h = Graph._make(g.n - 1, _merge_rows(g.rows, u, v))
-    return h, EditTrace(kind, id_map, new_vertex=w)
+def identify_vertices(g: Graph, u: int, v: int) -> tuple[Graph, dict[int, int]]:
+    """Merge nonadjacent u and v into one vertex with the union neighborhood.
 
-
-def identify_vertices(g: Graph, u: int, v: int) -> tuple[Graph, EditTrace]:
-    """Merge nonadjacent u and v into a new vertex with the union neighborhood."""
+    The merged vertex is last, at id n-2. Returns the graph and the old-id to
+    new-id mapping, which sends u and v both to n-2.
+    """
     g._check_vertex(u)
     g._check_vertex(v)
     if u == v:
         raise EditError("cannot identify a vertex with itself")
     if g.has_edge(u, v):
         raise EditError(f"({u},{v}) is an edge; use contract_edge")
-    return _merge_pair(g, u, v, EditKind.IDENTIFY)
+    a, b = min(u, v), max(u, v)
+    w = g.n - 2
+    id_map = {x: w if x == a or x == b else x - (x > a) - (x > b) for x in range(g.n)}
+    return Graph._make(g.n - 1, _merge_rows(g.rows, u, v)), id_map
 
 
-def contract_edge(g: Graph, u: int, v: int) -> tuple[Graph, EditTrace]:
-    """Contract the edge uv into a new vertex with the union neighborhood."""
+def contract_edge(g: Graph, u: int, v: int) -> Graph:
+    """Contract the edge uv into one vertex, last at id n-2, with the union neighborhood."""
     if not g.has_edge(u, v):
         raise EditError(f"edge ({u},{v}) not present")
-    return _merge_pair(g, u, v, EditKind.CONTRACT_EDGE)
+    return Graph._make(g.n - 1, _merge_rows(g.rows, u, v))
 
 
-def subdivide_edge(g: Graph, u: int, v: int) -> tuple[Graph, EditTrace]:
-    """Replace edge uv with a path u-w-v through a fresh vertex w."""
+def subdivide_edge(g: Graph, u: int, v: int) -> Graph:
+    """Replace edge uv with a path u-w-v through a new vertex w = n."""
     if not g.has_edge(u, v):
         raise EditError(f"edge ({u},{v}) not present")
     w = g.n
     rows = list(g.rows)
-    rows[u] &= ~(1 << v)
-    rows[v] &= ~(1 << u)
-    rows[u] |= 1 << w
-    rows[v] |= 1 << w
+    rows[u] ^= 1 << v | 1 << w
+    rows[v] ^= 1 << u | 1 << w
     rows.append(1 << u | 1 << v)
-    labels = None
-    if g.labels is not None:
-        labels = g.labels + (str(w),)
-    id_map: dict[int, int | None] = _identity_map(g.n)
-    return (
-        Graph._make(g.n + 1, tuple(rows), labels),
-        EditTrace(EditKind.SUBDIVIDE_EDGE, id_map, new_vertex=w),
-    )
-
-
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced on `keep`, renumbered densely in ascending old order.
-
-    Returns the subgraph and the old-id to new-id mapping.
-    """
-    mask = 0
-    for x in keep:
-        g._check_vertex(x)
-        mask |= 1 << x
-    return _induced_on(g, mask)
+    return Graph._make(g.n + 1, tuple(rows))
 
 
 def delete_vertices(g: Graph, drop: Iterable[int]) -> tuple[Graph, dict[int, int]]:
     """Remove a vertex set; returns the rest with its old-to-new id mapping."""
-    mask = (1 << g.n) - 1
+    keep = (1 << g.n) - 1
     for x in drop:
         if not (0 <= x < g.n):
             raise EditError(f"vertex {x} outside 0..{g.n - 1}")
-        mask &= ~(1 << x)
-    return _induced_on(g, mask)
-
-
-def _induced_on(g: Graph, keep: int) -> tuple[Graph, dict[int, int]]:
+        keep &= ~(1 << x)
     kept = list(_bits(keep))
-    labels = None
-    if g.labels is not None:
-        labels = tuple(g.labels[x] for x in kept)
-    h = Graph._make(len(kept), _keep_rows(g.rows, keep), labels)
+    h = Graph._make(len(kept), _keep_rows(g.rows, keep))
     return h, {x: i for i, x in enumerate(kept)}
 
 
@@ -351,11 +260,6 @@ def _component_masks(n: int, rows: tuple[int, ...]) -> list[int]:
             seen |= comp
             comps.append(comp)
     return comps
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the components, each ascending, ordered by least vertex."""
-    return [list(_bits(mask)) for mask in _component_masks(g.n, g.rows)]
 
 
 def is_connected(g: Graph) -> bool:

@@ -7,6 +7,8 @@ Three text formats:
 * ``graph6``   the standard ASCII encoding, short form only (n <= 62).
 * ``edgelist`` one "u v" pair per line, 0-based, with an optional leading
   "n=<int>" header fixing the vertex count.
+
+A dimacs or edgelist file may declare or imply at most 2^16 vertices.
 """
 
 from __future__ import annotations
@@ -14,6 +16,11 @@ from __future__ import annotations
 from .graphs import Graph
 
 FORMATS = ("dimacs", "graph6", "edgelist")
+
+# The largest vertex count a reader accepts. A declared or implied count is
+# checked before anything is allocated, so a one-line file cannot ask for
+# gigabytes of adjacency rows.
+_MAX_VERTICES = 1 << 16
 
 _EXTENSIONS = {
     ".col": "dimacs",
@@ -79,6 +86,8 @@ def _parse_dimacs(text: str) -> Graph:
                 raise FormatError(f"line {lineno}: non-integer problem sizes") from None
             if n < 0 or declared_m < 0:
                 raise FormatError(f"line {lineno}: negative problem sizes")
+            if n > _MAX_VERTICES:
+                raise FormatError(f"line {lineno}: more than {_MAX_VERTICES} vertices")
         elif fields[0] == "e":
             if n is None:
                 raise FormatError(f"line {lineno}: edge before problem line")
@@ -187,6 +196,8 @@ def _parse_edgelist(text: str) -> Graph:
                 raise FormatError(f"line {lineno}: bad vertex count") from None
             if n < 0:
                 raise FormatError(f"line {lineno}: negative vertex count")
+            if n > _MAX_VERTICES:
+                raise FormatError(f"line {lineno}: more than {_MAX_VERTICES} vertices")
             continue
         fields = line.split()
         if len(fields) != 2:
@@ -197,6 +208,8 @@ def _parse_edgelist(text: str) -> Graph:
             raise FormatError(f"line {lineno}: non-integer endpoints") from None
         if u < 0 or v < 0:
             raise FormatError(f"line {lineno}: negative vertex id")
+        if max(u, v) >= _MAX_VERTICES:
+            raise FormatError(f"line {lineno}: vertex id above {_MAX_VERTICES - 1}")
         if u == v:
             raise FormatError(f"line {lineno}: loop at vertex {u}")
         key = (min(u, v), max(u, v))

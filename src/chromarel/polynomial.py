@@ -31,12 +31,6 @@ class ChromaticPolynomial:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def evaluate(self, k: int) -> int:
-        return evaluate(self, k)
-
-    def to_json_dict(self) -> dict:
-        return {"version": 1, "coeffs": list(self.coefficients)}
-
 
 def evaluate(p: ChromaticPolynomial, k: int) -> int:
     """Exact integer evaluation at a nonnegative palette size."""

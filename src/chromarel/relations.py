@@ -23,11 +23,10 @@ from .graphs import (
     _component_of,
     add_edge,
     delete_edge,
-    delete_vertex,
     delete_vertices,
+    identify_vertices,
     independent_sets,
 )
-from .graphs import identify_vertices
 
 
 class RelationKind(Enum):
@@ -74,20 +73,20 @@ def _pair_check(g: Graph, u: int, v: int) -> None:
 
 
 def _without_edge(g: Graph, u: int, v: int) -> Graph:
-    return delete_edge(g, u, v)[0] if g.has_edge(u, v) else g
+    return delete_edge(g, u, v) if g.has_edge(u, v) else g
 
 
 def _with_edge(g: Graph, u: int, v: int) -> Graph:
-    return g if g.has_edge(u, v) else add_edge(g, u, v)[0]
+    return g if g.has_edge(u, v) else add_edge(g, u, v)
 
 
 def _equal_witness(g: Graph, u: int, v: int, k: int) -> tuple[int, ...] | None:
     """Colors of a k-coloring of g-uv that gives u and v one color, or None."""
-    merged, trace = identify_vertices(_without_edge(g, u, v), u, v)
+    merged, id_map = identify_vertices(_without_edge(g, u, v), u, v)
     c = k_colorable(merged, k)
     if c is None:
         return None
-    return tuple(c.assignment[trace.id_map[x]] for x in range(g.n))
+    return tuple(c.assignment[id_map[x]] for x in range(g.n))
 
 
 def _distinct_witness(g: Graph, u: int, v: int, k: int) -> tuple[int, ...] | None:
@@ -298,17 +297,6 @@ def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelati
     return out
 
 
-def is_critical_independent_set(g: Graph, s) -> bool:
-    """True iff removing the independent set s drops chi by exactly one."""
-    s = frozenset(s)
-    for x in s:
-        g._check_vertex(x)
-        if any((g.rows[x] >> y) & 1 for y in s):
-            raise ValueError("s is not independent")
-    rest, _ = delete_vertices(g, s)
-    return chromatic_number(rest) == chromatic_number(g) - 1
-
-
 def critical_independent_sets(g: Graph, avoid=()):
     """Yield the critical independent sets disjoint from `avoid`."""
     k = chromatic_number(g)
@@ -336,13 +324,12 @@ def criticality(g: Graph) -> CriticalityReport:
     k = chromatic_number(g)
     crit_v = []
     for u in range(g.n):
-        rest, _ = delete_vertex(g, u)
+        rest, _ = delete_vertices(g, (u,))
         if chromatic_number(rest) < k:
             crit_v.append(u)
     crit_e = []
     for u, v in g.edges():
-        rest, _ = delete_edge(g, u, v)
-        if chromatic_number(rest) < k:
+        if chromatic_number(delete_edge(g, u, v)) < k:
             crit_e.append((u, v))
     edges = g.edges()
     double = True
@@ -450,8 +437,7 @@ def to_dot(g: Graph, relations=()) -> str:
             styled[key] = ' [style=dotted, color=blue]'
     lines = ["graph G {"]
     for u in range(g.n):
-        label = g.labels[u] if g.labels is not None else str(u)
-        lines.append(f'  {u} [label="{label}"];')
+        lines.append(f'  {u} [label="{u}"];')
     for u, v in sorted(g.edges()):
         lines.append(f"  {u} -- {v}{styled.pop((u, v), '')};")
     for (u, v), style in sorted(styled.items()):

@@ -109,7 +109,7 @@ def test_criterion_03_worked_examples():
     merged, _ = identify_vertices(p4, 0, 3)
     assert merged == complete_graph(3)
 
-    c4, _ = add_edge(p4, 0, 3)
+    c4 = add_edge(p4, 0, 3)
     assert c4 == cycle_graph(4)
     c4_rels = {(r.u, r.v): r.kind for r in scan_relations(c4)}
     for pair in ((0, 1), (1, 2), (2, 3), (0, 3)):
@@ -119,7 +119,7 @@ def test_criterion_03_worked_examples():
     rels5 = {(r.u, r.v): r.kind for r in scan_relations(p5)}
     assert rels5[(0, 4)] is RelationKind.IDENTITY
 
-    c5, _ = add_edge(p5, 0, 4)
+    c5 = add_edge(p5, 0, 4)
     assert c5 == cycle_graph(5)
     assert chromatic_number(c5) == 3
     assert scan_relations(c5) == []

@@ -138,6 +138,27 @@ def test_bad_input_is_usage_error(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("huge.col", "p edge {} 0\n"),
+        ("huge.edges", "n={}\n"),
+        ("huge.edges", "0 {}\n"),
+    ],
+)
+def test_huge_vertex_count_is_usage_error(capsys, tmp_path, name, text):
+    # a count past sys.maxsize fails at once if it reaches the allocation,
+    # so this never asks for memory even without the limit
+    huge = 10**20
+    assert huge > sys.maxsize
+    path = tmp_path / name
+    path.write_text(text.format(huge))
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert "line 1:" in err and ("more than 65536" in err or "above 65535" in err)
+
+
 def test_poly_exact_bytes(capsys, c4_file):
     code, out, _ = run_cli(capsys, "poly", c4_file, "--eval", "3")
     assert code == 0

@@ -68,7 +68,7 @@ def test_k_colorable_basics():
     c = k_colorable(g, 3)
     assert c is not None
     assert c.is_proper(g)
-    assert c.used_colors() <= {1, 2, 3}
+    assert set(c.assignment) <= {1, 2, 3}
 
 
 def test_k_colorable_respects_precoloring():
@@ -112,7 +112,7 @@ def test_colorings_are_lazy_and_lexicographic():
 
 def test_equal_graphs_share_one_chi_computation():
     a = cycle_graph(7)
-    b = Graph.from_edges(7, [(i, (i + 1) % 7) for i in range(7)], labels=tuple("abcdefg"))
+    b = Graph.from_edges(7, [((i + 1) % 7, i) for i in reversed(range(7))])
     assert a == b and a is not b
     coloring_mod._chromatic.cache_clear()
     assert chromatic_number(a) == chromatic_number(b) == 3

@@ -150,3 +150,17 @@ def test_petersen_round_trip():
     g = petersen()
     for fmt in ("dimacs", "graph6", "edgelist"):
         assert parse_graph(serialize_graph(g, fmt), fmt) == g
+
+
+def test_vertex_count_limit_is_inclusive():
+    # 2^16 vertices parse; one more, declared or implied, is rejected
+    assert parse_graph("p edge 65536 0\n", "dimacs").n == 65536
+    assert parse_graph("n=65536\n", "edgelist").n == 65536
+    assert parse_graph("0 65535\n", "edgelist").n == 65536
+    for text, fmt in (
+        ("p edge 65537 0\n", "dimacs"),
+        ("n=65537\n", "edgelist"),
+        ("0 65536\n", "edgelist"),
+    ):
+        with pytest.raises(FormatError, match="line 1"):
+            parse_graph(text, fmt)

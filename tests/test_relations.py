@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from chromarel import (
@@ -7,7 +9,6 @@ from chromarel import (
     criticality,
     critical_independent_sets,
     implicit_via_sets,
-    is_critical_independent_set,
     is_implicit_edge,
     is_implicit_identity,
     min_nonextensible,
@@ -212,17 +213,31 @@ def test_critical_independent_sets_on_c5():
     g = cycle_graph(5)
     sets = list(critical_independent_sets(g))
     assert len(sets) == 10  # 5 singletons, 5 nonadjacent pairs
-    assert all(is_critical_independent_set(g, s) for s in sets)
     avoiding = list(critical_independent_sets(g, avoid=(0, 1)))
     assert all(not s & {0, 1} for s in avoiding)
     assert len(avoiding) == 4  # {2},{3},{4},{2,4}
 
 
-def test_is_critical_independent_set_validates():
-    g = cycle_graph(5)
-    with pytest.raises(ValueError):
-        is_critical_independent_set(g, {0, 1})  # not independent
-    assert not is_critical_independent_set(g, set())
+def test_critical_independent_sets_match_subset_oracle():
+    # every labeled graph on up to five vertices: the critical independent
+    # sets are exactly the nonempty independent S with chi(g - S) = chi(g) - 1,
+    # each listed once
+    wrong = []
+    for n in range(1, 6):
+        full = tuple(range(n))
+        subsets = [s for size in range(1, n + 1) for s in itertools.combinations(full, size)]
+        for g in enumerate_graphs(n, connected_only=False):
+            chi = oracles.induced_chromatic_numbers(g)
+            want = {
+                frozenset(s)
+                for s in subsets
+                if not any(g.has_edge(a, b) for a, b in itertools.combinations(s, 2))
+                and chi[tuple(x for x in full if x not in s)] == chi[full] - 1
+            }
+            got = list(critical_independent_sets(g))
+            if len(got) != len(want) or set(got) != want:
+                wrong.append(g.edges())
+    assert wrong == []
 
 
 def test_min_nonextensible_p4():
@@ -281,7 +296,19 @@ def test_relation_report_shape():
 def test_to_dot_styles():
     g = path_graph(4)
     dot = to_dot(g, scan_relations(g))
-    assert "0 -- 1" in dot
+    assert dot == (
+        "graph G {\n"
+        '  0 [label="0"];\n'
+        '  1 [label="1"];\n'
+        '  2 [label="2"];\n'
+        '  3 [label="3"];\n'
+        "  0 -- 1;\n"
+        "  1 -- 2;\n"
+        "  2 -- 3;\n"
+        "  0 -- 2 [style=dotted, color=blue];\n"
+        "  0 -- 3 [style=dashed, color=red];\n"
+        "  1 -- 3 [style=dotted, color=blue];\n"
+    )
     assert "style=dashed" in dot and "color=red" in dot
     assert "style=dotted" in dot and "color=blue" in dot
     plain = to_dot(g)
