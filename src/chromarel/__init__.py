@@ -9,14 +9,14 @@ import importlib
 _EXPORTS = {
     "graphs": (
         "EditError", "Graph",
-        "add_edge", "bipartition", "common_neighbors", "contract_edge",
+        "add_edge", "bipartition", "common_neighbors",
         "delete_edge", "delete_vertices", "identify_vertices",
         "independent_sets", "is_connected", "subdivide_edge",
     ),
     "io": ("FORMATS", "FormatError", "format_for_path", "parse_graph", "serialize_graph"),
     "coloring": (
         "Coloring", "KempeChain", "Precoloring",
-        "chromatic_number", "colorings", "count_colorings", "flip",
+        "chromatic_number", "colorings", "count_colorings",
         "k_colorable", "kempe_chain",
     ),
     "planarity": ("is_planar",),
@@ -35,7 +35,7 @@ _EXPORTS = {
     ),
     "checks": (
         "CHECKS", "CheckFailure", "CheckReport", "CorpusSpec",
-        "default_corpus", "iter_corpus", "run_check", "run_checks",
+        "default_corpus", "iter_corpus", "run_check",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -4,6 +4,10 @@ Each check filters its hypotheses strictly and evaluates its conclusion on
 every instance that qualifies; instances_run counts conclusion evaluations,
 so a vacuous pass is visible as instances_run == 0. Failing instances are
 embedded in reports as graph6 strings.
+
+IE2-EQ is the relation scan's own cross-validation: scan_relations compares
+the definition route with the independent-set route on every decision, and
+IE2-EQ reads that one memoized scan rather than deciding each pair again.
 """
 
 from __future__ import annotations
@@ -38,10 +42,10 @@ from .planarity import is_planar
 from .polynomial import chromatic_polynomial, evaluate
 from .relations import (
     RelationKind,
+    RouteDisagreementError,
     _without_edge,
     criticality,
     critical_independent_sets,
-    implicit_via_sets,
     is_implicit_edge,
     is_implicit_identity,
     min_nonextensible,
@@ -59,46 +63,26 @@ class CorpusSpec:
     families are generate() tokens (parameters after colons, e.g. "path:6").
     exhaustive_n adds every connected labeled graph of each order 1..n.
     random adds count seeded G(n,p) samples.
-    filters restrict the whole corpus: connected, bipartite, planar, chi=K.
     """
 
     families: tuple[str, ...] = ()
     exhaustive_n: int | None = None
     random: tuple[int, float, int, int] | None = None  # n, p, seed, count
-    filters: tuple[str, ...] = ()
-
-
-def _passes(g: Graph, filt: str) -> bool:
-    if filt == "connected":
-        return is_connected(g)
-    if filt == "bipartite":
-        return bipartition(g) is not None
-    if filt == "planar":
-        return is_planar(g)
-    if filt.startswith("chi="):
-        return chromatic_number(g) == int(filt[4:])
-    raise ValueError(f"unknown corpus filter {filt!r}")
 
 
 def iter_corpus(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
     """Yield (name, graph) pairs in a deterministic order."""
-
-    def emit(name: str, g: Graph) -> Iterator[tuple[str, Graph]]:
-        if all(_passes(g, f) for f in spec.filters):
-            yield name, g
-
     for token in spec.families:
         parts = token.split(":")
-        g = generate(parts[0], *parts[1:])
-        yield from emit(token, g)
+        yield token, generate(parts[0], *parts[1:])
     if spec.exhaustive_n is not None:
         for n in range(1, spec.exhaustive_n + 1):
             for g in enumerate_graphs(n, connected_only=True):
-                yield from emit(serialize_graph(g, "graph6"), g)
+                yield serialize_graph(g, "graph6"), g
     if spec.random is not None:
         n, p, seed, count = spec.random
         for i in range(count):
-            yield from emit(f"gnp({n},{p},{seed + i})", gnp(n, p, seed + i))
+            yield f"gnp({n},{p},{seed + i})", gnp(n, p, seed + i)
 
 
 @_memo
@@ -150,22 +134,21 @@ def _check_bip(g: Graph, parity: int) -> _CheckResult:
 
 
 def _check_ie2(g: Graph) -> _CheckResult:
-    ran = 0
-    failures: list[_Finding] = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            for kind, decide in (
-                (RelationKind.EDGE, is_implicit_edge),
-                (RelationKind.IDENTITY, is_implicit_identity),
-            ):
-                d = decide(g, u, v)
-                s = implicit_via_sets(g, u, v, kind)
-                ran += 1
-                if d != s:
-                    failures.append(
-                        (f"pair ({u},{v}) {kind.value}", f"definition={d}", f"sets={s}")
-                    )
-    return ran, failures, []
+    # The cross-validating scan compares the two routes on each (pair, kind)
+    # decision, edge before identity, and aborts at the first disagreement:
+    # that decision is the failure, and later pairs of g go unreported.
+    try:
+        _relations_of(g)
+    except RouteDisagreementError as e:
+        pair = sum(g.n - 1 - x for x in range(e.u)) + e.v - e.u - 1
+        ran = 2 * pair + (1 if e.kind is RelationKind.EDGE else 2)
+        finding = (
+            f"pair ({e.u},{e.v}) {e.kind.value}",
+            f"definition={e.definition_answer}",
+            f"sets={e.set_answer}",
+        )
+        return ran, [finding], []
+    return g.n * (g.n - 1), [], []
 
 
 def _cis_recurse(
@@ -506,8 +489,9 @@ class CheckReport:
     elapsed: float = 0.0
     verdict: str = "pass"
 
-    def to_json_dict(self, include_elapsed: bool = True) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        # elapsed stays out: the JSON is byte-stable across runs
+        return {
             "check_id": self.check_id,
             "corpus_size": self.corpus_size,
             "instances_run": self.instances_run,
@@ -515,9 +499,6 @@ class CheckReport:
             "notes": self.notes,
             "verdict": self.verdict,
         }
-        if include_elapsed:
-            out["elapsed"] = self.elapsed
-        return out
 
 
 def _eval_instance(args: tuple[str, str]) -> _CheckResult:
@@ -582,15 +563,6 @@ def run_check(
     else:
         report.verdict = "pass"
     return report
-
-
-def run_checks(
-    check_ids: Iterable[str],
-    corpus: CorpusSpec,
-    budget: float = 600.0,
-    jobs: int = 1,
-) -> list[CheckReport]:
-    return [run_check(cid, corpus, budget=budget, jobs=jobs) for cid in check_ids]
 
 
 def default_corpus() -> CorpusSpec:

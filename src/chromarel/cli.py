@@ -197,7 +197,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     all_pass = all(r.verdict == "pass" for r in reports)
     payload = {
-        "checks": [r.to_json_dict(include_elapsed=False) for r in reports],
+        "checks": [r.to_json_dict() for r in reports],
         "verdict": "pass" if all_pass else "fail",
     }
     _write_out(_canonical(payload), args.output)

@@ -299,12 +299,3 @@ def kempe_chain(g: Graph, c: Coloring, u: int, b: int) -> KempeChain:
     comp = _component_of(g.rows, 1 << u, member)
     return KempeChain(frozenset(_bits(comp)), frozenset((a, b)))
 
-
-def flip(c: Coloring, chain: KempeChain) -> Coloring:
-    """Swap the chain's two colors on its vertices."""
-    a, b = sorted(chain.colors)
-    swap = {a: b, b: a}
-    assignment = list(c.assignment)
-    for v in chain.vertices:
-        assignment[v] = swap.get(assignment[v], assignment[v])
-    return Coloring(tuple(assignment), c.k)

@@ -31,9 +31,9 @@ class Graph:
     ``rows[u]`` is set iff uv is an edge. Instances are immutable; every
     edit returns a new Graph, and ids move by two rules. Removing vertices
     keeps the survivors in order and renumbers them densely. Merging u and v
-    (identify or contract) renumbers the other vertices the same way and
-    puts the merged vertex last, at id n-2; subdividing an edge appends the
-    new vertex at id n. Edge deletion and addition move no id.
+    renumbers the other vertices the same way and puts the merged vertex
+    last, at id n-2; subdividing an edge appends the new vertex at id n.
+    Edge deletion and addition move no id.
     """
 
     __slots__ = ("n", "rows")
@@ -170,7 +170,8 @@ def _merge_rows(rows: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
 
     Survivors keep their order and renumber densely: bits a < b are squeezed
     out by mask-and-shift, and w is set wherever a row touched a or b. Any
-    uv edge disappears, so identify and contract share this kernel.
+    uv edge disappears, so identify_vertices and the polynomial's edge
+    contraction share this kernel.
     """
     a, b = min(u, v), max(u, v)
     ab = 1 << a | 1 << b
@@ -199,18 +200,11 @@ def identify_vertices(g: Graph, u: int, v: int) -> tuple[Graph, dict[int, int]]:
     if u == v:
         raise EditError("cannot identify a vertex with itself")
     if g.has_edge(u, v):
-        raise EditError(f"({u},{v}) is an edge; use contract_edge")
+        raise EditError(f"({u},{v}) is an edge; delete it first")
     a, b = min(u, v), max(u, v)
     w = g.n - 2
     id_map = {x: w if x == a or x == b else x - (x > a) - (x > b) for x in range(g.n)}
     return Graph._make(g.n - 1, _merge_rows(g.rows, u, v)), id_map
-
-
-def contract_edge(g: Graph, u: int, v: int) -> Graph:
-    """Contract the edge uv into one vertex, last at id n-2, with the union neighborhood."""
-    if not g.has_edge(u, v):
-        raise EditError(f"edge ({u},{v}) not present")
-    return Graph._make(g.n - 1, _merge_rows(g.rows, u, v))
 
 
 def subdivide_edge(g: Graph, u: int, v: int) -> Graph:

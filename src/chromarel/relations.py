@@ -442,4 +442,5 @@ def to_dot(g: Graph, relations=()) -> str:
         lines.append(f"  {u} -- {v}{styled.pop((u, v), '')};")
     for (u, v), style in sorted(styled.items()):
         lines.append(f"  {u} -- {v}{style};")
+    lines.append("}")
     return "\n".join(lines) + "\n"

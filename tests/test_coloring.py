@@ -10,7 +10,6 @@ from chromarel import (
     chromatic_number,
     colorings,
     count_colorings,
-    flip,
     k_colorable,
     kempe_chain,
 )
@@ -171,31 +170,6 @@ def test_kempe_chain_validation():
         kempe_chain(g, c, 0, 1)  # other color equals own color
     with pytest.raises(ValueError):
         kempe_chain(g, c, 0, 5)
-
-
-def test_flip_swaps_chain_colors():
-    g = cycle_graph(4)
-    c = Coloring((1, 2, 1, 2), 2)
-    chain = kempe_chain(g, c, 0, 2)
-    flipped = flip(c, chain)
-    assert flipped.assignment == (2, 1, 2, 1)
-    assert flipped.is_proper(g)
-
-
-@given(graphs(min_n=1, max_n=7), st.data())
-def test_flip_is_an_involution_and_stays_proper(g, data):
-    k = chromatic_number(g) + data.draw(st.integers(min_value=0, max_value=1))
-    c = k_colorable(g, k)
-    assert c is not None
-    u = data.draw(st.integers(min_value=0, max_value=g.n - 1))
-    others = [b for b in range(1, k + 1) if b != c.color(u)]
-    if not others:
-        return
-    b = data.draw(st.sampled_from(others))
-    chain = kempe_chain(g, c, u, b)
-    once = flip(c, chain)
-    assert once.is_proper(g)
-    assert flip(once, kempe_chain(g, once, u, c.color(u))).assignment == c.assignment
 
 
 @given(graphs(max_n=8))

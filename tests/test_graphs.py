@@ -10,7 +10,6 @@ from chromarel import (
     add_edge,
     bipartition,
     common_neighbors,
-    contract_edge,
     delete_edge,
     delete_vertices,
     identify_vertices,
@@ -85,13 +84,6 @@ def test_identify_nonadjacent_pair():
     assert set(h.edges()) == {(0, 2), (1, 2)}
     with pytest.raises(EditError):
         identify_vertices(g, 0, 1)  # adjacent
-
-
-def test_contract_edge():
-    g = complete_graph(3)
-    assert contract_edge(g, 0, 1) == complete_graph(2)
-    with pytest.raises(EditError):
-        contract_edge(path_graph(3), 0, 2)  # not an edge
 
 
 def test_identify_path_ends_gives_triangle():
@@ -263,7 +255,7 @@ def test_merge_kernel_matches_from_edges_reference(g):
                 continue
             ref, f = _merge_reference(g, u, v)
             if g.has_edge(u, v):
-                h = contract_edge(g, u, v)
+                h = identify_vertices(delete_edge(g, u, v), u, v)[0]
             else:
                 h, id_map = identify_vertices(g, u, v)
                 assert id_map == f

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from chromarel import (
+    Coloring,
     Graph,
     RelationKind,
     chromatic_number,
@@ -11,6 +12,7 @@ from chromarel import (
     implicit_via_sets,
     is_implicit_edge,
     is_implicit_identity,
+    k_colorable,
     min_nonextensible,
     relation_report,
     scan_relations,
@@ -25,8 +27,11 @@ from chromarel.families import (
     path_graph,
     wheel_graph,
 )
+from chromarel.graphs import _component_of
 from chromarel.io import parse_graph
+from chromarel.relations import _class_of, _flip
 from hypothesis import given
+import hypothesis.strategies as st
 
 from conftest import graphs
 
@@ -308,8 +313,42 @@ def test_to_dot_styles():
         "  0 -- 2 [style=dotted, color=blue];\n"
         "  0 -- 3 [style=dashed, color=red];\n"
         "  1 -- 3 [style=dotted, color=blue];\n"
+        "}\n"
     )
     assert "style=dashed" in dot and "color=red" in dot
     assert "style=dotted" in dot and "color=blue" in dot
     plain = to_dot(g)
     assert "dashed" not in plain
+
+
+def _classes(assignment, k):
+    classes = [0] * k
+    for x, c in enumerate(assignment):
+        classes[c - 1] |= 1 << x
+    return classes
+
+
+def test_flip_swaps_chain_colors():
+    # the witness pool's flip, on color-class masks
+    g = cycle_graph(4)
+    classes = _classes((1, 2, 1, 2), 2)
+    chain = _component_of(g.rows, 1 << 0, classes[0] | classes[1])
+    assert _flip(classes, 0, 1, chain) == _classes((2, 1, 2, 1), 2)
+
+
+@given(graphs(min_n=1, max_n=7), st.data())
+def test_flip_is_an_involution_and_stays_proper(g, data):
+    k = chromatic_number(g) + data.draw(st.integers(min_value=0, max_value=1))
+    classes = _classes(k_colorable(g, k).assignment, k)
+    u = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+    a = _class_of(classes, u)
+    others = [b for b in range(k) if b != a]
+    if not others:
+        return
+    b = data.draw(st.sampled_from(others))
+    chain = _component_of(g.rows, 1 << u, classes[a] | classes[b])
+    once = _flip(classes, a, b, chain)
+    colors = tuple(_class_of(once, x) + 1 for x in range(g.n))
+    assert Coloring(colors, k).is_proper(g)
+    back = _component_of(g.rows, 1 << u, once[a] | once[b])
+    assert _flip(once, a, b, back) == classes
