@@ -501,9 +501,12 @@ class CheckReport:
         }
 
 
-def _eval_instance(args: tuple[str, str]) -> _CheckResult:
-    check_id, graph6 = args
-    return CHECKS[check_id][0](parse_graph(graph6, "graph6"))
+def _eval_chunk(check_id: str, graph6s: list[str]) -> tuple[list[_CheckResult], float]:
+    """A worker's results for a run of instances, and the seconds they took."""
+    start = time.monotonic()
+    check = CHECKS[check_id][0]
+    results = [check(parse_graph(g6, "graph6")) for g6 in graph6s]
+    return results, time.monotonic() - start
 
 
 def run_check(
@@ -514,9 +517,10 @@ def run_check(
 ) -> CheckReport:
     """Evaluate one catalog check over a corpus.
 
-    The budget is wall-clock seconds; exceeding it stops the run with verdict
-    "budget-exhausted", which never counts as a pass. Results are identical
-    for any jobs value; instances are aggregated in corpus order.
+    The budget is wall-clock seconds, checked between instances; exceeding
+    it stops the run with verdict "budget-exhausted", which never counts as
+    a pass. Results are identical for any jobs value; instances are
+    aggregated in corpus order.
     """
     if check_id not in CHECKS:
         raise ValueError(f"unknown check {check_id!r}")
@@ -541,20 +545,51 @@ def run_check(
                 break
             absorb(name, serialize_graph(g, "graph6"), CHECKS[check_id][0](g))
     else:
-        import concurrent.futures  # deferred: most processes never fan out
+        # deferred: most processes never fan out
+        import concurrent.futures
+        from collections import deque
 
-        tagged = [(name, serialize_graph(g, "graph6")) for name, g in items]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(
-                _eval_instance,
-                [(check_id, g6) for _, g6 in tagged],
-                chunksize=max(1, len(tagged) // (jobs * 8) or 1),
-            )
-            for (name, g6), result in zip(tagged, results):
-                if time.monotonic() - start > budget:
+        # The corpus streams in as chunks, two per worker in flight, taken
+        # back in corpus order. Chunks grow or shrink toward about 20 ms of
+        # work: long enough that task overhead stays small, short enough that
+        # the budget, checked as each chunk returns, is checked often. Once
+        # it is spent, work not yet started is cancelled.
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
+        pending: deque = deque()
+        size = 1
+
+        def chunks() -> Iterator[list[tuple[str, str]]]:
+            batch = []
+            for name, g in items:
+                batch.append((name, serialize_graph(g, "graph6")))
+                if len(batch) >= size:
+                    yield batch
+                    batch = []
+            if batch:
+                yield batch
+
+        def take() -> bool:
+            nonlocal size
+            chunk, future = pending.popleft()
+            results, spent = future.result()
+            if time.monotonic() - start > budget:
+                return False
+            for (name, g6), result in zip(chunk, results):
+                absorb(name, g6, result)
+            size = min(2 * size, 64) if spent < 0.02 else max(1, size // 2)
+            return True
+
+        try:
+            for chunk in chunks():
+                graph6s = [g6 for _, g6 in chunk]
+                pending.append((chunk, pool.submit(_eval_chunk, check_id, graph6s)))
+                if len(pending) >= 2 * jobs and not take():
                     truncated = True
                     break
-                absorb(name, g6, result)
+            while pending and not truncated:
+                truncated = not take()
+        finally:
+            pool.shutdown(cancel_futures=True)
     report.elapsed = time.monotonic() - start
     if truncated:
         report.verdict = "budget-exhausted"

@@ -5,14 +5,12 @@ Colors are 1-based, and a k-coloring maps into {1..k}, not necessarily onto.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .graphs import Graph, _bits, _component_of, _memo, bipartition
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """A proper assignment of colors 1..k, one entry per vertex."""
 
     assignment: tuple[int, ...]
@@ -276,8 +274,7 @@ def count_colorings(g: Graph, k: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class KempeChain:
+class KempeChain(NamedTuple):
     """A maximal connected two-colored vertex set."""
 
     vertices: frozenset[int]

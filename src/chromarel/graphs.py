@@ -321,12 +321,8 @@ def independent_sets(
     for x in _bits(base):
         if g.rows[x] & base:
             raise ValueError("must_include is not independent")
-    closed = base
-    for x in _bits(base):
-        closed |= g.rows[x]
-    cands = ((1 << g.n) - 1) & ~closed
     if mode == "maximal":
-        return _maximal_sets(g.rows, base, cands)
+        return (frozenset(_bits(s)) for s in _maximal_sets(g.rows, base))
 
     def rec(mask: int, avail: list[int]) -> Iterator[frozenset[int]]:
         yield frozenset(_bits(mask))
@@ -334,11 +330,20 @@ def independent_sets(
             nxt = [w for w in avail[i + 1 :] if not (g.rows[v] >> w & 1)]
             yield from rec(mask | 1 << v, nxt)
 
-    return rec(base, list(_bits(cands)))
+    return rec(base, list(_bits(_free_of(g.rows, base))))
 
 
-def _maximal_sets(rows: tuple[int, ...], base: int, cands: int) -> Iterator[frozenset[int]]:
-    """Each maximal independent set holding base and otherwise inside cands, once.
+def _free_of(rows: tuple[int, ...], base: int) -> int:
+    """Mask of the vertices outside base with no neighbour in it."""
+    free = ((1 << len(rows)) - 1) & ~base
+    for x in _bits(base):
+        free &= ~rows[x]
+    return free
+
+
+def _maximal_sets(rows: tuple[int, ...], base: int) -> Iterator[int]:
+    """The vertex mask of each maximal independent set holding the
+    independent mask base, once.
 
     A state is (chosen, open, closed): open vertices may still join, closed
     ones were branched on by an ancestor and may not. A state with neither
@@ -346,12 +351,12 @@ def _maximal_sets(rows: tuple[int, ...], base: int, cands: int) -> Iterator[froz
     only on the pivot and its neighbours in open skips every subtree whose
     sets would be found again through the pivot.
     """
-    stack = [(base, cands, 0)]
+    stack = [(base, _free_of(rows, base), 0)]
     while stack:
         chosen, open_, closed = stack.pop()
         if not open_:
             if not closed:
-                yield frozenset(_bits(chosen))
+                yield chosen
             continue
         # pivot: the vertex whose closed neighbourhood meets open_ least;
         # a closed vertex that meets none ends the subtree

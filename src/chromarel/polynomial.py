@@ -12,7 +12,7 @@ toward the closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import _bits, _component_masks, _keep_rows, _memo, _merge_rows
 
@@ -21,8 +21,7 @@ class BudgetError(ValueError):
     """Instance exceeds the declared resource cutoff."""
 
 
-@dataclass(frozen=True)
-class ChromaticPolynomial:
+class ChromaticPolynomial(NamedTuple):
     """Integer coefficients in ascending degree order, c0 first, monic."""
 
     coefficients: tuple[int, ...]

@@ -13,14 +13,16 @@ return if they ever disagree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .coloring import Precoloring, chromatic_number, k_colorable
+from .coloring import Precoloring, _chromatic, chromatic_number, k_colorable
 from .graphs import (
     Graph,
     _bits,
     _component_of,
+    _keep_rows,
+    _maximal_sets,
     add_edge,
     delete_edge,
     delete_vertices,
@@ -34,8 +36,7 @@ class RelationKind(Enum):
     IDENTITY = "identity"
 
 
-@dataclass(frozen=True)
-class ImplicitRelation:
+class ImplicitRelation(NamedTuple):
     u: int
     v: int
     kind: RelationKind
@@ -128,14 +129,14 @@ def implicit_via_sets(g: Graph, u: int, v: int, kind: RelationKind) -> bool:
     _pair_check(g, u, v)
     k = chromatic_number(g)
     if kind is RelationKind.EDGE:
-        h, seed = _without_edge(g, u, v), (u, v)
+        h, seed = _without_edge(g, u, v), 1 << u | 1 << v
     elif kind is RelationKind.IDENTITY:
-        h, seed = _with_edge(g, u, v), (v,)
+        h, seed = _with_edge(g, u, v), 1 << v
     else:
         raise ValueError(f"unknown relation kind {kind!r}")
-    for s in independent_sets(h, seed, mode="maximal"):
-        rest, _ = delete_vertices(g, s)
-        if chromatic_number(rest) < k:
+    full = (1 << g.n) - 1
+    for s in _maximal_sets(h.rows, seed):
+        if _chromatic(g.n - s.bit_count(), _keep_rows(g.rows, full ^ s)) < k:
             return False
     return True
 
@@ -309,8 +310,7 @@ def critical_independent_sets(g: Graph, avoid=()):
             yield s
 
 
-@dataclass(frozen=True)
-class CriticalityReport:
+class CriticalityReport(NamedTuple):
     k: int
     critical_vertices: tuple[int, ...]
     critical_edges: tuple[tuple[int, int], ...]
@@ -320,28 +320,37 @@ class CriticalityReport:
 
 
 def criticality(g: Graph) -> CriticalityReport:
-    """Which vertices and edges lower chi when removed, plus summary flags."""
+    """Which vertices and edges lower chi when removed, plus summary flags.
+
+    g-u is a subgraph of g-uv, so chi(g-uv) < chi(g) forces u and v to be
+    critical vertices: only edges between two of them are tested. Likewise
+    a noncritical vertex x with a neighbour y leaves chi(g-x-y) >= chi(g)-1,
+    so g is then not double-critical and no vertex pair is tested.
+    """
     k = chromatic_number(g)
-    crit_v = []
-    for u in range(g.n):
-        rest, _ = delete_vertices(g, (u,))
-        if chromatic_number(rest) < k:
-            crit_v.append(u)
-    crit_e = []
-    for u, v in g.edges():
-        if chromatic_number(delete_edge(g, u, v)) < k:
-            crit_e.append((u, v))
+    n, rows = g.n, g.rows
+    full = (1 << n) - 1
+
+    def chi_without(drop: int) -> int:
+        return _chromatic(n - drop.bit_count(), _keep_rows(rows, full ^ drop))
+
+    crit = 0
+    for u in range(n):
+        if chi_without(1 << u) < k:
+            crit |= 1 << u
     edges = g.edges()
-    double = True
-    for u, v in edges:
-        rest, _ = delete_vertices(g, (u, v))
-        if chromatic_number(rest) != k - 2:
-            double = False
-            break
-    vertex_critical = len(crit_v) == g.n
+    crit_e = [
+        (u, v)
+        for u, v in edges
+        if crit >> u & crit >> v & 1 and chromatic_number(delete_edge(g, u, v)) < k
+    ]
+    double = not any(rows[x] for x in _bits(full ^ crit)) and all(
+        chi_without(1 << u | 1 << v) == k - 2 for u, v in edges
+    )
+    vertex_critical = crit == full
     return CriticalityReport(
         k=k,
-        critical_vertices=tuple(crit_v),
+        critical_vertices=tuple(_bits(crit)),
         critical_edges=tuple(crit_e),
         is_vertex_critical=vertex_critical,
         is_critical=vertex_critical and len(crit_e) == len(edges),
@@ -349,8 +358,7 @@ def criticality(g: Graph) -> CriticalityReport:
     )
 
 
-@dataclass(frozen=True)
-class NonExtensibleCertificate:
+class NonExtensibleCertificate(NamedTuple):
     """A proper precoloring with no completion, minimal by construction.
 
     The sweep that produces it tries every smaller size first, so every

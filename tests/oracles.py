@@ -5,6 +5,7 @@ assignments or all vertex partitions, rational interpolation. None of it
 shares code with the algorithms under test.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -20,10 +21,39 @@ def count_by_assignment(g, k):
 
 
 def chromatic_by_assignment(g):
-    for k in range(g.n + 1):
-        if count_by_assignment(g, k):
-            return k
+    return _chromatic_by_assignment(g.n, tuple(g.edges()))
+
+
+@functools.lru_cache(maxsize=None)
+def _chromatic_by_assignment(n, edges):
+    """The least k with some proper map V -> {1..k}, trying every map."""
+    for k in range(n + 1):
+        for assignment in itertools.product(range(k), repeat=n):
+            if all(assignment[u] != assignment[v] for u, v in edges):
+                return k
     raise AssertionError("n colors always suffice")
+
+
+def criticality_by_assignment(g):
+    """chi, then the vertices and the edges whose removal lowers chi, and
+    whether removing both ends of every edge lowers it by two; every chi
+    is found by trying all assignments of the relabeled remainder."""
+    edges = g.edges()
+
+    def chi_without(drop):
+        keep = [x for x in range(g.n) if x not in drop]
+        new = {x: i for i, x in enumerate(keep)}
+        rest = tuple((new[a], new[b]) for a, b in edges if a in new and b in new)
+        return _chromatic_by_assignment(len(keep), rest)
+
+    k = chi_without(())
+    vertices = tuple(x for x in range(g.n) if chi_without((x,)) < k)
+    critical_edges = tuple(
+        e for e in edges
+        if _chromatic_by_assignment(g.n, tuple(f for f in edges if f != e)) < k
+    )
+    double = all(chi_without(e) == k - 2 for e in edges)
+    return k, vertices, critical_edges, double
 
 
 def set_partitions(items):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from chromarel import (
@@ -95,9 +97,19 @@ def test_ie2_reports_the_first_route_disagreement(monkeypatch):
 
 
 def test_jobs_do_not_change_the_report():
-    seq = run_check("MIN-PRE", SMALL, jobs=1)
-    par = run_check("MIN-PRE", SMALL, jobs=2)
-    assert seq.to_json_dict() == par.to_json_dict()
+    for cid in ("MIN-PRE", "CRIT-ADJ"):
+        seq = run_check(cid, SMALL, jobs=1).to_json_dict()
+        for jobs in (2, 3):
+            assert run_check(cid, SMALL, jobs=jobs).to_json_dict() == seq, (cid, jobs)
+
+
+def test_budget_holds_under_jobs():
+    # the n <= 6 sweep takes many seconds; the budget must stop it early,
+    # not after every instance already handed to the workers has run
+    start = time.monotonic()
+    report = run_check("IE2-EQ", CorpusSpec(exhaustive_n=6), budget=0.3, jobs=2)
+    assert time.monotonic() - start < 5
+    assert report.verdict == "budget-exhausted"
 
 
 def test_iter_corpus_order():

@@ -7,7 +7,7 @@ import pytest
 
 import chromarel.relations as relations_mod
 from chromarel.cli import main
-from chromarel.families import cycle_graph, gnp, path_graph
+from chromarel.families import cycle_graph, gnp, path_graph, wheel_graph
 from chromarel.io import serialize_graph
 from chromarel.relations import relation_report
 
@@ -330,6 +330,25 @@ def test_poly_run_loads_only_its_modules(tmp_path):
     )
     assert json.loads(poly)["eval"] == {"3": 30}
     assert json.loads(loaded) == ["cli", "graphs", "io", "polynomial"]
+
+
+def test_analyze_and_poly_runs_load_no_dataclasses(tmp_path):
+    path = tmp_path / "w5.g6"
+    path.write_text(serialize_graph(wheel_graph(5), "graph6"))
+    analysis, after_analyze, poly, after_poly = _fresh_process(
+        f"""
+        import sys
+        preloaded = "dataclasses" in sys.modules
+        from chromarel.cli import main
+        main(["analyze", {str(path)!r}, "--relations", "--criticality"])
+        print(preloaded or "dataclasses" not in sys.modules)
+        main(["poly", {str(path)!r}])
+        print(preloaded or "dataclasses" not in sys.modules)
+        """
+    )
+    assert json.loads(analysis)["chi"] == 4
+    assert json.loads(poly)["coeffs"][-1] == 1
+    assert (after_analyze, after_poly) == ("True", "True")
 
 
 def test_package_names_resolve_to_their_home_objects():

@@ -214,6 +214,32 @@ def test_criticality_reports():
     assert criticality(grotzsch()).is_critical
 
 
+def test_criticality_matches_assignment_oracle():
+    # every labeled graph on up to five vertices, disconnected ones included
+    wrong = []
+    for n in range(1, 6):
+        for g in enumerate_graphs(n, connected_only=False):
+            k, vertices, edges, double = oracles.criticality_by_assignment(g)
+            r = criticality(g)
+            got = (r.k, r.critical_vertices, r.critical_edges, r.is_double_critical)
+            if got != (k, vertices, edges, double) or (
+                r.is_vertex_critical != (len(vertices) == n)
+                or r.is_critical != (len(vertices) == n and len(edges) == g.m)
+            ):
+                wrong.append(g.edges())
+    assert wrong == []
+
+
+def test_k4_plus_isolated_vertex_is_double_critical_but_not_vertex_critical():
+    # the isolated vertex is not critical, yet removing the two ends of any
+    # edge of the K4 lowers chi by two: not vertex-critical does not rule
+    # out double-critical
+    r = criticality(Graph.from_edges(5, complete_graph(4).edges()))
+    assert r.critical_vertices == (0, 1, 2, 3)
+    assert not r.is_vertex_critical and not r.is_critical
+    assert r.is_double_critical
+
+
 def test_critical_independent_sets_on_c5():
     g = cycle_graph(5)
     sets = list(critical_independent_sets(g))
