@@ -11,7 +11,7 @@ _EXPORTS = {
         "EditError", "Graph",
         "add_edge", "bipartition", "common_neighbors",
         "delete_edge", "delete_vertices", "identify_vertices",
-        "independent_sets", "is_connected", "subdivide_edge",
+        "is_connected", "subdivide_edge",
     ),
     "io": ("FORMATS", "FormatError", "format_for_path", "parse_graph", "serialize_graph"),
     "coloring": (
@@ -26,7 +26,7 @@ _EXPORTS = {
         "RelationKind", "RouteDisagreementError",
         "criticality", "critical_independent_sets", "implicit_via_sets",
         "is_implicit_edge", "is_implicit_identity",
-        "min_nonextensible", "relation_report", "scan_relations", "to_dot",
+        "min_nonextensible", "scan_relations", "to_dot",
     ),
     "families": (
         "complete_bipartite", "complete_graph", "cycle_graph", "enumerate_graphs",

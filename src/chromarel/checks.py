@@ -34,7 +34,7 @@ from .graphs import (
     is_connected,
     identify_vertices,
     subdivide_edge,
-    _bits,
+    _component_of,
     _memo,
 )
 from .io import parse_graph, serialize_graph
@@ -95,41 +95,30 @@ def _criticality_of(g: Graph):
     return criticality(g)
 
 
-def _path_parity(g: Graph, u: int, v: int) -> int | None:
-    """BFS distance parity from u to v, or None when unreachable."""
-    if u == v:
-        return 0
-    dist = {u: 0}
-    frontier = [u]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in _bits(g.rows[x]):
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    if y == v:
-                        return dist[y] % 2
-                    nxt.append(y)
-        frontier = nxt
-    return None
-
-
 def _check_bip(g: Graph, parity: int) -> _CheckResult:
     # On connected bipartite graphs, once uv is removed, the edge relation is
     # exactly "joined by an odd path" (parity 1) and the identity relation
-    # exactly "joined by an even path" (parity 0).
-    if g.m == 0 or not is_connected(g) or bipartition(g) is None:
+    # exactly "joined by an even path" (parity 0). A u-v path in g-uv has
+    # odd length exactly when g's bipartition puts u and v on opposite sides.
+    parts = bipartition(g) if g.m and is_connected(g) else None
+    if parts is None:
         return 0, [], []
-    name, decide = ("edge", is_implicit_edge) if parity else ("identity", is_implicit_identity)
+    left = parts[0]
+    kind = RelationKind.EDGE if parity else RelationKind.IDENTITY
+    related = {(r.u, r.v) for r in _relations_of(g) if r.kind is kind}
+    full = (1 << g.n) - 1
     ran = 0
     failures: list[_Finding] = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            expected = _path_parity(_without_edge(g, u, v), u, v) == parity
-            got = decide(g, u, v)
+            joined = _component_of(_without_edge(g, u, v).rows, 1 << u, full) >> v & 1
+            expected = bool(joined) and ((u in left) != (v in left)) == bool(parity)
+            got = (u, v) in related
             ran += 1
             if got != expected:
-                failures.append((f"pair ({u},{v})", f"{name} relation {expected}", str(got)))
+                failures.append(
+                    (f"pair ({u},{v})", f"{kind.value} relation {expected}", str(got))
+                )
     return ran, failures, []
 
 
@@ -421,7 +410,8 @@ def _check_min_pre(g: Graph) -> _CheckResult:
     cert = min_nonextensible(g, k, max_size=2)
     # A precoloring can pin only a nonadjacent relation: an adjacent pair
     # cannot share a color, and with one color no pair can differ.
-    certifiable = k > 1 and any(not r.adjacent for r in _relations_of(g))
+    rels = _relations_of(g)
+    certifiable = k > 1 and any(not r.adjacent for r in rels)
     ran += 1
     if (cert is not None) != certifiable:
         failures.append(
@@ -433,14 +423,15 @@ def _check_min_pre(g: Graph) -> _CheckResult:
         )
     if cert is not None and cert.size == 2:
         (a, ca), (b, cb) = sorted(cert.precoloring.assignment.items())
+        kind = next((r.kind for r in rels if (r.u, r.v) == (a, b)), None)
         ran += 1
         if ca == cb:
-            if not is_implicit_edge(g, a, b):
+            if kind is not RelationKind.EDGE:
                 failures.append(
                     (f"certificate pair ({a},{b}) same color", "edge relation", "absent")
                 )
         else:
-            if not is_implicit_identity(g, a, b):
+            if kind is not RelationKind.IDENTITY:
                 failures.append(
                     (f"certificate pair ({a},{b}) distinct colors", "identity relation", "absent")
                 )

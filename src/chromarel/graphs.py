@@ -297,48 +297,31 @@ def common_neighbors(g: Graph, u: int, v: int) -> frozenset[int]:
     return frozenset(_bits(g.rows[u] & g.rows[v]))
 
 
-def independent_sets(
-    g: Graph,
-    must_include: Iterable[int] = (),
-    mode: str = "all",
-) -> Iterator[frozenset[int]]:
-    """Enumerate independent sets containing `must_include`.
-
-    mode "all" yields every such set, lexicographic in the sorted vertex
-    tuple, with the seed set first. mode "maximal" yields each maximal
-    independent set of g that contains the seed exactly once, by pivoting
-    Bron-Kerbosch on the non-neighbourhoods (Tomita, Tanaka and Takahashi
-    2006; there are at most 3^(n/3) such sets, Moon and Moser 1965). Its
-    order is deterministic, a function of g.rows and the seed alone, but in
-    general not lexicographic.
-    """
-    if mode not in ("all", "maximal"):
-        raise ValueError(f"unknown mode {mode!r}")
-    base = 0
-    for x in must_include:
-        g._check_vertex(x)
-        base |= 1 << x
-    for x in _bits(base):
-        if g.rows[x] & base:
-            raise ValueError("must_include is not independent")
-    if mode == "maximal":
-        return (frozenset(_bits(s)) for s in _maximal_sets(g.rows, base))
-
-    def rec(mask: int, avail: list[int]) -> Iterator[frozenset[int]]:
-        yield frozenset(_bits(mask))
-        for i, v in enumerate(avail):
-            nxt = [w for w in avail[i + 1 :] if not (g.rows[v] >> w & 1)]
-            yield from rec(mask | 1 << v, nxt)
-
-    return rec(base, list(_bits(_free_of(g.rows, base))))
-
-
 def _free_of(rows: tuple[int, ...], base: int) -> int:
     """Mask of the vertices outside base with no neighbour in it."""
     free = ((1 << len(rows)) - 1) & ~base
     for x in _bits(base):
         free &= ~rows[x]
     return free
+
+
+def _independent_sets(rows: tuple[int, ...], free: int) -> Iterator[int]:
+    """The vertex mask of every independent set inside the mask free.
+
+    The empty set comes first, and the order is lexicographic in the sorted
+    vertex tuple: each set is followed by its extensions with a larger
+    vertex, smallest first.
+    """
+    stack = [(0, free)]
+    while stack:
+        chosen, open_ = stack.pop()
+        yield chosen
+        children = []
+        while open_:
+            b = open_ & -open_
+            open_ ^= b
+            children.append((chosen | b, open_ & ~rows[b.bit_length() - 1]))
+        stack.extend(reversed(children))
 
 
 def _maximal_sets(rows: tuple[int, ...], base: int) -> Iterator[int]:
@@ -349,7 +332,9 @@ def _maximal_sets(rows: tuple[int, ...], base: int) -> Iterator[int]:
     ones were branched on by an ancestor and may not. A state with neither
     left is maximal; one with only closed vertices left is not. Branching
     only on the pivot and its neighbours in open skips every subtree whose
-    sets would be found again through the pivot.
+    sets would be found again through the pivot (Bron-Kerbosch with
+    Tomita, Tanaka and Takahashi's 2006 pivot). The order is a function of
+    rows and base alone, but in general not lexicographic.
     """
     stack = [(base, _free_of(rows, base), 0)]
     while stack:

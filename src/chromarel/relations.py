@@ -21,13 +21,13 @@ from .graphs import (
     Graph,
     _bits,
     _component_of,
+    _independent_sets,
     _keep_rows,
     _maximal_sets,
+    _memo,
     add_edge,
     delete_edge,
-    delete_vertices,
     identify_vertices,
-    independent_sets,
 )
 
 
@@ -298,16 +298,29 @@ def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelati
     return out
 
 
+@_memo
+def _critical_sets(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Masks of the nonempty independent S with chi(g - S) = chi(g) - 1, in
+    lexicographic order."""
+    full = (1 << n) - 1
+    k = _chromatic(n, rows)
+    return tuple(
+        s
+        for s in _independent_sets(rows, full)
+        if s and _chromatic(n - s.bit_count(), _keep_rows(rows, full ^ s)) == k - 1
+    )
+
+
 def critical_independent_sets(g: Graph, avoid=()):
-    """Yield the critical independent sets disjoint from `avoid`."""
-    k = chromatic_number(g)
-    banned = frozenset(avoid)
-    for s in independent_sets(g):
-        if not s or s & banned:
-            continue
-        rest, _ = delete_vertices(g, s)
-        if chromatic_number(rest) == k - 1:
-            yield s
+    """Yield the critical independent sets disjoint from `avoid`, in
+    lexicographic order. Ids outside g match nothing."""
+    banned = 0
+    for x in avoid:
+        if 0 <= x < g.n:
+            banned |= 1 << x
+    for s in _critical_sets(g.n, g.rows):
+        if not s & banned:
+            yield frozenset(_bits(s))
 
 
 class CriticalityReport(NamedTuple):
@@ -418,20 +431,6 @@ def min_nonextensible(g: Graph, k: int, max_size: int = 3) -> NonExtensibleCerti
                 if k_colorable(g, k, pre) is None:
                     return NonExtensibleCertificate(pre, k)
     return None
-
-
-def relation_report(g: Graph) -> dict:
-    """The combined relation and criticality summary as plain JSON data."""
-    rels = scan_relations(g)
-    crit = criticality(g)
-    return {
-        "chi": crit.k,
-        "edges": [[r.u, r.v] for r in rels if r.kind is RelationKind.EDGE],
-        "identities": [[r.u, r.v] for r in rels if r.kind is RelationKind.IDENTITY],
-        "critical_vertices": list(crit.critical_vertices),
-        "critical_edges": [[u, v] for u, v in crit.critical_edges],
-        "double_critical": crit.is_double_critical,
-    }
 
 
 def to_dot(g: Graph, relations=()) -> str:

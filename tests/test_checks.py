@@ -58,8 +58,8 @@ def test_unknown_check_rejected():
 
 
 def test_failures_carry_graph6_and_locus(monkeypatch):
-    # make the edge detector lie so the reporting path gets exercised
-    monkeypatch.setattr(checks_mod, "is_implicit_edge", lambda g, u, v: False)
+    # make the relation scan lie so the reporting path gets exercised
+    monkeypatch.setattr(checks_mod, "_relations_of", lambda g: ())
     report = run_check("BIP-IE", CorpusSpec(families=("p4",)))
     assert report.verdict == "fail"
     assert report.failures

@@ -9,7 +9,7 @@ import chromarel.relations as relations_mod
 from chromarel.cli import main
 from chromarel.families import cycle_graph, gnp, path_graph, wheel_graph
 from chromarel.io import serialize_graph
-from chromarel.relations import relation_report
+from chromarel.relations import RelationKind, criticality, scan_relations
 
 
 def run_cli(capsys, *argv):
@@ -57,9 +57,12 @@ def test_analyze_relations_are_relation_reports_lists(capsys, tmp_path, g):
     path = tmp_path / "g.g6"
     path.write_text(serialize_graph(g, "graph6"))
     _, out, _ = run_cli(capsys, "analyze", str(path), "--relations")
-    report = relation_report(g)
-    relations = {"edges": report["edges"], "identities": report["identities"]}
-    expected = {"chi": report["chi"], "m": g.m, "n": g.n, "relations": relations}
+    rels = scan_relations(g)
+    relations = {
+        "edges": [[r.u, r.v] for r in rels if r.kind is RelationKind.EDGE],
+        "identities": [[r.u, r.v] for r in rels if r.kind is RelationKind.IDENTITY],
+    }
+    expected = {"chi": criticality(g).k, "m": g.m, "n": g.n, "relations": relations}
     assert out == json.dumps(expected, sort_keys=True, separators=(",", ":")) + "\n"
 
 

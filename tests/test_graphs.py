@@ -13,10 +13,10 @@ from chromarel import (
     delete_edge,
     delete_vertices,
     identify_vertices,
-    independent_sets,
     is_connected,
     subdivide_edge,
 )
+from chromarel.graphs import _bits, _free_of, _independent_sets, _maximal_sets
 from chromarel.families import cycle_graph, path_graph, complete_graph, enumerate_graphs
 
 from conftest import graphs
@@ -102,6 +102,7 @@ def test_every_memo_has_the_one_shared_cap():
     import chromarel.checks as checks
     import chromarel.coloring as coloring
     import chromarel.polynomial as polynomial
+    import chromarel.relations as relations
     from chromarel.graphs import _MEMO_SIZE
 
     memos = [
@@ -110,6 +111,7 @@ def test_every_memo_has_the_one_shared_cap():
         polynomial._poly,
         checks._relations_of,
         checks._criticality_of,
+        relations._critical_sets,
     ]
     assert all(f.cache_info().maxsize == _MEMO_SIZE for f in memos)
 
@@ -148,34 +150,35 @@ def test_common_neighbors():
     assert common_neighbors(path_graph(3), 0, 2) == frozenset({1})
 
 
+def _sets(masks):
+    return [frozenset(_bits(s)) for s in masks]
+
+
 def test_independent_sets_c5():
     g = cycle_graph(5)
-    all_sets = list(independent_sets(g))
+    all_sets = _sets(_independent_sets(g.rows, (1 << 5) - 1))
     assert len(all_sets) == 11  # empty + 5 singletons + 5 pairs
     assert all_sets[0] == frozenset()
     assert len(set(all_sets)) == 11
-    maximal = list(independent_sets(g, mode="maximal"))
+    assert all_sets == sorted(all_sets, key=sorted)  # lexicographic
+    maximal = _sets(_maximal_sets(g.rows, 0))
     assert len(maximal) == 5
     assert all(len(s) == 2 for s in maximal)
 
 
 def test_independent_sets_seeded():
+    # a seed's independent supersets are the seed joined to the independent
+    # sets of its free vertices
     g = cycle_graph(5)
-    seeded = list(independent_sets(g, must_include=(0,)))
-    assert all(0 in s for s in seeded)
-    assert frozenset({0}) in seeded and frozenset({0, 2}) in seeded
-    with pytest.raises(ValueError):
-        list(independent_sets(g, must_include=(0, 1)))
-    with pytest.raises(ValueError):
-        independent_sets(g, must_include=(0, 1), mode="maximal")
-    with pytest.raises(ValueError):
-        independent_sets(g, mode="most")
+    seeded = [s | {0} for s in _sets(_independent_sets(g.rows, _free_of(g.rows, 1)))]
+    assert seeded == [frozenset({0}), frozenset({0, 2}), frozenset({0, 3})]
+    assert set(_sets(_maximal_sets(g.rows, 1))) == {frozenset({0, 2}), frozenset({0, 3})}
 
 
 def test_maximal_independent_sets_match_subset_oracle():
     # every labeled graph on up to six vertices, every seed of at most two
     # vertices: each maximal set holding the seed appears exactly once
-    assert list(independent_sets(Graph(0, ()), mode="maximal")) == [frozenset()]
+    assert list(_maximal_sets((), 0)) == [0]
     wrong = []
     for n in range(1, 7):
         seeds = [s for size in range(3) for s in itertools.combinations(range(n), size)]
@@ -184,7 +187,8 @@ def test_maximal_independent_sets_match_subset_oracle():
             for seed in seeds:
                 if len(seed) == 2 and g.has_edge(*seed):
                     continue
-                got = list(independent_sets(g, seed, mode="maximal"))
+                base = sum(1 << x for x in seed)
+                got = _sets(_maximal_sets(g.rows, base))
                 want = {s for s in everything if s.issuperset(seed)}
                 if len(got) != len(want) or set(got) != want:
                     wrong.append((g.edges(), seed))
@@ -215,10 +219,16 @@ def test_delete_vertex_trace_is_consistent(g, data):
             assert g.has_edge(a, b) == h.has_edge(id_map[a], id_map[b])
 
 
-@given(graphs(max_n=7))
-def test_independent_sets_really_independent(g):
-    for s in independent_sets(g):
-        assert all(not g.has_edge(u, v) for u in s for v in s if u < v)
+@given(graphs(max_n=7), st.data())
+def test_independent_sets_really_independent(g, data):
+    free = data.draw(st.integers(min_value=0, max_value=(1 << g.n) - 1))
+    # every independent subset of free, once, in lexicographic order
+    want = sorted(
+        list(_bits(s))
+        for s in range(1 << g.n)
+        if not s & ~free and not any(g.rows[x] & s for x in _bits(s))
+    )
+    assert [list(_bits(s)) for s in _independent_sets(g.rows, free)] == want
 
 
 @given(graphs(max_n=6))

@@ -14,7 +14,6 @@ from chromarel import (
     is_implicit_identity,
     k_colorable,
     min_nonextensible,
-    relation_report,
     scan_relations,
     to_dot,
 )
@@ -252,22 +251,26 @@ def test_critical_independent_sets_on_c5():
 def test_critical_independent_sets_match_subset_oracle():
     # every labeled graph on up to five vertices: the critical independent
     # sets are exactly the nonempty independent S with chi(g - S) = chi(g) - 1,
-    # each listed once
+    # each listed once in lexicographic order; avoiding a pair drops those
+    # that meet it, and an id outside g avoids nothing
     wrong = []
     for n in range(1, 6):
         full = tuple(range(n))
         subsets = [s for size in range(1, n + 1) for s in itertools.combinations(full, size)]
+        avoids = [(), (n,), (-1,), *itertools.combinations(full, 2)]
         for g in enumerate_graphs(n, connected_only=False):
             chi = oracles.induced_chromatic_numbers(g)
-            want = {
+            critical = [
                 frozenset(s)
                 for s in subsets
                 if not any(g.has_edge(a, b) for a, b in itertools.combinations(s, 2))
                 and chi[tuple(x for x in full if x not in s)] == chi[full] - 1
-            }
-            got = list(critical_independent_sets(g))
-            if len(got) != len(want) or set(got) != want:
-                wrong.append(g.edges())
+            ]
+            critical.sort(key=sorted)
+            for avoid in avoids:
+                want = [s for s in critical if not s & set(avoid)]
+                if list(critical_independent_sets(g, avoid=avoid)) != want:
+                    wrong.append((g.edges(), avoid))
     assert wrong == []
 
 
@@ -310,18 +313,6 @@ def test_min_nonextensible_size_three_bowtie():
     assert cert is not None
     assert cert.size == 3
     assert cert.precoloring.assignment == {0: 1, 1: 2, 3: 3}
-
-
-def test_relation_report_shape():
-    report = relation_report(path_graph(4))
-    assert report == {
-        "chi": 2,
-        "edges": [[0, 3]],
-        "identities": [[0, 2], [1, 3]],
-        "critical_vertices": [],
-        "critical_edges": [],
-        "double_critical": False,
-    }
 
 
 def test_to_dot_styles():
