@@ -47,7 +47,7 @@ def _canonical(obj) -> str:
 def _read_graph(path: str, fmt: str | None) -> Graph:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     use = fmt or format_for_path(path)
     try:

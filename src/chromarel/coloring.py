@@ -51,12 +51,24 @@ class Precoloring:
 
     def validate_against(self, g: Graph) -> None:
         """Raise unless the domain fits g and no precolored edge is monochrome."""
+        self._classes(g)
+
+    def _classes(self, g: Graph) -> list[int]:
+        """Check as validate_against does, then return the vertex mask of
+        each color class 1..k. A clash names the least precolored vertex
+        that has one, then its least neighbor of the same color."""
         for v in self.assignment:
             g._check_vertex(v)
+        classes = [0] * self.k
         for v, c in self.assignment.items():
-            for w in _bits(g.rows[v]):
-                if self.assignment.get(w) == c:
-                    raise ValueError(f"precoloring is improper on edge ({v},{w})")
+            classes[c - 1] |= 1 << v
+        rows = g.rows
+        for v, c in self.assignment.items():
+            clash = rows[v] & classes[c - 1]
+            if clash:
+                w = (clash & -clash).bit_length() - 1
+                raise ValueError(f"precoloring is improper on edge ({v},{w})")
+        return classes
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Precoloring):
@@ -70,70 +82,93 @@ class Precoloring:
 def k_colorable(g: Graph, k: int, pre: Precoloring | None = None) -> Coloring | None:
     """Find a proper coloring of g into {1..k} extending `pre`, or None.
 
-    Exact backtracking search. The branching vertex is the uncolored vertex
-    with the most distinctly-colored neighbors (saturation), ties broken by
-    higher degree, then lower index; colors are tried in ascending order, so
-    the search is deterministic. Without a precoloring, color classes are
-    interchangeable and the palette is capped at one more than the number of
-    colors in use.
+    Exact backtracking search (DSATUR). The branching vertex is the uncolored
+    vertex with the most distinctly-colored neighbors (saturation), ties
+    broken by higher degree, then lower index; colors are tried in ascending
+    order, so the search is deterministic. Without a precoloring, color
+    classes are interchangeable and the palette is capped at one more than
+    the number of colors in use.
+
+    The rule is kept as one integer key per vertex, sat*n^2 + deg*n + n-1-v,
+    so the branching vertex is the largest key; colored vertices read -1.
+    near[c] masks the vertices with a neighbor of color c+1, so coloring v
+    with it raises the saturation of exactly rows[v] & uncolored & ~near[c].
+    A node with several colors to try snapshots keys and banned and restores
+    them before its next color; a node that fails leaves that to the nearest
+    such ancestor.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     n = g.n
+    rows = g.rows
+    n2 = n * n
+    last = n - 1
+    keys = [r.bit_count() * n + last - v for v, r in enumerate(rows)]
+    banned = [0] * n  # bit c set iff some neighbor has color c+1
+    near = [0] * k
     colors = [0] * n
-    banned = [0] * n  # bit c-1 set iff some neighbor has color c
-    remaining = n
+    uncolored = (1 << n) - 1
     if pre is not None:
         if pre.k > k:
             raise ValueError(f"precoloring palette {pre.k} exceeds k={k}")
-        pre.validate_against(g)
-        for v, c in pre.assignment.items():
-            colors[v] = c
-            remaining -= 1
-        for v, c in pre.assignment.items():
-            bit = 1 << (c - 1)
-            for w in _bits(g.rows[v]):
+        for c, cls in enumerate(pre._classes(g)):
+            uncolored &= ~cls
+            while cls:
+                b = cls & -cls
+                v = b.bit_length() - 1
+                colors[v] = c + 1
+                keys[v] = -1
+                near[c] |= rows[v]
+                cls ^= b
+        for c, seen in enumerate(near):
+            bit = 1 << c
+            seen &= uncolored
+            while seen:
+                b = seen & -seen
+                w = b.bit_length() - 1
+                keys[w] += n2
                 banned[w] |= bit
+                seen ^= b
     canonical = pre is None or not pre.assignment
     full = (1 << k) - 1
-    rows = g.rows
-    deg = [r.bit_count() for r in rows]
 
-    def rec(remaining: int, max_used: int) -> bool:
-        if remaining == 0:
+    def rec(uncolored: int, max_used: int) -> bool:
+        if not uncolored:
             return True
-        best_v = -1
-        best_key = None
-        for v in range(n):
-            if colors[v]:
-                continue
-            key = (banned[v].bit_count(), deg[v], -v)
-            if best_key is None or key > best_key:
-                best_key = key
-                best_v = v
-        v = best_v
+        top = max(keys)
+        v = last - top % n
+        keys[v] = -1
+        uncolored ^= 1 << v
+        row = rows[v] & uncolored
         avail = full & ~banned[v]
         if canonical and max_used < k:
-            avail &= (1 << (max_used + 1)) - 1
+            avail &= (2 << max_used) - 1
+        if avail & (avail - 1):
+            saved_keys = keys[:]
+            saved_banned = banned[:]
         while avail:
             bit = avail & -avail
             avail ^= bit
-            c = bit.bit_length()
-            colors[v] = c
-            touched = []
-            for w in _bits(rows[v]):
-                if colors[w] == 0 and not banned[w] & bit:
-                    banned[w] |= bit
-                    touched.append(w)
-            if rec(remaining - 1, max(max_used, c)):
+            c = bit.bit_length() - 1
+            seen = near[c]
+            near[c] = seen | row
+            fresh = row & ~seen
+            while fresh:
+                b = fresh & -fresh
+                w = b.bit_length() - 1
+                keys[w] += n2
+                banned[w] |= bit
+                fresh ^= b
+            if rec(uncolored, max_used if max_used > c else c + 1):
+                colors[v] = c + 1
                 return True
-            for w in touched:
-                banned[w] ^= bit
-            colors[v] = 0
+            near[c] = seen
+            if avail:
+                keys[:] = saved_keys
+                banned[:] = saved_banned
         return False
 
-    start_used = max((c for c in colors if c), default=0)
-    if not rec(remaining, start_used):
+    if not rec(uncolored, 0):
         return None
     return Coloring(tuple(colors), k)
 

@@ -236,8 +236,10 @@ def _component_of(rows: tuple[int, ...], start: int, within: int) -> int:
     comp = frontier = start
     while frontier:
         nxt = 0
-        for u in _bits(frontier):
-            nxt |= rows[u]
+        while frontier:
+            b = frontier & -frontier
+            nxt |= rows[b.bit_length() - 1]
+            frontier ^= b
         frontier = nxt & within & ~comp
         comp |= frontier
     return comp

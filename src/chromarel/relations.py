@@ -142,7 +142,10 @@ def implicit_via_sets(g: Graph, u: int, v: int, kind: RelationKind) -> bool:
 
 
 def _class_of(classes: list[int], x: int) -> int:
-    return next(i for i, cls in enumerate(classes) if cls >> x & 1)
+    i = 0
+    while not classes[i] >> x & 1:
+        i += 1
+    return i
 
 
 def _flip(classes: list[int], a: int, b: int, chain: int) -> list[int]:

@@ -217,3 +217,83 @@ def relations_by_independent_sets(g):
         elif identity:
             out[(u, v)] = "identity"
     return out
+
+
+def _bit_positions(x):
+    while x:
+        b = x & -x
+        yield b.bit_length() - 1
+        x ^= b
+
+
+def k_colorable_by_tuple_keys(g, k, pre=None):
+    """The solver's search as it was written before its keys became integers:
+    a fresh (saturation, degree, -index) tuple per uncolored vertex at every
+    node, colors tried in ascending order. Returns the assignment of the
+    first coloring found, or None, and raises ValueError with the solver's
+    text on a bad precoloring."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    n = g.n
+    colors = [0] * n
+    banned = [0] * n  # bit c-1 set iff some neighbor has color c
+    remaining = n
+    if pre is not None:
+        if pre.k > k:
+            raise ValueError(f"precoloring palette {pre.k} exceeds k={k}")
+        for v in pre.assignment:
+            if not (0 <= v < n):
+                raise ValueError(f"vertex {v} outside 0..{n - 1}")
+        for v, c in pre.assignment.items():
+            for w in _bit_positions(g.rows[v]):
+                if pre.assignment.get(w) == c:
+                    raise ValueError(f"precoloring is improper on edge ({v},{w})")
+        for v, c in pre.assignment.items():
+            colors[v] = c
+            remaining -= 1
+        for v, c in pre.assignment.items():
+            bit = 1 << (c - 1)
+            for w in _bit_positions(g.rows[v]):
+                banned[w] |= bit
+    canonical = pre is None or not pre.assignment
+    full = (1 << k) - 1
+    rows = g.rows
+    deg = [r.bit_count() for r in rows]
+
+    def rec(remaining, max_used):
+        if remaining == 0:
+            return True
+        best_v = -1
+        best_key = None
+        for v in range(n):
+            if colors[v]:
+                continue
+            key = (banned[v].bit_count(), deg[v], -v)
+            if best_key is None or key > best_key:
+                best_key = key
+                best_v = v
+        v = best_v
+        avail = full & ~banned[v]
+        if canonical and max_used < k:
+            avail &= (1 << (max_used + 1)) - 1
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            c = bit.bit_length()
+            colors[v] = c
+            touched = []
+            for w in _bit_positions(rows[v]):
+                if colors[w] == 0 and not banned[w] & bit:
+                    banned[w] |= bit
+                    touched.append(w)
+            if rec(remaining - 1, max(max_used, c)):
+                return True
+            for w in touched:
+                banned[w] ^= bit
+            colors[v] = 0
+        return False
+
+    start_used = max((c for c in colors if c), default=0)
+    if not rec(remaining, start_used):
+        return None
+    return tuple(colors)

@@ -141,6 +141,18 @@ def test_bad_input_is_usage_error(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["poly"], ["convert", "out.col"]])
+def test_undecodable_input_is_usage_error(capsys, tmp_path, command):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"\xff")
+    argv = [command[0], str(path), *[str(tmp_path / a) for a in command[1:]]]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"cannot read {path}" in err and "decode" in err
+    assert not (tmp_path / "out.col").exists()
+
+
 @pytest.mark.parametrize(
     "name, text",
     [

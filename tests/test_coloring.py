@@ -18,6 +18,7 @@ from chromarel.families import (
     complete_graph,
     cycle_graph,
     enumerate_graphs,
+    gnp,
     grotzsch,
     moser_spindle,
     mycielski,
@@ -81,6 +82,64 @@ def test_k_colorable_respects_precoloring():
     assert k_colorable(p4, 2, Precoloring({0: 1, 3: 1}, 2)) is None
     with pytest.raises(ValueError):
         k_colorable(g, 2, Precoloring({0: 3}, 3))  # palette wider than k
+
+
+def _search_result(g, k, pre=None):
+    """The solver's answer as the reference returns it: an assignment, None,
+    or the ValueError text."""
+    try:
+        c = k_colorable(g, k, pre)
+    except ValueError as exc:
+        return ("error", str(exc))
+    if c is not None:
+        assert c.k == k
+        return c.assignment
+    return None
+
+
+def _reference_result(g, k, pre=None):
+    try:
+        return oracles.k_colorable_by_tuple_keys(g, k, pre)
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+def test_k_colorable_matches_reference_search():
+    # the same first coloring, not just the same verdict: witnesses, relation
+    # lists and CLI bytes all depend on which coloring the search finds first
+    for n in range(0, 6):
+        for g in enumerate_graphs(n) if n else [Graph(0, ())]:
+            chi = chromatic_number(g)
+            for k in range(0, chi + 2):
+                assert _search_result(g, k) == _reference_result(g, k), (g.edges(), k)
+            pres = [Precoloring({}, chi)]
+            pres += [Precoloring({v: c}, chi) for v in range(n) for c in range(1, chi + 1)]
+            pres += [
+                Precoloring({u: a, v: b}, chi)
+                for u in range(n)
+                for v in range(u + 1, n)
+                for a in range(1, chi + 1)
+                for b in range(1, chi + 1)
+            ]
+            for pre in pres:
+                got = _search_result(g, chi, pre)
+                assert got == _reference_result(g, chi, pre), (g.edges(), pre)
+
+
+@given(
+    st.integers(min_value=0, max_value=10),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=10**6),
+    st.dictionaries(st.integers(0, 9), st.integers(1, 4), max_size=3),
+    st.integers(min_value=-1, max_value=1),
+)
+def test_k_colorable_matches_reference_search_on_random_graphs(n, p, seed, assignment, dk):
+    g = gnp(n, p, seed)
+    k = max(chromatic_number(g) + dk, 0)
+    assert _search_result(g, k) == _reference_result(g, k)
+    pre = Precoloring({v: c for v, c in assignment.items() if c <= k}, k)
+    # ids past n - 1 hit the range check in both
+    assert _search_result(g, k, pre) == _reference_result(g, k, pre)
 
 
 def test_precoloring_validation():
