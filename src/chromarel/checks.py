@@ -13,16 +13,9 @@ IE2-EQ reads that one memoized scan rather than deciding each pair again.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .coloring import (
-    Precoloring,
-    chromatic_number,
-    colorings,
-    k_colorable,
-    kempe_chain,
-)
+from .coloring import chromatic_number, colorings, kempe_chain
 from .families import enumerate_graphs, generate, gnp
 from .graphs import (
     Graph,
@@ -56,8 +49,7 @@ _Finding = tuple[str, str, str]  # locus, expected, got
 _CheckResult = tuple[int, list[_Finding], list[str]]  # ran, failures, notes
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
+class CorpusSpec(NamedTuple):
     """What to run a check over.
 
     families are generate() tokens (parameters after colons, e.g. "path:6").
@@ -402,11 +394,14 @@ def _check_min_pre(g: Graph) -> _CheckResult:
     k = chromatic_number(g)
     ran = 0
     failures: list[_Finding] = []
+    # one sweep per palette; it stops at the first stuck vertex, so only
+    # that vertex is reported
     for kk in (k, k + 1):
-        for v0 in range(g.n):
-            ran += 1
-            if k_colorable(g, kk, Precoloring({v0: 1}, kk)) is None:
-                failures.append((f"size-1 p({v0})=1 at k={kk}", "extends", "stuck"))
+        ran += g.n
+        stuck = min_nonextensible(g, kk, max_size=1)
+        if stuck is not None:
+            (v0,) = stuck.precoloring.assignment
+            failures.append((f"size-1 p({v0})=1 at k={kk}", "extends", "stuck"))
     cert = min_nonextensible(g, k, max_size=2)
     # A precoloring can pin only a nonadjacent relation: an adjacent pair
     # cannot share a color, and with one color no pair can differ.
@@ -454,8 +449,7 @@ CHECKS: dict[str, tuple[Callable[[Graph], _CheckResult], str]] = {
 }
 
 
-@dataclass
-class CheckFailure:
+class CheckFailure(NamedTuple):
     graph6: str
     locus: str
     expected: str
@@ -470,15 +464,26 @@ class CheckFailure:
         }
 
 
-@dataclass
 class CheckReport:
-    check_id: str
-    corpus_size: int
-    instances_run: int
-    failures: list[CheckFailure] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
-    verdict: str = "pass"
+    """One check's outcome over a corpus; run_check fills it in as it goes."""
+
+    def __init__(
+        self,
+        check_id: str,
+        corpus_size: int,
+        instances_run: int,
+        failures: list[CheckFailure] | None = None,
+        notes: list[str] | None = None,
+        elapsed: float = 0.0,
+        verdict: str = "pass",
+    ):
+        self.check_id = check_id
+        self.corpus_size = corpus_size
+        self.instances_run = instances_run
+        self.failures = [] if failures is None else failures
+        self.notes = [] if notes is None else notes
+        self.elapsed = elapsed
+        self.verdict = verdict
 
     def to_json_dict(self) -> dict:
         # elapsed stays out: the JSON is byte-stable across runs

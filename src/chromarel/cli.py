@@ -93,10 +93,19 @@ def _parse_precoloring(text: str, k: int) -> Precoloring:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    g = _read_graph(args.file, args.format)
+    try:
+        return _analyze(g, args)
+    except ValueError as exc:
+        # input the exact search cannot take, such as a graph too deep for
+        # its recursion
+        raise CliError(f"{args.file}: {exc}") from exc
+
+
+def _analyze(g: Graph, args: argparse.Namespace) -> int:
     from .coloring import chromatic_number, k_colorable
     from .relations import RelationKind, criticality, scan_relations, to_dot
 
-    g = _read_graph(args.file, args.format)
     k = chromatic_number(g)
     result: dict = {"n": g.n, "m": g.m, "chi": k}
     rels = None

@@ -96,6 +96,9 @@ def k_colorable(g: Graph, k: int, pre: Precoloring | None = None) -> Coloring | 
     A node with several colors to try snapshots keys and banned and restores
     them before its next color; a node that fails leaves that to the nearest
     such ancestor.
+
+    The search recurses once per vertex it colors, so a graph too large for
+    Python's recursion limit raises ValueError.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -168,7 +171,13 @@ def k_colorable(g: Graph, k: int, pre: Precoloring | None = None) -> Coloring | 
                 banned[:] = saved_banned
         return False
 
-    if not rec(uncolored, 0):
+    try:
+        found = rec(uncolored, 0)
+    except RecursionError:
+        raise ValueError(
+            f"graph with {n} vertices is too deep for the exact solver's recursion"
+        ) from None
+    if not found:
         return None
     return Coloring(tuple(colors), k)
 

@@ -165,7 +165,8 @@ class _WitnessPool:
     identity. Only proper colorings of g enter the pool, and every pool
     coloring separates each adjacent pair. Open questions try a Kempe flip
     of every pool coloring, newest first: a flip costs far less than the
-    solver call it may save.
+    solver call it may save. min_nonextensible keeps a pool too, but reads
+    only its colorings and bits and never flips.
     """
 
     def __init__(self, g: Graph, k: int):
@@ -184,10 +185,16 @@ class _WitnessPool:
 
     def _add_classes(self, classes: list[int]) -> None:
         self.colorings.append(classes)
+        same, differ = self.same, self.differ
         for cls in classes:
-            for x in _bits(cls):
-                self.same[x] |= cls
-                self.differ[x] |= self.full ^ cls
+            other = self.full ^ cls
+            rest = cls
+            while rest:
+                b = rest & -rest
+                x = b.bit_length() - 1
+                same[x] |= cls
+                differ[x] |= other
+                rest ^= b
 
     def refutes_edge(self, u: int, v: int) -> bool:
         """True once some k-coloring of g-uv is known to give u and v one color.
@@ -389,32 +396,55 @@ class NonExtensibleCertificate(NamedTuple):
         return len(self.precoloring.assignment)
 
 
-def _canonical_patterns(domain: tuple[int, ...], g: Graph, k: int):
-    """Proper color patterns on `domain`, one per palette-permutation class.
+@_memo
+def _growth_patterns(size: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Color patterns of length `size` into {1..k}, one per palette-permutation
+    class, each with the mask of position pairs that share a color.
 
     Classes appear in first-use order (restricted growth), which is exactly
-    one representative per orbit of the palette symmetry group.
+    one representative per orbit of the palette symmetry group; the patterns
+    come in lexicographic order. Bit b of a mask stands for the b-th pair of
+    itertools.combinations(range(size), 2).
     """
-    size = len(domain)
+    patterns: list[tuple[int, ...]] = [()]
+    for _ in range(size):
+        patterns = [
+            p + (c,) for p in patterns for c in range(1, min(max(p, default=0) + 1, k) + 1)
+        ]
+    pairs = list(itertools.combinations(range(size), 2))
+    return tuple(
+        (p, sum(1 << b for b, (i, j) in enumerate(pairs) if p[i] == p[j])) for p in patterns
+    )
 
-    def rec(i: int, pattern: list[int], used: int):
-        if i == size:
-            yield tuple(pattern)
-            return
-        v = domain[i]
-        limit = min(used + 1, k)
-        for c in range(1, limit + 1):
-            ok = True
-            for j in range(i):
-                if pattern[j] == c and g.has_edge(domain[j], v):
-                    ok = False
-                    break
-            if ok:
-                pattern.append(c)
-                yield from rec(i + 1, pattern, max(used, c))
-                pattern.pop()
 
-    yield from rec(0, [], 0)
+def _pool_extends(pool: _WitnessPool, domain: tuple[int, ...], pattern: tuple[int, ...]) -> bool:
+    """True if a pool coloring matches the pattern up to a palette permutation.
+
+    Each pattern color class must lie inside one class of the coloring, and
+    distinct pattern classes must land in distinct classes: renaming the
+    colors then turns that coloring into a completion of the pattern.
+    """
+    if not pool.colorings:
+        return False
+    if len(domain) == 1:
+        return True
+    if len(domain) == 2:
+        u, v = domain
+        bits = pool.same[u] if pattern[0] == pattern[1] else pool.differ[u]
+        return bool(bits >> v & 1)
+    parts = [0] * max(pattern)
+    for x, c in zip(domain, pattern):
+        parts[c - 1] |= 1 << x
+    for classes in reversed(pool.colorings):
+        used = 0
+        for part in parts:
+            i = _class_of(classes, (part & -part).bit_length() - 1)
+            if part & ~classes[i] or used >> i & 1:
+                break
+            used |= 1 << i
+        else:
+            return True
+    return False
 
 
 def min_nonextensible(g: Graph, k: int, max_size: int = 3) -> NonExtensibleCertificate | None:
@@ -424,15 +454,35 @@ def min_nonextensible(g: Graph, k: int, max_size: int = 3) -> NonExtensibleCerti
     at the first certificate. None means every proper precoloring of size up
     to max_size extends to a full coloring into {1..k}; nothing is claimed
     about larger sizes.
+
+    The call keeps the k-colorings its own solver calls return in a witness
+    pool. A pattern that one of them matches up to a palette permutation
+    extends and needs no solver call; the rest go to the solver, and its
+    colorings join the pool. Every "extends" therefore rests on a proper
+    coloring and the certificate on a solver refutation, and the sweep
+    order, hence the certificate, is that of one solver call per pattern.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    for size in range(1, max_size + 1):
+    pool = _WitnessPool(g, k)
+    rows = g.rows
+    for size in range(1, min(max_size, g.n) + 1):
+        patterns = _growth_patterns(size, k)
+        pairs = list(enumerate(itertools.combinations(range(size), 2)))
         for domain in itertools.combinations(range(g.n), size):
-            for pattern in _canonical_patterns(domain, g, k):
+            # a proper pattern gives no adjacent pair of the domain one color
+            adjacent = 0
+            for b, (i, j) in pairs:
+                if rows[domain[i]] >> domain[j] & 1:
+                    adjacent |= 1 << b
+            for pattern, shared in patterns:
+                if shared & adjacent or _pool_extends(pool, domain, pattern):
+                    continue
                 pre = Precoloring(dict(zip(domain, pattern)), k)
-                if k_colorable(g, k, pre) is None:
+                full = k_colorable(g, k, pre)
+                if full is None:
                     return NonExtensibleCertificate(pre, k)
+                pool.add(full.assignment)
     return None
 
 

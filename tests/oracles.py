@@ -297,3 +297,29 @@ def k_colorable_by_tuple_keys(g, k, pre=None):
     if not rec(remaining, start_used):
         return None
     return tuple(colors)
+
+
+def min_nonextensible_by_solver(g, k, max_size=3):
+    """The non-extensible sweep with one solver call per pattern and no
+    witness pool: sizes ascending, domains in combination order, proper
+    restricted-growth patterns in lexicographic order. Returns the first
+    stuck precoloring's assignment, or None."""
+    from chromarel import Precoloring, k_colorable
+
+    for size in range(1, max_size + 1):
+        patterns = [
+            p
+            for p in itertools.product(range(1, k + 1), repeat=size)
+            if all(p[i] <= max(p[:i], default=0) + 1 for i in range(size))
+        ]
+        for domain in itertools.combinations(range(g.n), size):
+            for pattern in patterns:
+                if any(
+                    pattern[i] == pattern[j] and g.has_edge(domain[i], domain[j])
+                    for i, j in itertools.combinations(range(size), 2)
+                ):
+                    continue
+                pre = Precoloring(dict(zip(domain, pattern)), k)
+                if k_colorable(g, k, pre) is None:
+                    return pre.assignment
+    return None

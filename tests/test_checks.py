@@ -7,6 +7,7 @@ from chromarel import (
     Graph,
     RelationKind,
     bipartition,
+    cycle_graph,
     default_corpus,
     iter_corpus,
     path_graph,
@@ -178,3 +179,14 @@ def test_min_pre_expects_no_certificate_for_unpinnable_relations():
     report = run_check("MIN-PRE", [("gnp:9:0.5:107", g), ("empty3", empty)])
     assert report.verdict == "pass", report.failures
 
+
+
+def test_min_pre_reports_the_first_stuck_vertex_only(monkeypatch):
+    # one color short of chi, every single vertex is stuck; each size-1
+    # sweep stops at the first one but still counts n instances
+    g = cycle_graph(5)
+    monkeypatch.setattr(checks_mod, "chromatic_number", lambda h: 2)
+    ran, failures, _ = CHECKS["MIN-PRE"][0](g)
+    size1 = [f for f in failures if f[0].startswith("size-1")]
+    assert size1 == [("size-1 p(0)=1 at k=2", "extends", "stuck")]
+    assert ran >= 2 * g.n

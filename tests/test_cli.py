@@ -174,6 +174,20 @@ def test_huge_vertex_count_is_usage_error(capsys, tmp_path, name, text):
     assert "line 1:" in err and ("more than 65536" in err or "above 65535" in err)
 
 
+@pytest.mark.parametrize("flag", [["--pre", "0=1"], ["--relations"]])
+def test_too_deep_graph_is_usage_error(capsys, tmp_path, flag):
+    # the exact solver recurses once per vertex; a 1 500-vertex path is
+    # past Python's recursion limit
+    n = 1500
+    path = tmp_path / "path.col"
+    path.write_text(f"p edge {n} {n - 1}\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, n)))
+    code, out, err = run_cli(capsys, "analyze", str(path), *flag)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "1500 vertices" in err
+    assert "Traceback" not in err
+
+
 def test_poly_exact_bytes(capsys, c4_file):
     code, out, _ = run_cli(capsys, "poly", c4_file, "--eval", "3")
     assert code == 0
@@ -348,9 +362,10 @@ def test_poly_run_loads_only_its_modules(tmp_path):
 
 
 def test_analyze_and_poly_runs_load_no_dataclasses(tmp_path):
+    # and a verify run: the catalog's report types are no dataclasses either
     path = tmp_path / "w5.g6"
     path.write_text(serialize_graph(wheel_graph(5), "graph6"))
-    analysis, after_analyze, poly, after_poly = _fresh_process(
+    analysis, after_analyze, poly, after_poly, verify, after_verify = _fresh_process(
         f"""
         import sys
         preloaded = "dataclasses" in sys.modules
@@ -359,11 +374,14 @@ def test_analyze_and_poly_runs_load_no_dataclasses(tmp_path):
         print(preloaded or "dataclasses" not in sys.modules)
         main(["poly", {str(path)!r}])
         print(preloaded or "dataclasses" not in sys.modules)
+        main(["verify", "--jobs", "1", "--exhaustive", "3"])
+        print(preloaded or "dataclasses" not in sys.modules)
         """
     )
     assert json.loads(analysis)["chi"] == 4
     assert json.loads(poly)["coeffs"][-1] == 1
-    assert (after_analyze, after_poly) == ("True", "True")
+    assert json.loads(verify)["verdict"] == "pass"
+    assert (after_analyze, after_poly, after_verify) == ("True", "True", "True")
 
 
 def test_package_names_resolve_to_their_home_objects():

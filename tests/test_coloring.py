@@ -142,6 +142,17 @@ def test_k_colorable_matches_reference_search_on_random_graphs(n, p, seed, assig
     assert _search_result(g, k, pre) == _reference_result(g, k, pre)
 
 
+def test_too_deep_search_is_a_value_error():
+    # one recursion level per colored vertex: past Python's limit the search
+    # reports the graph's size instead of a RecursionError
+    g = path_graph(1500)
+    for pre in (None, Precoloring({0: 1}, 2)):
+        with pytest.raises(ValueError, match="1500 vertices"):
+            k_colorable(g, 2, pre)
+    short = path_graph(500)
+    assert k_colorable(short, 2).is_proper(short)
+
+
 def test_precoloring_validation():
     with pytest.raises(ValueError):
         Precoloring({0: 0}, 2)  # colors are 1-based

@@ -315,6 +315,43 @@ def test_min_nonextensible_size_three_bowtie():
     assert cert.precoloring.assignment == {0: 1, 1: 2, 3: 3}
 
 
+def test_min_nonextensible_matches_the_solver_sweep_on_small_graphs():
+    # every labeled graph through n = 5, below, at and above chi
+    wrong = []
+    for n in range(1, 6):
+        for g in enumerate_graphs(n):
+            chi = chromatic_number(g)
+            for k in (chi - 1, chi, chi + 1):
+                cert = min_nonextensible(g, k, max_size=3)
+                got = None if cert is None else cert.precoloring.assignment
+                if got != oracles.min_nonextensible_by_solver(g, k, max_size=3):
+                    wrong.append((g.edges(), k))
+    assert wrong == []
+
+
+@given(graphs(min_n=1, max_n=9), st.integers(min_value=-1, max_value=1))
+def test_min_nonextensible_matches_the_solver_sweep(g, dk):
+    k = chromatic_number(g) + dk
+    cert = min_nonextensible(g, k, max_size=3)
+    got = None if cert is None else cert.precoloring.assignment
+    assert got == oracles.min_nonextensible_by_solver(g, k, max_size=3)
+    if cert is not None:
+        assert k_colorable(g, k, cert.precoloring) is None
+
+
+def test_no_small_certificate_one_color_above_chi():
+    # chi(g/uv) and chi(g+uv) are at most chi(g)+1, so at k = chi+1 every
+    # precolored pair extends, and so does every single vertex
+    named = [grotzsch(), moser_spindle(), wheel_graph(5), complete_graph(6)]
+    small = [g for n in range(1, 6) for g in enumerate_graphs(n, connected_only=True)]
+    stuck = [
+        g.edges()
+        for g in small + named
+        if min_nonextensible(g, chromatic_number(g) + 1, max_size=2) is not None
+    ]
+    assert stuck == []
+
+
 def test_to_dot_styles():
     g = path_graph(4)
     dot = to_dot(g, scan_relations(g))
