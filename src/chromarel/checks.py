@@ -395,14 +395,15 @@ def _check_min_pre(g: Graph) -> _CheckResult:
     ran = 0
     failures: list[_Finding] = []
     # one sweep per palette; it stops at the first stuck vertex, so only
-    # that vertex is reported
-    for kk in (k, k + 1):
+    # that vertex is reported. The size-2 sweep at k tries every single
+    # vertex first, so a certificate of size 1 is that sweep's stuck vertex.
+    cert = min_nonextensible(g, k, max_size=2)
+    single = cert if cert is not None and cert.size == 1 else None
+    for kk, stuck in ((k, single), (k + 1, min_nonextensible(g, k + 1, max_size=1))):
         ran += g.n
-        stuck = min_nonextensible(g, kk, max_size=1)
         if stuck is not None:
             (v0,) = stuck.precoloring.assignment
             failures.append((f"size-1 p({v0})=1 at k={kk}", "extends", "stuck"))
-    cert = min_nonextensible(g, k, max_size=2)
     # A precoloring can pin only a nonadjacent relation: an adjacent pair
     # cannot share a color, and with one color no pair can differ.
     rels = _relations_of(g)

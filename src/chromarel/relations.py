@@ -116,29 +116,120 @@ def is_implicit_identity(g: Graph, u: int, v: int) -> bool:
     return _distinct_witness(g, u, v, chromatic_number(g)) is None
 
 
+@_memo
+def _coloring_of(n: int, rows: tuple[int, ...], k: int) -> tuple[int, ...] | None:
+    """Colors of the solver's k-coloring of the graph (n, rows), or None.
+    Memoized: across a corpus of small graphs the set route meets the same
+    g-S again and again."""
+    c = k_colorable(Graph._make(n, rows), k)
+    return None if c is None else c.assignment
+
+
+class _SetTable:
+    """The set route's answers for one graph g, k = chi(g) >= 1.
+
+    A vertex set S lowers when g-S is (k-1)-colorable. The table enumerates
+    the maximal independent sets of g once and decides each: by the solver,
+    or with no call when it holds a set already known to lower (deleting
+    more vertices never raises chi) or lies inside one known not to. A
+    (k-1)-coloring of g-M is, with M, a k-coloring of g, so each of its
+    classes lowers as well: M and those classes are the route's
+    certificates. They come only from the table's own solver calls on
+    independent sets of g. The memo hands every caller the same table,
+    which only ever learns facts about g.
+    """
+
+    def __init__(self, n: int, rows: tuple[int, ...]):
+        self.rows = rows
+        self.full = (1 << n) - 1
+        self.k = _chromatic(n, rows)
+        self.certs: list[int] = []  # independent sets known to lower
+        self.blocked: list[int] = []  # independent sets known not to lower
+        self.lowering: list[int] = []  # the maximal sets that lower
+        # together[x]: union of the lowering maximal sets holding x;
+        # apart[x]: the vertices some lowering maximal set holding x misses
+        self.together = [0] * n
+        self.apart = [0] * n
+        for m in _maximal_sets(rows, 0):
+            if self._lowers(m):
+                self.lowering.append(m)
+                for x in _bits(m):
+                    self.together[x] |= m
+                    self.apart[x] |= self.full ^ m
+
+    def _coloring_without(self, s: int) -> tuple[int, ...] | None:
+        keep = self.full ^ s
+        return _coloring_of(keep.bit_count(), _keep_rows(self.rows, keep), self.k - 1)
+
+    def _lowers(self, s: int) -> bool:
+        """Whether the independent set s lowers chi; a solver call's answer
+        joins the table."""
+        if any(not c & ~s for c in self.certs):
+            return True
+        if any(not s & ~b for b in self.blocked):
+            return False
+        coloring = self._coloring_without(s)
+        if coloring is None:
+            self.blocked.append(s)
+            return False
+        kept = list(_bits(self.full ^ s))
+        classes = [0] * (self.k - 1)
+        for i, c in enumerate(coloring):
+            classes[c - 1] |= 1 << kept[i]
+        self.certs.append(s)
+        self.certs.extend(c for c in classes if c)
+        return True
+
+    def edge(self, u: int, v: int) -> bool:
+        if not self.rows[u] >> v & 1:
+            return not self.together[u] >> v & 1
+        # a known lowering set that u and v can join lies in one of the
+        # maximal sets of g-uv holding both, and that set lowers too
+        uv = 1 << u | 1 << v
+        near = (self.rows[u] | self.rows[v]) & ~uv
+        if any(not c & near for c in self.certs):
+            return False
+        rows = list(self.rows)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        # these sets are not independent in g, so the colorings that decide
+        # them must not become certificates
+        return all(self._coloring_without(s) is None for s in _maximal_sets(tuple(rows), uv))
+
+    def identity(self, u: int, v: int) -> bool:
+        if self.apart[v] >> u & 1:
+            return False
+        # every lowering maximal set holding v holds u as well
+        both = 1 << u | 1 << v
+        return not any(
+            self._lowers(m ^ 1 << u) for m in self.lowering if m & both == both
+        )
+
+
+@_memo
+def _set_relations(n: int, rows: tuple[int, ...]) -> _SetTable:
+    return _SetTable(n, rows)
+
+
 def implicit_via_sets(g: Graph, u: int, v: int, kind: RelationKind) -> bool:
     """Decide a relation through the independent-set characterization.
 
     Edge: {u,v} is an implicit edge iff no independent set of g-uv contains
     both endpoints and has chi(g - S) < chi(g). Identity: {u,v} is an
     implicit identity iff no independent set of g-u contains v and has
-    chi(g - S) < chi(g); those are the independent sets of g+uv containing
-    v, so no vertex ids move. Deleting more vertices never raises chi, so
-    only the maximal such sets need testing.
+    chi(g - S) < chi(g). Deleting more vertices never raises chi, so such a
+    set exists iff one inside a maximal independent set M of g does: for a
+    nonadjacent pair's edge, M itself holding both ends; for an identity,
+    M holding v, or M-u when M holds u too. Only an adjacent pair's edge
+    needs the maximal sets of g-uv instead. Every answer is a lookup into
+    the graph's memoized table, which enumerates the maximal sets once.
     """
     _pair_check(g, u, v)
-    k = chromatic_number(g)
     if kind is RelationKind.EDGE:
-        h, seed = _without_edge(g, u, v), 1 << u | 1 << v
-    elif kind is RelationKind.IDENTITY:
-        h, seed = _with_edge(g, u, v), 1 << v
-    else:
-        raise ValueError(f"unknown relation kind {kind!r}")
-    full = (1 << g.n) - 1
-    for s in _maximal_sets(h.rows, seed):
-        if _chromatic(g.n - s.bit_count(), _keep_rows(g.rows, full ^ s)) < k:
-            return False
-    return True
+        return _set_relations(g.n, g.rows).edge(u, v)
+    if kind is RelationKind.IDENTITY:
+        return _set_relations(g.n, g.rows).identity(u, v)
+    raise ValueError(f"unknown relation kind {kind!r}")
 
 
 def _class_of(classes: list[int], x: int) -> int:

@@ -323,3 +323,28 @@ def min_nonextensible_by_solver(g, k, max_size=3):
                 if k_colorable(g, k, pre) is None:
                     return pre.assignment
     return None
+
+
+def implicit_via_sets_by_pairs(g, u, v, kind):
+    """The set route as it was written before its per-graph table: for each
+    question, enumerate the maximal sets that hold the pair, and climb to
+    chi(g - S) for each until one lowers it."""
+    from chromarel import RelationKind
+    from chromarel.coloring import _chromatic
+    from chromarel.graphs import _keep_rows, _maximal_sets
+
+    rows = list(g.rows)
+    if kind is RelationKind.EDGE:
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+        seed = 1 << u | 1 << v
+    else:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        seed = 1 << v
+    k = _chromatic(g.n, g.rows)
+    full = (1 << g.n) - 1
+    for s in _maximal_sets(tuple(rows), seed):
+        if _chromatic(g.n - s.bit_count(), _keep_rows(g.rows, full ^ s)) < k:
+            return False
+    return True

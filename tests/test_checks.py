@@ -97,6 +97,25 @@ def test_ie2_reports_the_first_route_disagreement(monkeypatch):
     assert run_check("IE2-EQ", [("p4", path_graph(4))]).instances_run == 2
 
 
+def test_ie2_reports_a_lie_on_an_adjacent_pair_edge(monkeypatch):
+    # a lie on adjacent pairs' edges only, the questions the set route
+    # still answers from the maximal sets of g-uv; in the path 0-2-1-3 the
+    # first adjacent pair is (0,2), the scan's second pair
+    checks_mod._relations_of.cache_clear()
+    real = relations_mod.implicit_via_sets
+    monkeypatch.setattr(
+        relations_mod,
+        "implicit_via_sets",
+        lambda g, u, v, kind: real(g, u, v, kind)
+        != (kind is RelationKind.EDGE and g.has_edge(u, v)),
+    )
+    report = run_check("IE2-EQ", [("p4", Graph.from_edges(4, [(0, 2), (1, 2), (1, 3)]))])
+    (f,) = report.failures
+    assert f.locus == "pair (0,2) edge"
+    assert (f.expected, f.got) == ("definition=False", "sets=True")
+    assert report.instances_run == 3
+
+
 def test_jobs_do_not_change_the_report():
     for cid in ("MIN-PRE", "CRIT-ADJ"):
         seq = run_check(cid, SMALL, jobs=1).to_json_dict()

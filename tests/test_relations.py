@@ -21,6 +21,7 @@ from chromarel.families import (
     complete_graph,
     cycle_graph,
     enumerate_graphs,
+    gnp,
     grotzsch,
     moser_spindle,
     path_graph,
@@ -174,6 +175,41 @@ def test_set_route_matches_all_subsets_oracle():
                     assert got == (want.get((u, v)) == "edge", want.get((u, v)) == "identity"), (
                         g.edges(), u, v
                     )
+
+
+def _set_route_mismatches(g):
+    # both orders of every pair: the identity question is not symmetric
+    return [
+        (u, v, kind)
+        for u in range(g.n)
+        for v in range(g.n)
+        if u != v
+        for kind in RelationKind
+        if implicit_via_sets(g, u, v, kind) != oracles.implicit_via_sets_by_pairs(g, u, v, kind)
+    ]
+
+
+def test_set_table_matches_the_per_pair_route_on_every_small_labeled_graph():
+    wrong = [
+        (g.edges(), bad)
+        for n in range(2, 6)
+        for g in enumerate_graphs(n)
+        for bad in _set_route_mismatches(g)
+    ]
+    assert wrong == []
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_set_table_matches_the_per_pair_route_on_random_graphs(n):
+    for p in (0.3, 0.5, 0.7):
+        for seed in range(3):
+            g = gnp(n, p, seed)
+            assert _set_route_mismatches(g) == [], (n, p, seed)
+
+
+@given(graphs(min_n=2, max_n=10))
+def test_set_table_matches_the_per_pair_route(g):
+    assert _set_route_mismatches(g) == []
 
 
 def test_identity_pairs_are_never_adjacent():
