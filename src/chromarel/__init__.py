@@ -10,7 +10,7 @@ _EXPORTS = {
     "graphs": (
         "EditError", "Graph",
         "add_edge", "bipartition", "common_neighbors",
-        "delete_edge", "delete_vertices", "identify_vertices",
+        "delete_edge", "identify_vertices",
         "is_connected", "subdivide_edge",
     ),
     "io": ("FORMATS", "FormatError", "format_for_path", "parse_graph", "serialize_graph"),
@@ -24,7 +24,7 @@ _EXPORTS = {
     "relations": (
         "CriticalityReport", "ImplicitRelation", "NonExtensibleCertificate",
         "RelationKind", "RouteDisagreementError",
-        "criticality", "critical_independent_sets", "implicit_via_sets",
+        "criticality", "implicit_via_sets",
         "is_implicit_edge", "is_implicit_identity",
         "min_nonextensible", "scan_relations", "to_dot",
     ),

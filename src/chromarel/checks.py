@@ -23,11 +23,12 @@ from .graphs import (
     bipartition,
     common_neighbors,
     delete_edge,
-    delete_vertices,
     is_connected,
     identify_vertices,
     subdivide_edge,
+    _bits,
     _component_of,
+    _keep_rows,
     _memo,
 )
 from .io import parse_graph, serialize_graph
@@ -36,9 +37,9 @@ from .polynomial import chromatic_polynomial, evaluate
 from .relations import (
     RelationKind,
     RouteDisagreementError,
+    _critical_sets,
     _without_edge,
     criticality,
-    critical_independent_sets,
     is_implicit_edge,
     is_implicit_identity,
     min_nonextensible,
@@ -142,15 +143,23 @@ def _cis_recurse(
     failures: list[_Finding],
 ) -> int:
     ran = 0
-    for s in critical_independent_sets(g, avoid=(u, v)):
-        h, idmap = delete_vertices(g, s)
-        hu, hv = idmap[u], idmap[v]
+    full = (1 << g.n) - 1
+    uv = 1 << u | 1 << v
+    for s in _critical_sets(g.n, g.rows):
+        if s & uv:
+            continue
+        # g-S renumbers its survivors densely: x becomes the count of kept
+        # vertices below it
+        keep = full ^ s
+        h = Graph._make(keep.bit_count(), _keep_rows(g.rows, keep))
+        hu = (keep & ((1 << u) - 1)).bit_count()
+        hv = (keep & ((1 << v) - 1)).bit_count()
         if kind is RelationKind.EDGE:
             holds = is_implicit_edge(h, hu, hv)
         else:
             holds = is_implicit_identity(h, hu, hv)
         ran += 1
-        where = f"{desc} minus {sorted(s)}"
+        where = f"{desc} minus {list(_bits(s))}"
         if not holds:
             failures.append((where, f"{kind.value} relation preserved", "lost"))
         elif depth > 1:
@@ -516,11 +525,14 @@ def run_check(
 
     The budget is wall-clock seconds, checked between instances; exceeding
     it stops the run with verdict "budget-exhausted", which never counts as
-    a pass. Results are identical for any jobs value; instances are
-    aggregated in corpus order.
+    a pass. A budget that is negative or NaN is refused. Results are
+    identical for any jobs value; instances are aggregated in corpus order.
     """
     if check_id not in CHECKS:
         raise ValueError(f"unknown check {check_id!r}")
+    # NaN fails every comparison, so it would never stop a run
+    if not budget >= 0:
+        raise ValueError(f"budget must be a nonnegative number of seconds, got {budget}")
     start = time.monotonic()
     items = iter_corpus(corpus) if isinstance(corpus, CorpusSpec) else iter(corpus)
     report = CheckReport(check_id=check_id, corpus_size=0, instances_run=0)

@@ -93,6 +93,8 @@ def _parse_precoloring(text: str, k: int) -> Precoloring:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    if args.extend is not None and args.pre is None:
+        raise CliError("--extend needs --pre")
     g = _read_graph(args.file, args.format)
     try:
         return _analyze(g, args)

@@ -29,11 +29,12 @@ class Graph:
 
     Adjacency is stored as one integer bit row per vertex: bit v of
     ``rows[u]`` is set iff uv is an edge. Instances are immutable; every
-    edit returns a new Graph, and ids move by two rules. Removing vertices
-    keeps the survivors in order and renumbers them densely. Merging u and v
-    renumbers the other vertices the same way and puts the merged vertex
-    last, at id n-2; subdividing an edge appends the new vertex at id n.
-    Edge deletion and addition move no id.
+    edit returns a new Graph. Edge deletion and addition move no id, and
+    subdividing an edge appends the new vertex at id n. Merging u and v
+    keeps the other vertices in order, renumbers them densely and puts the
+    merged vertex last, at id n-2. The induced-subgraph kernel _keep_rows
+    keeps the survivors in order too, so survivor x gets the count of kept
+    vertices below it.
     """
 
     __slots__ = ("n", "rows")
@@ -217,18 +218,6 @@ def subdivide_edge(g: Graph, u: int, v: int) -> Graph:
     rows[v] ^= 1 << u | 1 << w
     rows.append(1 << u | 1 << v)
     return Graph._make(g.n + 1, tuple(rows))
-
-
-def delete_vertices(g: Graph, drop: Iterable[int]) -> tuple[Graph, dict[int, int]]:
-    """Remove a vertex set; returns the rest with its old-to-new id mapping."""
-    keep = (1 << g.n) - 1
-    for x in drop:
-        if not (0 <= x < g.n):
-            raise EditError(f"vertex {x} outside 0..{g.n - 1}")
-        keep &= ~(1 << x)
-    kept = list(_bits(keep))
-    h = Graph._make(len(kept), _keep_rows(g.rows, keep))
-    return h, {x: i for i, x in enumerate(kept)}
 
 
 def _component_of(rows: tuple[int, ...], start: int, within: int) -> int:

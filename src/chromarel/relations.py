@@ -135,8 +135,9 @@ class _SetTable:
     (k-1)-coloring of g-M is, with M, a k-coloring of g, so each of its
     classes lowers as well: M and those classes are the route's
     certificates. They come only from the table's own solver calls on
-    independent sets of g. The memo hands every caller the same table,
-    which only ever learns facts about g.
+    independent sets of g. The memo hands every caller, the relation
+    questions and _critical_sets alike, the same table, which only ever
+    learns facts about g.
     """
 
     def __init__(self, n: int, rows: tuple[int, ...]):
@@ -402,26 +403,16 @@ def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelati
 @_memo
 def _critical_sets(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
     """Masks of the nonempty independent S with chi(g - S) = chi(g) - 1, in
-    lexicographic order."""
-    full = (1 << n) - 1
-    k = _chromatic(n, rows)
-    return tuple(
-        s
-        for s in _independent_sets(rows, full)
-        if s and _chromatic(n - s.bit_count(), _keep_rows(rows, full ^ s)) == k - 1
-    )
+    lexicographic order.
 
-
-def critical_independent_sets(g: Graph, avoid=()):
-    """Yield the critical independent sets disjoint from `avoid`, in
-    lexicographic order. Ids outside g match nothing."""
-    banned = 0
-    for x in avoid:
-        if 0 <= x < g.n:
-            banned |= 1 << x
-    for s in _critical_sets(g.n, g.rows):
-        if not s & banned:
-            yield frozenset(_bits(s))
+    Removing an independent set lowers chi by at most one, so these are the
+    sets the graph's set table finds lowering; its certificates settle most
+    of them with no solver call.
+    """
+    if not n:
+        return ()
+    table = _set_relations(n, rows)
+    return tuple(s for s in _independent_sets(rows, table.full) if s and table._lowers(s))
 
 
 class CriticalityReport(NamedTuple):

@@ -187,6 +187,19 @@ def induced_chromatic_numbers(g):
     return chi
 
 
+def critical_sets_by_subsets(g):
+    """The nonempty independent S with chi(g - S) = chi(g) - 1, as sorted
+    vertex tuples in lexicographic order, by testing every vertex subset."""
+    chi = induced_chromatic_numbers(g)
+    full = tuple(range(g.n))
+    return sorted(
+        s
+        for size in range(1, g.n + 1)
+        for s in itertools.combinations(full, size)
+        if _independent(g, s) and chi[tuple(x for x in full if x not in s)] == chi[full] - 1
+    )
+
+
 def relations_by_independent_sets(g):
     """Classify every pair by the independent-set characterization, over
     every vertex subset.

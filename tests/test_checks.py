@@ -1,3 +1,4 @@
+import math
 import time
 
 import pytest
@@ -17,6 +18,9 @@ from chromarel import (
 from chromarel.checks import CHECKS
 import chromarel.checks as checks_mod
 import chromarel.relations as relations_mod
+from chromarel.families import gnp
+
+import oracles
 
 
 SMALL = CorpusSpec(families=("p4", "c4", "c5", "k4", "w5"), exhaustive_n=4)
@@ -51,6 +55,14 @@ def test_budget_never_passes():
     report = run_check("KEMPE", SMALL, budget=0.0)
     assert report.verdict == "budget-exhausted"
     assert report.corpus_size < 49
+
+
+@pytest.mark.parametrize("budget", [-1.0, -math.inf, math.nan])
+def test_budget_must_be_nonnegative(budget):
+    # NaN fails every comparison, so it would never stop a run
+    with pytest.raises(ValueError, match="budget"):
+        run_check("KEMPE", SMALL, budget=budget)
+    assert run_check("KEMPE", CorpusSpec(families=("p4",)), budget=math.inf).verdict == "pass"
 
 
 def test_unknown_check_rejected():
@@ -209,3 +221,56 @@ def test_min_pre_reports_the_first_stuck_vertex_only(monkeypatch):
     size1 = [f for f in failures if f[0].startswith("size-1")]
     assert size1 == [("size-1 p(0)=1 at k=2", "extends", "stuck")]
     assert ran >= 2 * g.n
+
+
+@pytest.mark.parametrize("g", [gnp(7, 0.5, 4), gnp(8, 0.5, 19)])
+def test_cis_inv_removes_each_critical_set_and_follows_the_pair(monkeypatch, g):
+    # Every decision CIS-INV asks for is recorded with the recursion frame it
+    # came from. The frame knows which of its graph's vertices are the
+    # original ones, so each g-S it decides on must be the induced subgraph
+    # on the surviving original ids, in order, with the pair at its images,
+    # and the sets must be the oracle's critical sets that miss the pair.
+    frames = []
+    calls = []
+    real_recurse = checks_mod._cis_recurse
+
+    def recurse(h, u, v, kind, depth, desc, failures):
+        if frames:
+            parent = frames[-1]
+            orig = [x for x in parent["orig"] if x not in parent["last"]]
+        else:
+            orig = list(range(h.n))
+        sets = [s for s in oracles.critical_sets_by_subsets(h) if u not in s and v not in s]
+        frames.append({"orig": orig, "sets": sets, "next": 0, "pair": (orig[u], orig[v])})
+        ran = real_recurse(h, u, v, kind, depth, desc, failures)
+        frame = frames.pop()
+        assert frame["next"] == len(frame["sets"])
+        return ran
+
+    def decide(real):
+        def wrapped(h, hu, hv):
+            frame = frames[-1]
+            s = frame["sets"][frame["next"]]
+            frame["next"] += 1
+            frame["last"] = {frame["orig"][x] for x in s}
+            kept = [x for x in frame["orig"] if x not in frame["last"]]
+            index = {x: i for i, x in enumerate(kept)}
+            want = Graph.from_edges(
+                len(kept), [(index[a], index[b]) for a, b in g.edges() if a in index and b in index]
+            )
+            ou, ov = frame["pair"]
+            calls.append((len(frames), h == want, (hu, hv) == (index[ou], index[ov])))
+            return real(h, hu, hv)
+
+        return wrapped
+
+    monkeypatch.setattr(checks_mod, "_cis_recurse", recurse)
+    monkeypatch.setattr(checks_mod, "is_implicit_edge", decide(checks_mod.is_implicit_edge))
+    monkeypatch.setattr(
+        checks_mod, "is_implicit_identity", decide(checks_mod.is_implicit_identity)
+    )
+    report = run_check("CIS-INV", [("g", g)])
+    assert report.verdict == "pass", report.failures
+    assert report.instances_run == len(calls) > 0
+    assert all(same_graph and same_pair for _, same_graph, same_pair in calls)
+    assert any(depth == 2 for depth, _, _ in calls)

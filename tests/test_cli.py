@@ -111,6 +111,13 @@ def test_analyze_extension_exit_codes(capsys, p4_file):
     assert code == 0
 
 
+def test_analyze_extend_needs_pre(capsys, p4_file):
+    code, out, err = run_cli(capsys, "analyze", p4_file, "--extend", "2")
+    assert code == 2
+    assert out == ""
+    assert "--extend needs --pre" in err
+
+
 def test_analyze_rejects_bad_precolorings(capsys, p4_file):
     assert run_cli(capsys, "analyze", p4_file, "--pre", "0:1")[0] == 2
     assert run_cli(capsys, "analyze", p4_file, "--pre", "0=1,0=2")[0] == 2
@@ -254,6 +261,16 @@ def test_verify_budget_exhaustion_fails(capsys):
     )
     assert code == 1
     assert json.loads(out)["checks"][0]["verdict"] == "budget-exhausted"
+
+
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+def test_verify_rejects_a_negative_or_nan_budget(capsys, budget):
+    code, out, err = run_cli(
+        capsys, "verify", "--checks", "KEMPE", "--families", "p4", "--budget", budget
+    )
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
 
 
 def test_verify_rejects_unknown_check(capsys):

@@ -1,4 +1,3 @@
-import itertools
 
 import pytest
 
@@ -8,7 +7,6 @@ from chromarel import (
     RelationKind,
     chromatic_number,
     criticality,
-    critical_independent_sets,
     implicit_via_sets,
     is_implicit_edge,
     is_implicit_identity,
@@ -27,9 +25,9 @@ from chromarel.families import (
     path_graph,
     wheel_graph,
 )
-from chromarel.graphs import _component_of
+from chromarel.graphs import _bits, _component_of
 from chromarel.io import parse_graph
-from chromarel.relations import _class_of, _flip
+from chromarel.relations import _class_of, _critical_sets, _flip
 from hypothesis import given
 import hypothesis.strategies as st
 
@@ -277,36 +275,21 @@ def test_k4_plus_isolated_vertex_is_double_critical_but_not_vertex_critical():
 
 def test_critical_independent_sets_on_c5():
     g = cycle_graph(5)
-    sets = list(critical_independent_sets(g))
-    assert len(sets) == 10  # 5 singletons, 5 nonadjacent pairs
-    avoiding = list(critical_independent_sets(g, avoid=(0, 1)))
-    assert all(not s & {0, 1} for s in avoiding)
-    assert len(avoiding) == 4  # {2},{3},{4},{2,4}
+    sets = [list(_bits(s)) for s in _critical_sets(g.n, g.rows)]
+    # 5 singletons and 5 nonadjacent pairs, in lexicographic order
+    assert sets == [[0], [0, 2], [0, 3], [1], [1, 3], [1, 4], [2], [2, 4], [3], [4]]
 
 
 def test_critical_independent_sets_match_subset_oracle():
-    # every labeled graph on up to five vertices: the critical independent
-    # sets are exactly the nonempty independent S with chi(g - S) = chi(g) - 1,
-    # each listed once in lexicographic order; avoiding a pair drops those
-    # that meet it, and an id outside g avoids nothing
+    # every labeled graph on up to five vertices, disconnected ones included,
+    # and the empty graph: the critical sets are exactly the nonempty
+    # independent S with chi(g - S) = chi(g) - 1, each listed once in
+    # lexicographic order
     wrong = []
-    for n in range(1, 6):
-        full = tuple(range(n))
-        subsets = [s for size in range(1, n + 1) for s in itertools.combinations(full, size)]
-        avoids = [(), (n,), (-1,), *itertools.combinations(full, 2)]
-        for g in enumerate_graphs(n, connected_only=False):
-            chi = oracles.induced_chromatic_numbers(g)
-            critical = [
-                frozenset(s)
-                for s in subsets
-                if not any(g.has_edge(a, b) for a, b in itertools.combinations(s, 2))
-                and chi[tuple(x for x in full if x not in s)] == chi[full] - 1
-            ]
-            critical.sort(key=sorted)
-            for avoid in avoids:
-                want = [s for s in critical if not s & set(avoid)]
-                if list(critical_independent_sets(g, avoid=avoid)) != want:
-                    wrong.append((g.edges(), avoid))
+    for g in [Graph(0, ())] + [g for n in range(1, 6) for g in enumerate_graphs(n)]:
+        got = [tuple(_bits(s)) for s in _critical_sets(g.n, g.rows)]
+        if got != oracles.critical_sets_by_subsets(g):
+            wrong.append((g.n, g.edges()))
     assert wrong == []
 
 
