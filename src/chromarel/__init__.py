@@ -15,9 +15,8 @@ _EXPORTS = {
     ),
     "io": ("FORMATS", "FormatError", "format_for_path", "parse_graph", "serialize_graph"),
     "coloring": (
-        "Coloring", "KempeChain", "Precoloring",
-        "chromatic_number", "colorings", "count_colorings",
-        "k_colorable", "kempe_chain",
+        "Coloring", "Precoloring",
+        "chromatic_number", "count_colorings", "k_colorable",
     ),
     "planarity": ("is_planar",),
     "polynomial": ("BudgetError", "ChromaticPolynomial", "chromatic_polynomial", "evaluate"),

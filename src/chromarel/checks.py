@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .coloring import chromatic_number, colorings, kempe_chain
+from .coloring import _colorings, chromatic_number
 from .families import enumerate_graphs, generate, gnp
 from .graphs import (
     Graph,
@@ -182,48 +182,49 @@ def _check_cis_inv(g: Graph) -> _CheckResult:
 
 
 def _check_kempe(g: Graph) -> _CheckResult:
+    # A Kempe chain is _component_of over the union of two color-class
+    # masks, the same walk as the Kempe flips of relations._WitnessPool; the
+    # assignment tuple is built only for a failure's locus.
     rels = _relations_of(g)
     if not rels:
         return 0, [], []
     k = chromatic_number(g)
+    rows = g.rows
     ran = 0
     failures: list[_Finding] = []
-    for c in colorings(g, k):
+    for colors, cls in _colorings(rows, k):
         for r in rels:
-            cu, cv = c.color(r.u), c.color(r.v)
+            u, v = r.u, r.v
+            cu, cv = colors[u], colors[v]
             if r.kind is RelationKind.EDGE:
                 ran += 1
                 if cu == cv:
                     failures.append(
-                        (f"edge pair ({r.u},{r.v}) in {c.assignment}", "distinct colors", "equal")
+                        (f"edge pair ({u},{v}) in {tuple(colors)}", "distinct colors", "equal")
                     )
-                    continue
-                chain = kempe_chain(g, c, r.u, cv)
-                if r.v not in chain.vertices:
+                elif not _component_of(rows, 1 << u, cls[cu - 1] | cls[cv - 1]) >> v & 1:
                     failures.append(
                         (
-                            f"edge pair ({r.u},{r.v}) in {c.assignment}",
-                            f"chain on {{{cu},{cv}}} reaches {r.v}",
+                            f"edge pair ({u},{v}) in {tuple(colors)}",
+                            f"chain on {{{cu},{cv}}} reaches {v}",
                             "chain misses it",
                         )
                     )
+            elif cu != cv:
+                ran += 1
+                failures.append(
+                    (f"identity pair ({u},{v}) in {tuple(colors)}", "equal colors", "distinct")
+                )
             else:
-                if cu != cv:
-                    ran += 1
-                    failures.append(
-                        (f"identity pair ({r.u},{r.v}) in {c.assignment}", "equal colors", "distinct")
-                    )
-                    continue
                 for i in range(1, k + 1):
                     if i == cu:
                         continue
                     ran += 1
-                    chain = kempe_chain(g, c, r.u, i)
-                    if r.v not in chain.vertices:
+                    if not _component_of(rows, 1 << u, cls[cu - 1] | cls[i - 1]) >> v & 1:
                         failures.append(
                             (
-                                f"identity pair ({r.u},{r.v}) in {c.assignment}",
-                                f"chain on {{{cu},{i}}} reaches {r.v}",
+                                f"identity pair ({u},{v}) in {tuple(colors)}",
+                                f"chain on {{{cu},{i}}} reaches {v}",
                                 "chain misses it",
                             )
                         )
@@ -357,43 +358,40 @@ def _check_dc_bound(g: Graph) -> _CheckResult:
             if not is_implicit_identity(h, u, v):
                 failures.append((f"edge ({u},{v})", "identity pair in g-uv", "not identity"))
                 continue
-            cns = common_neighbors(g, u, v)
-            for c in colorings(h, k - 1):
-                a = c.color(u)
-                if c.color(v) != a:
+            cns = g.rows[u] & g.rows[v]
+            ends = 1 << u | 1 << v
+            for colors, cls in _colorings(h.rows, k - 1):
+                a = colors[u]
+                if colors[v] != a:
                     ran += 1
                     failures.append(
-                        (f"edge ({u},{v}) coloring {c.assignment}", "u,v share a color", "differ")
+                        (f"edge ({u},{v}) coloring {tuple(colors)}", "u,v share a color", "differ")
                     )
                     continue
-                mids = set()
+                mids = 0
                 for i in range(1, k):
                     if i == a:
                         continue
                     ran += 1
-                    chain = kempe_chain(h, c, u, i)
-                    middle = chain.vertices - {u, v}
-                    if (
-                        v not in chain.vertices
-                        or len(middle) != 1
-                        or not middle <= cns
-                    ):
+                    chain = _component_of(h.rows, 1 << u, cls[a - 1] | cls[i - 1])
+                    middle = chain & ~ends
+                    if not chain >> v & 1 or middle.bit_count() != 1 or middle & ~cns:
                         failures.append(
                             (
-                                f"edge ({u},{v}) coloring {c.assignment} chain color {i}",
+                                f"edge ({u},{v}) coloring {tuple(colors)} chain color {i}",
                                 "chain is u-m-v with m a common neighbor",
-                                f"chain {sorted(chain.vertices)}",
+                                f"chain {list(_bits(chain))}",
                             )
                         )
                     else:
                         mids |= middle
                 ran += 1
-                if len(mids) != k - 2:
+                if mids.bit_count() != k - 2:
                     failures.append(
                         (
-                            f"edge ({u},{v}) coloring {c.assignment}",
+                            f"edge ({u},{v}) coloring {tuple(colors)}",
                             f"{k - 2} distinct chain middles",
-                            str(len(mids)),
+                            str(mids.bit_count()),
                         )
                     )
     return ran, failures, notes

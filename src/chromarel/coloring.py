@@ -1,4 +1,5 @@
-"""Exact coloring: decision solver, enumeration, counting, Kempe chains.
+"""Exact coloring: decision solver, chromatic number, counting, and the
+color-class enumerator that the Kempe-chain checks walk.
 
 Colors are 1-based, and a k-coloring maps into {1..k}, not necessarily onto.
 """
@@ -7,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping, NamedTuple
 
-from .graphs import Graph, _bits, _component_of, _memo, bipartition
+from .graphs import Graph, _bits, _memo, bipartition
 
 
 class Coloring(NamedTuple):
@@ -239,36 +240,39 @@ def _chromatic(n: int, rows: tuple[int, ...]) -> int:
     return ub
 
 
-def colorings(g: Graph, k: int) -> Iterator[Coloring]:
-    """Proper colorings of g into {1..k}, generated in lexicographic
-    assignment order."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return _enumerate(g, k)
+def _colorings(rows: tuple[int, ...], k: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Proper colorings into {1..k} of the graph with these rows, in
+    lexicographic assignment order: vertices in index order, colors
+    ascending.
 
-
-def _enumerate(g: Graph, k: int) -> Iterator[Coloring]:
-    n = g.n
+    Yields the same two lists each time, updated in place: colors[v] is the
+    color of v, and classes[c-1] masks the vertices of color c. Read them
+    before asking for the next coloring.
+    """
+    n = len(rows)
     colors = [0] * n
-    rows = g.rows
+    classes = [0] * k
+    full = (1 << k) - 1
 
-    def rec(v: int) -> Iterator[Coloring]:
+    def rec(v: int) -> Iterator[tuple[list[int], list[int]]]:
         if v == n:
-            yield Coloring(tuple(colors), k)
+            yield colors, classes
             return
         banned = 0
-        for w in _bits(rows[v]):
-            if w < v:
-                banned |= 1 << (colors[w] - 1)
-        avail = ((1 << k) - 1) & ~banned
+        for w in _bits(rows[v] & ((1 << v) - 1)):
+            banned |= 1 << (colors[w] - 1)
+        avail = full & ~banned
+        bit_v = 1 << v
         while avail:
             bit = avail & -avail
             avail ^= bit
-            colors[v] = bit.bit_length()
+            c = bit.bit_length()
+            colors[v] = c
+            classes[c - 1] |= bit_v
             yield from rec(v + 1)
-        colors[v] = 0
+            classes[c - 1] ^= bit_v
 
-    yield from rec(0)
+    return rec(0)
 
 
 @_memo
@@ -316,27 +320,3 @@ def count_colorings(g: Graph, k: int) -> int:
                 ways *= k - i
             total += nj * ways
     return total
-
-
-class KempeChain(NamedTuple):
-    """A maximal connected two-colored vertex set."""
-
-    vertices: frozenset[int]
-    colors: frozenset[int]
-
-
-def kempe_chain(g: Graph, c: Coloring, u: int, b: int) -> KempeChain:
-    """The Kempe chain through u on colors {c(u), b}."""
-    g._check_vertex(u)
-    a = c.color(u)
-    if not 1 <= b <= c.k:
-        raise ValueError(f"color {b} outside palette 1..{c.k}")
-    if b == a:
-        raise ValueError("chain colors must differ")
-    member = 0
-    for v, col in enumerate(c.assignment):
-        if col == a or col == b:
-            member |= 1 << v
-    comp = _component_of(g.rows, 1 << u, member)
-    return KempeChain(frozenset(_bits(comp)), frozenset((a, b)))
-

@@ -5,6 +5,7 @@ assignments or all vertex partitions, rational interpolation. None of it
 shares code with the algorithms under test.
 """
 
+import collections
 import functools
 import itertools
 from fractions import Fraction
@@ -18,6 +19,32 @@ def count_by_assignment(g, k):
         if all(assignment[u] != assignment[v] for u, v in edges):
             total += 1
     return total
+
+
+def colorings_by_assignment(g, k):
+    """Every proper map V -> {1..k} as a color tuple, trying every map in
+    lexicographic order."""
+    edges = g.edges()
+    return [
+        assignment
+        for assignment in itertools.product(range(1, k + 1), repeat=g.n)
+        if all(assignment[u] != assignment[v] for u, v in edges)
+    ]
+
+
+def kempe_chain_by_bfs(g, assignment, u, b):
+    """The vertices a breadth-first search reaches from u while it steps only
+    onto vertices colored assignment[u] or b."""
+    pair = {assignment[u], b}
+    seen = {u}
+    queue = collections.deque([u])
+    while queue:
+        x = queue.popleft()
+        for y in g.neighbors(x):
+            if y not in seen and assignment[y] in pair:
+                seen.add(y)
+                queue.append(y)
+    return seen
 
 
 def chromatic_by_assignment(g):

@@ -1,11 +1,15 @@
+import hashlib
+import json
 import math
 import time
+from collections import Counter
 
 import pytest
 
 from chromarel import (
     CorpusSpec,
     Graph,
+    ImplicitRelation,
     RelationKind,
     bipartition,
     cycle_graph,
@@ -177,6 +181,46 @@ def test_default_corpus_resolves():
     names = [name for name, _ in iter_corpus(default_corpus())]
     assert "moser_spindle" in names and "grotzsch" in names
     assert len(names) == 10 + 1 + 1 + 4 + 38 + 728
+
+
+def test_kempe_reports_every_broken_chain_obligation(monkeypatch):
+    # make the relation scan claim both kinds on every pair of C5, so each
+    # of KEMPE's three failure texts fires; the digest pins their wording,
+    # their assignment tuples and their order
+    g = cycle_graph(5)
+    lies = tuple(
+        ImplicitRelation(u, v, kind, 3, g.has_edge(u, v))
+        for u in range(5)
+        for v in range(u + 1, 5)
+        for kind in (RelationKind.EDGE, RelationKind.IDENTITY)
+    )
+    monkeypatch.setattr(checks_mod, "_relations_of", lambda h: lies)
+    report = run_check("KEMPE", CorpusSpec(families=("c5",)))
+    assert report.verdict == "fail"
+    assert report.instances_run == 660
+    got = Counter(f.got for f in report.failures)
+    assert got == {"distinct": 240, "chain misses it": 120, "equal": 60}
+    text = json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e47accc7f57642b9199b69fb88305265e16432a6aef6b73f2edd46f3cde8319a"
+    )
+
+
+def test_dc_bound_reports_every_broken_chain(monkeypatch):
+    # claim chi(K4) = 5, so that each of DC-BOUND's failure texts fires on
+    # the 4-colorings of K4-uv; the digest pins their wording and order
+    monkeypatch.setattr(checks_mod, "chromatic_number", lambda h: 5)
+    report = run_check("DC-BOUND", CorpusSpec(families=("k4",)))
+    assert report.verdict == "fail"
+    assert report.instances_run == 732
+    got = Counter(f.got for f in report.failures)
+    assert got == {
+        "2": 150, "differ": 144, "chain [0]": 72, "chain [1]": 48, "chain [2]": 24,
+    }
+    text = json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ba04f3ea6ab99f21a343dc438e4f4837dce1d28274fcf8a4b8b9c897848a72e0"
+    )
 
 
 def test_dc_bound_records_tightness():

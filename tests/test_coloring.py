@@ -8,11 +8,11 @@ from chromarel import (
     Graph,
     Precoloring,
     chromatic_number,
-    colorings,
     count_colorings,
     k_colorable,
-    kempe_chain,
 )
+from chromarel.coloring import _colorings
+from chromarel.graphs import _component_of
 from chromarel.families import (
     complete_bipartite,
     complete_graph,
@@ -163,20 +163,59 @@ def test_precoloring_validation():
         pre.validate_against(path_graph(2))  # improper on the edge
 
 
+def _color_tuples(g, k):
+    return [tuple(colors) for colors, _ in _colorings(g.rows, k)]
+
+
 def test_coloring_stream_counts():
     c4 = cycle_graph(4)
-    assert len(list(colorings(c4, 2))) == 2
-    assert len(list(colorings(c4, 3))) == 18
-    s = colorings(c4, 2)
+    assert len(_color_tuples(c4, 2)) == 2
+    assert len(_color_tuples(c4, 3)) == 18
+    s = _colorings(c4.rows, 2)
     assert iter(s) is s  # a generator, consumed once
 
 
 def test_colorings_are_lazy_and_lexicographic():
-    s = colorings(path_graph(3), 2)
-    assert next(s).assignment == (1, 2, 1)
-    assert [c.assignment for c in s] == [(2, 1, 2)]
-    with pytest.raises(ValueError):
-        colorings(path_graph(3), -1)  # raises at the call, before any item is drawn
+    s = _colorings(path_graph(3).rows, 2)
+    colors, classes = next(s)
+    assert (colors, classes) == ([1, 2, 1], [0b101, 0b010])
+    # the same two lists again, updated in place
+    assert next(s) == ([2, 1, 2], [0b010, 0b101]) and colors == [2, 1, 2]
+    assert next(s, None) is None
+
+
+def test_enumerator_matches_assignment_oracle():
+    # the same color tuples in the same order, and each class mask holds
+    # exactly the vertices of its color
+    for n in range(0, 6):
+        for g in enumerate_graphs(n) if n else [Graph(0, ()), path_graph(1)]:
+            for k in range(0, 5):
+                got = []
+                for colors, classes in _colorings(g.rows, k):
+                    got.append(tuple(colors))
+                    assert classes == [
+                        sum(1 << v for v in range(g.n) if colors[v] == c)
+                        for c in range(1, k + 1)
+                    ], (g.edges(), k, colors)
+                assert got == oracles.colorings_by_assignment(g, k), (g.edges(), k)
+
+
+def test_class_mask_chains_match_bfs_oracle():
+    # the walk KEMPE and DC-BOUND make: the component of u inside the union
+    # of two class masks, for every coloring, vertex and second color
+    graphs = [g for n in range(1, 5) for g in enumerate_graphs(n)]
+    graphs += [cycle_graph(5), wheel_graph(5)]
+    for g in graphs:
+        for k in range(1, 5):
+            for colors, classes in _colorings(g.rows, k):
+                for u in range(g.n):
+                    a = colors[u]
+                    for b in range(1, k + 1):
+                        if b == a:
+                            continue
+                        chain = _component_of(g.rows, 1 << u, classes[a - 1] | classes[b - 1])
+                        want = oracles.kempe_chain_by_bfs(g, colors, u, b)
+                        assert chain == sum(1 << x for x in want), (g.edges(), colors, u, b)
 
 
 def test_equal_graphs_share_one_chi_computation():
@@ -191,11 +230,10 @@ def test_equal_graphs_share_one_chi_computation():
 
 def test_colorings_are_proper_and_distinct():
     g = wheel_graph(5)
-    seen = set()
-    for c in colorings(g, chromatic_number(g)):
-        assert c.is_proper(g)
-        seen.add(c.assignment)
-    assert len(seen) == count_colorings(g, chromatic_number(g))
+    k = chromatic_number(g)
+    seen = set(_color_tuples(g, k))
+    assert all(Coloring(c, k).is_proper(g) for c in seen)
+    assert len(seen) == count_colorings(g, k)
 
 
 def test_count_matches_assignment_enumeration():
@@ -214,32 +252,30 @@ def test_count_matches_partition_enumeration():
             assert count_colorings(g, k) == oracles.count_by_partition(g, k)
 
 
+def _chain(g, colors, u, b):
+    """The {colors[u], b} chain through u, by the class-mask walk."""
+    classes = [0] * max(colors)
+    for v, c in enumerate(colors):
+        classes[c - 1] |= 1 << v
+    mask = _component_of(g.rows, 1 << u, classes[colors[u] - 1] | classes[b - 1])
+    assert mask == sum(1 << x for x in oracles.kempe_chain_by_bfs(g, colors, u, b))
+    return {x for x in range(g.n) if mask >> x & 1}
+
+
 def test_kempe_chain_on_even_cycle():
     g = cycle_graph(4)
     c = k_colorable(g, 2)
     other = ({1, 2} - {c.color(0)}).pop()
-    chain = kempe_chain(g, c, 0, other)
-    assert chain.vertices == frozenset({0, 1, 2, 3})
-    assert chain.colors == frozenset({c.color(0), other})
+    assert _chain(g, c.assignment, 0, other) == {0, 1, 2, 3}
 
 
 def test_kempe_chain_stops_at_color_boundary():
     g = path_graph(4)
     c = Coloring((1, 2, 1, 3), 3)
     assert c.is_proper(g)
-    chain = kempe_chain(g, c, 0, 2)
-    assert chain.vertices == frozenset({0, 1, 2})  # vertex 3 has color 3
+    assert _chain(g, c.assignment, 0, 2) == {0, 1, 2}  # vertex 3 has color 3
     # vertex 2 wears color 1, so the {2,3}-chain through 3 is 3 alone
-    assert kempe_chain(g, c, 3, 2).vertices == frozenset({3})
-
-
-def test_kempe_chain_validation():
-    g = path_graph(2)
-    c = Coloring((1, 2), 2)
-    with pytest.raises(ValueError):
-        kempe_chain(g, c, 0, 1)  # other color equals own color
-    with pytest.raises(ValueError):
-        kempe_chain(g, c, 0, 5)
+    assert _chain(g, c.assignment, 3, 2) == {3}
 
 
 @given(graphs(max_n=8))
@@ -251,4 +287,4 @@ def test_chi_bounded_by_max_degree_plus_one(g):
 
 @given(graphs(max_n=6), st.integers(min_value=0, max_value=4))
 def test_count_agrees_with_enumeration_everywhere(g, k):
-    assert count_colorings(g, k) == len(list(colorings(g, k)))
+    assert count_colorings(g, k) == len(oracles.colorings_by_assignment(g, k))
