@@ -13,6 +13,8 @@ IE2-EQ reads that one memoized scan rather than deciding each pair again.
 from __future__ import annotations
 
 import time
+from collections import deque
+from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .coloring import _colorings, chromatic_number
@@ -38,6 +40,7 @@ from .relations import (
     RelationKind,
     RouteDisagreementError,
     _critical_sets,
+    _set_relations,
     _without_edge,
     criticality,
     is_implicit_edge,
@@ -65,17 +68,23 @@ class CorpusSpec(NamedTuple):
 
 def iter_corpus(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
     """Yield (name, graph) pairs in a deterministic order."""
+    return ((name, g) for name, g, _ in _corpus(spec))
+
+
+def _corpus(spec: CorpusSpec) -> Iterator[tuple[str, Graph, str | None]]:
+    # iter_corpus's pairs, each with its graph6 string where the name is it
     for token in spec.families:
         parts = token.split(":")
-        yield token, generate(parts[0], *parts[1:])
+        yield token, generate(parts[0], *parts[1:]), None
     if spec.exhaustive_n is not None:
         for n in range(1, spec.exhaustive_n + 1):
             for g in enumerate_graphs(n, connected_only=True):
-                yield serialize_graph(g, "graph6"), g
+                g6 = serialize_graph(g, "graph6")
+                yield g6, g, g6
     if spec.random is not None:
         n, p, seed, count = spec.random
         for i in range(count):
-            yield f"gnp({n},{p},{seed + i})", gnp(n, p, seed + i)
+            yield f"gnp({n},{p},{seed + i})", gnp(n, p, seed + i), None
 
 
 @_memo
@@ -302,28 +311,20 @@ def _check_crit_adj(g: Graph) -> _CheckResult:
     ran = 0
     failures: list[_Finding] = []
     for r in rels:
+        identity = r.kind is RelationKind.IDENTITY
         for w in crit_vertices:
             if w == r.u or w == r.v:
                 continue
             ran += 1
-            if r.kind is RelationKind.IDENTITY:
-                if not (g.has_edge(r.u, w) and g.has_edge(r.v, w)):
-                    failures.append(
-                        (
-                            f"identity pair ({r.u},{r.v}), critical vertex {w}",
-                            "adjacent to both endpoints",
-                            "misses one",
-                        )
+            near = (g.has_edge(r.u, w), g.has_edge(r.v, w))
+            if not (all(near) if identity else any(near)):
+                failures.append(
+                    (
+                        f"{r.kind.value} pair ({r.u},{r.v}), critical vertex {w}",
+                        "adjacent to both endpoints" if identity else "adjacent to an endpoint",
+                        "misses one" if identity else "adjacent to neither",
                     )
-            else:
-                if not (g.has_edge(r.u, w) or g.has_edge(r.v, w)):
-                    failures.append(
-                        (
-                            f"edge pair ({r.u},{r.v}), critical vertex {w}",
-                            "adjacent to an endpoint",
-                            "adjacent to neither",
-                        )
-                    )
+                )
     return ran, failures, []
 
 
@@ -331,22 +332,15 @@ def _check_dc_bound(g: Graph) -> _CheckResult:
     if g.m == 0 or not _criticality_of(g).is_double_critical:
         return 0, [], []
     k = chromatic_number(g)
-    ran = 0
-    failures: list[_Finding] = []
-    notes: list[str] = []
-    tight = True
-    weak_holds = True
-    for u, v in g.edges():
-        cn = len(common_neighbors(g, u, v))
-        ran += 1
-        if cn < k - 2:
-            failures.append((f"edge ({u},{v}) common neighbors", f">= {k - 2}", str(cn)))
-        if cn != k - 2:
-            tight = False
-        if cn < k - 1:
-            weak_holds = False
-    notes.append(f"bound k-2 tight on every edge: {tight}")
-    if not weak_holds:
+    common = [(u, v, len(common_neighbors(g, u, v))) for u, v in g.edges()]
+    ran = len(common)
+    failures: list[_Finding] = [
+        (f"edge ({u},{v}) common neighbors", f">= {k - 2}", str(cn))
+        for u, v, cn in common
+        if cn < k - 2
+    ]
+    notes = [f"bound k-2 tight on every edge: {all(cn == k - 2 for _, _, cn in common)}"]
+    if any(cn < k - 1 for _, _, cn in common):
         notes.append("the stronger k-1 bound fails here (evidence against it)")
     if g.m == g.n * (g.n - 1) // 2 and g.n >= 3:
         # complete double-critical instance: confirm the chain mechanism,
@@ -417,27 +411,17 @@ def _check_min_pre(g: Graph) -> _CheckResult:
     certifiable = k > 1 and any(not r.adjacent for r in rels)
     ran += 1
     if (cert is not None) != certifiable:
-        failures.append(
-            (
-                "size-2 certificate exists",
-                str(certifiable),
-                str(cert is not None),
-            )
-        )
+        failures.append(("size-2 certificate exists", str(certifiable), str(cert is not None)))
     if cert is not None and cert.size == 2:
         (a, ca), (b, cb) = sorted(cert.precoloring.assignment.items())
         kind = next((r.kind for r in rels if (r.u, r.v) == (a, b)), None)
+        want = RelationKind.EDGE if ca == cb else RelationKind.IDENTITY
         ran += 1
-        if ca == cb:
-            if kind is not RelationKind.EDGE:
-                failures.append(
-                    (f"certificate pair ({a},{b}) same color", "edge relation", "absent")
-                )
-        else:
-            if kind is not RelationKind.IDENTITY:
-                failures.append(
-                    (f"certificate pair ({a},{b}) distinct colors", "identity relation", "absent")
-                )
+        if kind is not want:
+            colors = "same color" if ca == cb else "distinct colors"
+            failures.append(
+                (f"certificate pair ({a},{b}) {colors}", f"{want.value} relation", "absent")
+            )
     return ran, failures, []
 
 
@@ -473,7 +457,7 @@ class CheckFailure(NamedTuple):
 
 
 class CheckReport:
-    """One check's outcome over a corpus; run_check fills it in as it goes."""
+    """One check's outcome over a corpus, filled in as the run goes."""
 
     def __init__(
         self,
@@ -505,12 +489,111 @@ class CheckReport:
         }
 
 
-def _eval_chunk(check_id: str, graph6s: list[str]) -> tuple[list[_CheckResult], float]:
-    """A worker's results for a run of instances, and the seconds they took."""
-    start = time.monotonic()
-    check = CHECKS[check_id][0]
-    results = [check(parse_graph(g6, "graph6")) for g6 in graph6s]
-    return results, time.monotonic() - start
+def _evaluate(ids: tuple[str, ...], graphs: list) -> list[list[tuple[_CheckResult, float]]]:
+    """Each named check's result on each graph, or graph6 string, with the
+    seconds it took. Each graph meets every check before the next one, so
+    the memos that the checks share serve them all while they are warm."""
+    rows = []
+    for g in graphs:
+        g = parse_graph(g, "graph6") if isinstance(g, str) else g
+        row = []
+        for cid in ids:
+            start = time.monotonic()
+            row.append((CHECKS[cid][0](g), time.monotonic() - start))
+        rows.append(row)
+        # the graph's checks are done, so its set tables, the largest
+        # per-graph state, go: later graphs build their own
+        _set_relations.cache_clear()
+    return rows
+
+
+def _run_checks(
+    ids: Iterable[str],
+    corpus: CorpusSpec | Iterable[tuple[str, Graph]],
+    budget: float = 600.0,
+    jobs: int = 1,
+) -> list[CheckReport]:
+    """Evaluate catalog checks over a corpus in one pass; one report per id.
+
+    A check's budget is its own summed evaluation seconds, as measured in
+    the workers under jobs > 1. A check that has spent it skips the rest of
+    the corpus with verdict "budget-exhausted", which never counts as a
+    pass. A budget that is negative or NaN is refused. Results are identical
+    for any jobs value; each report takes its instances in corpus order.
+    """
+    reports = [CheckReport(check_id=cid, corpus_size=0, instances_run=0) for cid in ids]
+    for report in reports:
+        if report.check_id not in CHECKS:
+            raise ValueError(f"unknown check {report.check_id!r}")
+    # NaN fails every comparison, so it would never stop a run
+    if not budget >= 0:
+        raise ValueError(f"budget must be a nonnegative number of seconds, got {budget}")
+    items = _corpus(corpus) if isinstance(corpus, CorpusSpec) else ((n, g, None) for n, g in corpus)
+
+    def spent(report: CheckReport) -> bool:
+        # a check that has spent its budget truncates at the graph it skips
+        if report.elapsed >= budget:
+            report.verdict = "budget-exhausted"
+        return report.elapsed >= budget
+
+    # The corpus streams through in chunks, taken back in corpus order, and
+    # a chunk runs only the checks not yet spent when it was cut. Chunks grow
+    # or shrink toward about 20 ms of work: long enough that task overhead
+    # stays small, short enough that the budgets, summed as each chunk comes
+    # back, are checked often. Serially a chunk runs as it is cut. Under
+    # jobs > 1 one pool serves the whole run, with two chunks per worker in
+    # flight; once every check is spent, work not yet started is cancelled.
+    pool = None
+    if jobs > 1:
+        # deferred: most processes never fan out
+        import concurrent.futures
+
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
+    pending: deque = deque()
+    size = 1
+
+    def take() -> None:
+        nonlocal size
+        chunk, picked, out = pending.popleft()
+        work = 0.0
+        for (name, g, g6), row in zip(chunk, out.result() if pool else out):
+            for report, ((ran, failures, notes), seconds) in zip(picked, row):
+                work += seconds
+                if spent(report):
+                    continue
+                report.corpus_size += 1
+                report.instances_run += ran
+                report.elapsed += seconds
+                if failures and g6 is None:
+                    g6 = serialize_graph(g, "graph6")
+                report.failures.extend(CheckFailure(g6, *f) for f in failures)
+                report.notes.extend(f"{name}: {note}" for note in notes)
+        size = min(2 * size, 64) if work < 0.02 else max(1, size // 2)
+
+    try:
+        while chunk := list(islice(items, size)):
+            picked = [r for r in reports if not spent(r)]
+            if not picked:
+                break
+            run = tuple(r.check_id for r in picked)
+            if pool is None:
+                out = _evaluate(run, [g for _, g, _ in chunk])
+            else:
+                chunk = [(name, g, g6 or serialize_graph(g, "graph6")) for name, g, g6 in chunk]
+                out = pool.submit(_evaluate, run, [g6 for _, _, g6 in chunk])
+            pending.append((chunk, picked, out))
+            if len(pending) >= (2 * jobs if pool else 1):
+                take()
+        else:
+            while pending:
+                take()
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    for report in reports:
+        if report.verdict != "budget-exhausted":
+            report.verdict = "fail" if report.failures else "pass"
+    return reports
 
 
 def run_check(
@@ -519,92 +602,8 @@ def run_check(
     budget: float = 600.0,
     jobs: int = 1,
 ) -> CheckReport:
-    """Evaluate one catalog check over a corpus.
-
-    The budget is wall-clock seconds, checked between instances; exceeding
-    it stops the run with verdict "budget-exhausted", which never counts as
-    a pass. A budget that is negative or NaN is refused. Results are
-    identical for any jobs value; instances are aggregated in corpus order.
-    """
-    if check_id not in CHECKS:
-        raise ValueError(f"unknown check {check_id!r}")
-    # NaN fails every comparison, so it would never stop a run
-    if not budget >= 0:
-        raise ValueError(f"budget must be a nonnegative number of seconds, got {budget}")
-    start = time.monotonic()
-    items = iter_corpus(corpus) if isinstance(corpus, CorpusSpec) else iter(corpus)
-    report = CheckReport(check_id=check_id, corpus_size=0, instances_run=0)
-
-    def absorb(name: str, g6: str, result: _CheckResult) -> None:
-        ran, failures, notes = result
-        report.corpus_size += 1
-        report.instances_run += ran
-        for locus, expected, got in failures:
-            report.failures.append(CheckFailure(g6, locus, expected, got))
-        for note in notes:
-            report.notes.append(f"{name}: {note}")
-
-    truncated = False
-    if jobs <= 1:
-        for name, g in items:
-            if time.monotonic() - start > budget:
-                truncated = True
-                break
-            absorb(name, serialize_graph(g, "graph6"), CHECKS[check_id][0](g))
-    else:
-        # deferred: most processes never fan out
-        import concurrent.futures
-        from collections import deque
-
-        # The corpus streams in as chunks, two per worker in flight, taken
-        # back in corpus order. Chunks grow or shrink toward about 20 ms of
-        # work: long enough that task overhead stays small, short enough that
-        # the budget, checked as each chunk returns, is checked often. Once
-        # it is spent, work not yet started is cancelled.
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
-        pending: deque = deque()
-        size = 1
-
-        def chunks() -> Iterator[list[tuple[str, str]]]:
-            batch = []
-            for name, g in items:
-                batch.append((name, serialize_graph(g, "graph6")))
-                if len(batch) >= size:
-                    yield batch
-                    batch = []
-            if batch:
-                yield batch
-
-        def take() -> bool:
-            nonlocal size
-            chunk, future = pending.popleft()
-            results, spent = future.result()
-            if time.monotonic() - start > budget:
-                return False
-            for (name, g6), result in zip(chunk, results):
-                absorb(name, g6, result)
-            size = min(2 * size, 64) if spent < 0.02 else max(1, size // 2)
-            return True
-
-        try:
-            for chunk in chunks():
-                graph6s = [g6 for _, g6 in chunk]
-                pending.append((chunk, pool.submit(_eval_chunk, check_id, graph6s)))
-                if len(pending) >= 2 * jobs and not take():
-                    truncated = True
-                    break
-            while pending and not truncated:
-                truncated = not take()
-        finally:
-            pool.shutdown(cancel_futures=True)
-    report.elapsed = time.monotonic() - start
-    if truncated:
-        report.verdict = "budget-exhausted"
-    elif report.failures:
-        report.verdict = "fail"
-    else:
-        report.verdict = "pass"
-    return report
+    """Evaluate one catalog check over a corpus: _run_checks for one id."""
+    return _run_checks((check_id,), corpus, budget, jobs)[0]
 
 
 def default_corpus() -> CorpusSpec:

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import time
 from collections import Counter
 
@@ -19,6 +21,7 @@ from chromarel import (
     run_check,
     scan_relations,
 )
+from chromarel import cli
 from chromarel.checks import CHECKS
 import chromarel.checks as checks_mod
 import chromarel.relations as relations_mod
@@ -28,6 +31,8 @@ import oracles
 
 
 SMALL = CorpusSpec(families=("p4", "c4", "c5", "k4", "w5"), exhaustive_n=4)
+# KEMPE's report on C5 when the relation scan claims both kinds on every pair
+KEMPE_C5_DIGEST = "e47accc7f57642b9199b69fb88305265e16432a6aef6b73f2edd46f3cde8319a"
 
 
 def test_every_check_passes_on_small_corpus():
@@ -133,10 +138,68 @@ def test_ie2_reports_a_lie_on_an_adjacent_pair_edge(monkeypatch):
 
 
 def test_jobs_do_not_change_the_report():
-    for cid in ("MIN-PRE", "CRIT-ADJ"):
-        seq = run_check(cid, SMALL, jobs=1).to_json_dict()
-        for jobs in (2, 3):
-            assert run_check(cid, SMALL, jobs=jobs).to_json_dict() == seq, (cid, jobs)
+    # all twelve checks in one pass, over the small corpus and seeded G(9,1/2)
+    corpus = SMALL._replace(random=(9, 0.5, 0, 6))
+    ids = sorted(CHECKS)
+    seq = [r.to_json_dict() for r in checks_mod._run_checks(ids, corpus, jobs=1)]
+    assert [r["verdict"] for r in seq] == ["pass"] * 12, seq
+    assert all(r["corpus_size"] == 49 + 6 for r in seq)
+    for jobs in (2, 3):
+        par = [r.to_json_dict() for r in checks_mod._run_checks(ids, corpus, jobs=jobs)]
+        assert par == seq, jobs
+
+
+def _lie_on_every_pair(h):
+    # both kinds on every pair: each of KEMPE's three failure texts fires
+    return tuple(
+        ImplicitRelation(u, v, kind, 3, h.has_edge(u, v))
+        for u in range(h.n)
+        for v in range(u + 1, h.n)
+        for kind in (RelationKind.EDGE, RelationKind.IDENTITY)
+    )
+
+
+def test_failures_fold_in_corpus_order_under_jobs(monkeypatch):
+    # the workers are forked from this process, so they inherit the lie
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers that are not forked do not see the monkeypatch")
+    monkeypatch.setattr(checks_mod, "_relations_of", _lie_on_every_pair)
+    report = run_check("KEMPE", CorpusSpec(families=("c5",)), jobs=2)
+    text = json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == KEMPE_C5_DIGEST
+    corpus = CorpusSpec(families=("c5", "p4", "c4"), exhaustive_n=3)
+    seq = run_check("KEMPE", corpus).to_json_dict()
+    assert seq["verdict"] == "fail"
+    assert [f["graph"] for f in seq["failures"]][0] == "Dhc"
+    for jobs in (2, 3):
+        assert run_check("KEMPE", corpus, jobs=jobs).to_json_dict() == seq, jobs
+
+
+def test_one_corpus_pass_and_one_serialization_per_graph(monkeypatch):
+    # one default-corpus verify enumerates each order once, not once per
+    # check, and writes a graph's graph6 string at most once: for an
+    # exhaustive graph's name, or for a failure's report
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("enumerate_graphs", "serialize_graph"):
+        monkeypatch.setattr(checks_mod, name, counted(name, getattr(checks_mod, name)))
+    assert cli.main(["verify", "--jobs", "1", "-o", os.devnull]) == 0
+    assert calls["enumerate_graphs"] == 5
+    assert calls["serialize_graph"] <= 782
+    # with every relation hidden, the BIP checks fail on bipartite graphs
+    calls.clear()
+    monkeypatch.setattr(checks_mod, "_relations_of", lambda g: ())
+    reports = checks_mod._run_checks(["BIP-IE", "BIP-II", "KEMPE"], SMALL)
+    failing = {f.graph6 for r in reports for f in r.failures}
+    assert len(failing) > 5
+    assert calls["serialize_graph"] <= reports[0].corpus_size + len(failing)
 
 
 def test_budget_holds_under_jobs():
@@ -187,23 +250,14 @@ def test_kempe_reports_every_broken_chain_obligation(monkeypatch):
     # make the relation scan claim both kinds on every pair of C5, so each
     # of KEMPE's three failure texts fires; the digest pins their wording,
     # their assignment tuples and their order
-    g = cycle_graph(5)
-    lies = tuple(
-        ImplicitRelation(u, v, kind, 3, g.has_edge(u, v))
-        for u in range(5)
-        for v in range(u + 1, 5)
-        for kind in (RelationKind.EDGE, RelationKind.IDENTITY)
-    )
-    monkeypatch.setattr(checks_mod, "_relations_of", lambda h: lies)
+    monkeypatch.setattr(checks_mod, "_relations_of", _lie_on_every_pair)
     report = run_check("KEMPE", CorpusSpec(families=("c5",)))
     assert report.verdict == "fail"
     assert report.instances_run == 660
     got = Counter(f.got for f in report.failures)
     assert got == {"distinct": 240, "chain misses it": 120, "equal": 60}
     text = json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":"))
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "e47accc7f57642b9199b69fb88305265e16432a6aef6b73f2edd46f3cde8319a"
-    )
+    assert hashlib.sha256(text.encode()).hexdigest() == KEMPE_C5_DIGEST
 
 
 def test_dc_bound_reports_every_broken_chain(monkeypatch):
