@@ -30,7 +30,7 @@ _EXPORTS = {
     "families": (
         "complete_bipartite", "complete_graph", "cycle_graph", "enumerate_graphs",
         "generate", "gnp", "grotzsch", "moser_spindle", "mycielski",
-        "path_graph", "petersen", "wheel_graph",
+        "path_graph", "petersen", "planted", "wheel_graph",
     ),
     "checks": (
         "CHECKS", "CheckFailure", "CheckReport", "CorpusSpec",

@@ -265,7 +265,8 @@ def _check_poly(g: Graph, kind: RelationKind) -> _CheckResult:
 
 
 def _check_planar_add(g: Graph) -> _CheckResult:
-    if not is_planar(g) or chromatic_number(g) != 4:
+    # the memoized chi rules out most graphs before the planarity test runs
+    if chromatic_number(g) != 4 or not is_planar(g):
         return 0, [], []
     ran = 0
     failures: list[_Finding] = []

@@ -238,7 +238,9 @@ def _write_graph(g: Graph, fmt: str, out: str | None) -> int:
         text = serialize_graph(g, fmt)
     except FormatError as exc:
         raise CliError(str(exc)) from exc
-    _write_out(text, out)
+    # serialize_graph's graph6 string also names graphs inside reports; as a
+    # file it ends its line like the other formats
+    _write_out(text + "\n" if fmt == "graph6" else text, out)
     return 0
 
 

@@ -100,6 +100,33 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def planted(n: int, k: int, p: float, seed: int) -> Graph:
+    """Random graph with a planted k-coloring, deterministic per seed.
+
+    Vertex i gets the label i mod k and random.Random(seed) shuffles the
+    labels; then each pair u < v with different labels, in lexicographic
+    order, becomes an edge when the same generator's next random() is below
+    p. So chi <= k, and at moderate p most pairs are relations, as in the
+    uniquely colorable graphs of Harary, Hedetniemi and Robinson (1969).
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0,1]")
+    rng = random.Random(seed)
+    labels = [i % k for i in range(n)]
+    rng.shuffle(labels)
+    edges = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if labels[i] != labels[j] and rng.random() < p
+    ]
+    return Graph.from_edges(n, edges)
+
+
 _FIXED = {
     "moser_spindle": moser_spindle,
     "moser": moser_spindle,
@@ -112,9 +139,9 @@ def generate(family: str, *args) -> Graph:
     """Build a family member from its name and parameters.
 
     Names: path, cycle, complete, wheel (one integer each), bipartite (two
-    integers), gnp (n, p, seed), mycielski (a nested family token), and the
-    fixed instances moser_spindle, grotzsch, petersen. Compact aliases like
-    p4, c5, k4, w5 work too.
+    integers), gnp (n, p, seed), planted (n, k, p, seed), mycielski (a
+    nested family token), and the fixed instances moser_spindle, grotzsch,
+    petersen. Compact aliases like p4, c5, k4, w5 work too.
     """
     name = family.lower()
     if name in _FIXED:
@@ -129,6 +156,10 @@ def generate(family: str, *args) -> Graph:
         if len(args) != 3:
             raise ValueError("gnp needs n, p, seed")
         return gnp(int(args[0]), float(args[1]), int(args[2]))
+    if name == "planted":
+        if len(args) != 4:
+            raise ValueError("planted needs n, k, p, seed")
+        return planted(int(args[0]), int(args[1]), float(args[2]), int(args[3]))
     if name == "bipartite":
         if len(args) != 2:
             raise ValueError("bipartite needs both part sizes")

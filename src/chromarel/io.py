@@ -4,7 +4,8 @@ Three text formats:
 
 * ``dimacs``   classic .col: "c" comment lines, one "p edge <n> <m>" header,
   then "e <u> <v>" lines with 1-based endpoints.
-* ``graph6``   the standard ASCII encoding, short form only (n <= 62).
+* ``graph6``   the standard ASCII encoding, short form only (n <= 62), one
+  graph per input.
 * ``edgelist`` one "u v" pair per line, 0-based, with an optional leading
   "n=<int>" header fixing the vertex count.
 
@@ -124,6 +125,9 @@ def _write_dimacs(g: Graph) -> str:
 
 def _parse_graph6(text: str) -> Graph:
     s = text.strip()
+    lines = [line for line in s.splitlines() if line.strip()]
+    if len(lines) > 1:
+        raise FormatError(f"graph6 input holds {len(lines)} graphs, one per line; expected one")
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
     if not s:

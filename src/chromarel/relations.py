@@ -336,6 +336,30 @@ class _WitnessPool:
         return False
 
 
+def _decide_pair(
+    g: Graph, u: int, v: int, k: int, pool: _WitnessPool, adjacent: bool
+) -> tuple[bool, bool]:
+    """Whether uv is an edge relation and whether an identity relation, by
+    the pool, its flips and then the solver."""
+    edge_rel = False
+    if not pool.refutes_edge(u, v):
+        colors = _equal_witness(g, u, v, k)
+        if colors is None:
+            edge_rel = True
+        elif not adjacent:
+            pool.add(colors)
+    # adjacent pairs are never identities: the pool's colorings of g
+    # separate them, as g is k-colorable
+    ident_rel = False
+    if not pool.refutes_identity(u, v):
+        colors = _distinct_witness(g, u, v, k)
+        if colors is None:
+            ident_rel = True
+        else:
+            pool.add(colors)
+    return edge_rel, ident_rel
+
+
 def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelation]:
     """Classify every unordered pair at k = chi(g).
 
@@ -343,8 +367,16 @@ def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelati
     question that a pool coloring, or one Kempe flip of it, answers needs no
     solver call; the rest go to the exact solver as in is_implicit_edge and
     is_implicit_identity, and satisfiable answers that color g join the pool.
-    Every negative answer therefore rests on a concrete coloring and every
-    relation on a solver refutation.
+
+    The relations proven so far settle more pairs with no call. Every
+    k-coloring of g gives an identity pair one color, so identities form
+    classes, and a pair inside one class is an identity. Every k-coloring
+    separates adjacent vertices and nonadjacent edge relations, so a
+    nonadjacent pair whose classes hold such a pair is an edge relation. An
+    adjacent pair's edge question is about g-uv, so these rules never
+    answer it. Every negative answer therefore rests on a concrete coloring,
+    and every relation on a solver refutation or on the refutations it was
+    derived from.
 
     With cross_validate (the default) every answer is recomputed through the
     independent-set route and any disagreement aborts the scan.
@@ -352,26 +384,32 @@ def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelati
     k = chromatic_number(g)
     pool = _WitnessPool(g, k)
     pool.add(k_colorable(g, k).assignment)
+    # ident[x]: x's identity class so far; apart[x]: the vertices that every
+    # k-coloring of g separates from some member of that class, as they are
+    # adjacent or proven edge relations
+    ident = [1 << x for x in range(g.n)]
+    apart = list(g.rows)
     out: list[ImplicitRelation] = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
             adjacent = g.has_edge(u, v)
-            edge_rel = False
-            if not pool.refutes_edge(u, v):
-                colors = _equal_witness(g, u, v, k)
-                if colors is None:
-                    edge_rel = True
-                elif not adjacent:
-                    pool.add(colors)
-            # adjacent pairs are never identities: the pool's colorings
-            # of g separate them, as g is k-colorable
-            ident_rel = False
-            if not pool.refutes_identity(u, v):
-                colors = _distinct_witness(g, u, v, k)
-                if colors is None:
-                    ident_rel = True
-                else:
-                    pool.add(colors)
+            if ident[u] >> v & 1:
+                edge_rel, ident_rel = False, True
+            elif not adjacent and apart[u] & ident[v]:
+                edge_rel, ident_rel = True, False
+            else:
+                edge_rel, ident_rel = _decide_pair(g, u, v, k, pool, adjacent)
+                if ident_rel:
+                    merged = ident[u] | ident[v]
+                    outside = apart[u] | apart[v]
+                    for x in _bits(merged):
+                        ident[x] = merged
+                        apart[x] = outside
+                elif edge_rel:
+                    for x in _bits(ident[u]):
+                        apart[x] |= 1 << v
+                    for x in _bits(ident[v]):
+                        apart[x] |= 1 << u
             if cross_validate:
                 edge_sets = implicit_via_sets(g, u, v, RelationKind.EDGE)
                 if edge_rel != edge_sets:

@@ -236,6 +236,46 @@ def test_gen_to_stdout_and_errors(capsys):
     assert run_cli(capsys, "gen", "path", "zero")[0] == 2
 
 
+def test_gen_planted(capsys, tmp_path):
+    col = tmp_path / "planted.col"
+    code, _, _ = run_cli(capsys, "gen", "planted", "60", "5", "0.3", "1", "-o", str(col))
+    assert code == 0
+    assert col.read_text().startswith("p edge 60 446\n")
+    for bad in (("60", "0", "0.3", "1"), ("60", "5", "1.3", "1"), ("60", "5", "x", "1")):
+        code, out, err = run_cli(capsys, "gen", "planted", *bad)
+        assert code == 2 and out == "" and "error:" in err
+
+
+def test_verify_reads_planted_tokens(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--checks", "IE2-EQ", "--families", "planted:12:3:0.5:1"
+    )
+    assert code == 0
+    assert json.loads(out)["checks"][0]["instances_run"] > 0
+
+
+def test_graph6_output_ends_its_line(capsys, tmp_path):
+    # like dimacs and edgelist; the string itself, which names graphs in
+    # reports, has no newline
+    code, out, _ = run_cli(capsys, "gen", "c5", "--format", "graph6")
+    assert code == 0
+    assert out == serialize_graph(cycle_graph(5), "graph6") + "\n"
+    col = tmp_path / "c5.col"
+    g6 = tmp_path / "c5.g6"
+    run_cli(capsys, "gen", "c5", "-o", str(col))
+    assert run_cli(capsys, "convert", str(col), str(g6))[0] == 0
+    assert g6.read_text() == out
+
+
+def test_multi_graph_graph6_file_is_bad_input(capsys, tmp_path):
+    path = tmp_path / "two.g6"
+    path.write_text("Ch\nDQc\n")
+    for cmd in ("analyze", "poly"):
+        code, out, err = run_cli(capsys, cmd, str(path))
+        assert code == 2 and out == ""
+        assert "holds 2 graphs" in err and "Traceback" not in err
+
+
 def test_verify_json_and_exit(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--checks", "bip-ie,kempe", "--families", "p4,c4"

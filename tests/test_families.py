@@ -15,6 +15,7 @@ from chromarel.families import (
     mycielski,
     path_graph,
     petersen,
+    planted,
     wheel_graph,
 )
 
@@ -109,6 +110,21 @@ def test_gnp():
     assert gnp(8, 1.0, seed=1) == complete_graph(8)
 
 
+def test_planted():
+    assert planted(60, 5, 0.3, 1).m == 446
+    assert planted(80, 6, 0.35, 2).m == 953
+    assert planted(20, 3, 0.4, 7) == planted(20, 3, 0.4, 7)
+    assert planted(20, 3, 0.4, 8) != planted(20, 3, 0.4, 7)
+    for k in range(1, 6):
+        for seed in range(3):
+            assert chromatic_number(planted(15, k, 0.5, seed)) <= k
+    assert planted(6, 1, 1.0, 0).m == 0
+    assert planted(0, 3, 0.5, 0).n == 0
+    for bad in ((5, 0, 0.5, 1), (5, 2, 1.5, 1), (5, 2, -0.1, 1), (-1, 2, 0.5, 1)):
+        with pytest.raises(ValueError):
+            planted(*bad)
+
+
 def test_generate_dispatcher():
     assert generate("path", "4") == path_graph(4)
     assert generate("p4") == path_graph(4)
@@ -124,6 +140,7 @@ def test_generate_dispatcher():
     assert generate("petersen") == petersen()
     assert generate("mycielski", "c5") == grotzsch()
     assert generate("gnp", "10", "0.5", "3") == gnp(10, 0.5, 3)
+    assert generate("planted", "12", "3", "0.5", "4") == planted(12, 3, 0.5, 4)
 
 
 def test_generate_rejects_bad_requests():
@@ -135,6 +152,8 @@ def test_generate_rejects_bad_requests():
         generate("path", "x")
     with pytest.raises(ValueError):
         generate("k4", "4")
+    with pytest.raises(ValueError):
+        generate("planted", "12", "3", "0.5")
 
 
 def test_enumerate_counts():

@@ -96,6 +96,14 @@ def test_graph6_rejects_bad_input():
         serialize_graph(Graph.from_edges(63, []), "graph6")  # needs long form
 
 
+def test_graph6_reads_one_graph_per_input():
+    assert parse_graph("Bw\n", "graph6") == complete_graph(3)
+    with pytest.raises(FormatError, match="holds 2 graphs"):
+        parse_graph("Bw\nBw\n", "graph6")
+    with pytest.raises(FormatError, match="holds 3 graphs"):
+        parse_graph("Bw\n\nBw\r\nBw", "graph6")
+
+
 def test_graph6_padding_must_be_zero():
     # K3 is "Bw"; flipping a padding bit makes the byte invalid
     bad = "B" + chr(ord("w") + 1)

@@ -23,8 +23,10 @@ from chromarel.families import (
     grotzsch,
     moser_spindle,
     path_graph,
+    planted,
     wheel_graph,
 )
+import chromarel.relations as relations_mod
 from chromarel.graphs import _bits, _component_of
 from chromarel.io import parse_graph
 from chromarel.relations import _class_of, _critical_sets, _flip
@@ -146,6 +148,33 @@ def test_witness_scan_matches_pairwise_on_every_small_labeled_graph():
 )
 def test_witness_scan_matches_pairwise_on_named_graphs(g):
     assert _scanned(g) == _pairwise_relations(g)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_closure_scan_matches_pairwise_on_planted_graphs(k):
+    # planted graphs relate most pairs, so most of their relations are
+    # derived from identity classes and proven edge relations
+    for n in (8, 11, 14):
+        for p in (0.3, 0.5):
+            for seed in range(3):
+                g = planted(n, k, p, seed)
+                assert _scanned(g) == _pairwise_relations(g), (n, k, p, seed)
+
+
+def test_closure_settles_relations_without_the_solver(monkeypatch):
+    # with one refutation per relation the scan would make 431 calls: the
+    # first coloring and 430 refutations
+    calls = []
+    real = relations_mod.k_colorable
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(relations_mod, "k_colorable", counting)
+    rels = scan_relations(planted(30, 3, 0.4, 1), cross_validate=False)
+    assert len(rels) == 430
+    assert len(calls) < len(rels)
 
 
 def test_witness_scan_keeps_adjacent_edge_relations():
