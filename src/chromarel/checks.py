@@ -33,7 +33,7 @@ from .graphs import (
     _keep_rows,
     _memo,
 )
-from .io import parse_graph, serialize_graph
+from .io import serialize_graph
 from .planarity import is_planar
 from .polynomial import chromatic_polynomial, evaluate
 from .relations import (
@@ -305,6 +305,8 @@ def _check_subdiv(g: Graph) -> _CheckResult:
 
 
 def _check_crit_adj(g: Graph) -> _CheckResult:
+    # The set table decides the critical vertices and the definition route
+    # gives the relations, so the check still joins two mechanisms.
     rels = _relations_of(g)
     if not rels:
         return 0, [], []
@@ -490,13 +492,14 @@ class CheckReport:
         }
 
 
-def _evaluate(ids: tuple[str, ...], graphs: list) -> list[list[tuple[_CheckResult, float]]]:
-    """Each named check's result on each graph, or graph6 string, with the
-    seconds it took. Each graph meets every check before the next one, so
-    the memos that the checks share serve them all while they are warm."""
+def _evaluate(
+    ids: tuple[str, ...], graphs: list[Graph]
+) -> list[list[tuple[_CheckResult, float]]]:
+    """Each named check's result on each graph, with the seconds it took.
+    Each graph meets every check before the next one, so the memos that the
+    checks share serve them all while they are warm."""
     rows = []
     for g in graphs:
-        g = parse_graph(g, "graph6") if isinstance(g, str) else g
         row = []
         for cid in ids:
             start = time.monotonic()
@@ -577,11 +580,10 @@ def _run_checks(
             if not picked:
                 break
             run = tuple(r.check_id for r in picked)
-            if pool is None:
-                out = _evaluate(run, [g for _, g, _ in chunk])
-            else:
-                chunk = [(name, g, g6 or serialize_graph(g, "graph6")) for name, g, g6 in chunk]
-                out = pool.submit(_evaluate, run, [g6 for _, _, g6 in chunk])
+            # a Graph pickles as its (n, rows), so workers take graphs as they
+            # are, of any order
+            graphs = [g for _, g, _ in chunk]
+            out = _evaluate(run, graphs) if pool is None else pool.submit(_evaluate, run, graphs)
             pending.append((chunk, picked, out))
             if len(pending) >= (2 * jobs if pool else 1):
                 take()

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -30,14 +29,6 @@ if TYPE_CHECKING:
 
 class CliError(Exception):
     """Bad usage or bad input; exits with status 2."""
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("CHROMAREL_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _canonical(obj) -> str:
@@ -298,12 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", metavar="N,P,COUNT", help="seeded random graphs")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=float, default=600.0, metavar="SECONDS")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=_default_jobs(),
-        help="worker processes; CHROMAREL_JOBS sets the default",
-    )
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("-o", "--output", metavar="OUT")
     p.set_defaults(func=_cmd_verify)
 

@@ -296,25 +296,6 @@ def _free_of(rows: tuple[int, ...], base: int) -> int:
     return free
 
 
-def _independent_sets(rows: tuple[int, ...], free: int) -> Iterator[int]:
-    """The vertex mask of every independent set inside the mask free.
-
-    The empty set comes first, and the order is lexicographic in the sorted
-    vertex tuple: each set is followed by its extensions with a larger
-    vertex, smallest first.
-    """
-    stack = [(0, free)]
-    while stack:
-        chosen, open_ = stack.pop()
-        yield chosen
-        children = []
-        while open_:
-            b = open_ & -open_
-            open_ ^= b
-            children.append((chosen | b, open_ & ~rows[b.bit_length() - 1]))
-        stack.extend(reversed(children))
-
-
 def _maximal_sets(rows: tuple[int, ...], base: int) -> Iterator[int]:
     """The vertex mask of each maximal independent set holding the
     independent mask base, once.

@@ -12,6 +12,7 @@ return if they ever disagree.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from enum import Enum
 from typing import NamedTuple
@@ -21,7 +22,6 @@ from .graphs import (
     Graph,
     _bits,
     _component_of,
-    _independent_sets,
     _keep_rows,
     _maximal_sets,
     _memo,
@@ -128,16 +128,18 @@ def _coloring_of(n: int, rows: tuple[int, ...], k: int) -> tuple[int, ...] | Non
 class _SetTable:
     """The set route's answers for one graph g, k = chi(g) >= 1.
 
-    A vertex set S lowers when g-S is (k-1)-colorable. The table enumerates
-    the maximal independent sets of g once and decides each: by the solver,
-    or with no call when it holds a set already known to lower (deleting
-    more vertices never raises chi) or lies inside one known not to. A
-    (k-1)-coloring of g-M is, with M, a k-coloring of g, so each of its
-    classes lowers as well: M and those classes are the route's
+    A vertex set S lowers when g-S is (k-1)-colorable: the one decision
+    behind the relation questions, the critical independent sets and the
+    critical vertices. _lowers decides an independent set by the solver, or
+    with no call when it holds a set already known to lower (deleting more
+    vertices never raises chi) or lies inside one known not to. A
+    (k-1)-coloring of g-S is, with S, a k-coloring of g, so each of its
+    classes lowers as well: S and those classes are the table's
     certificates. They come only from the table's own solver calls on
-    independent sets of g. The memo hands every caller, the relation
-    questions and _critical_sets alike, the same table, which only ever
-    learns facts about g.
+    independent sets of g. The maximal independent sets that lower are
+    listed once, when a relation question or _critical_sets first needs
+    them, so criticality alone never enumerates them. The memo hands every
+    caller the same table, which only ever learns facts about g.
     """
 
     def __init__(self, n: int, rows: tuple[int, ...]):
@@ -146,17 +148,29 @@ class _SetTable:
         self.k = _chromatic(n, rows)
         self.certs: list[int] = []  # independent sets known to lower
         self.blocked: list[int] = []  # independent sets known not to lower
-        self.lowering: list[int] = []  # the maximal sets that lower
-        # together[x]: union of the lowering maximal sets holding x;
-        # apart[x]: the vertices some lowering maximal set holding x misses
-        self.together = [0] * n
-        self.apart = [0] * n
-        for m in _maximal_sets(rows, 0):
-            if self._lowers(m):
-                self.lowering.append(m)
-                for x in _bits(m):
-                    self.together[x] |= m
-                    self.apart[x] |= self.full ^ m
+
+    @functools.cached_property
+    def lowering(self) -> list[int]:
+        """The maximal independent sets that lower."""
+        return [m for m in _maximal_sets(self.rows, 0) if self._lowers(m)]
+
+    @functools.cached_property
+    def together(self) -> list[int]:
+        """together[x]: the union of the lowering maximal sets holding x."""
+        out = [0] * len(self.rows)
+        for m in self.lowering:
+            for x in _bits(m):
+                out[x] |= m
+        return out
+
+    @functools.cached_property
+    def apart(self) -> list[int]:
+        """apart[x]: the vertices some lowering maximal set holding x misses."""
+        out = [0] * len(self.rows)
+        for m in self.lowering:
+            for x in _bits(m):
+                out[x] |= self.full ^ m
+        return out
 
     def _coloring_without(self, s: int) -> tuple[int, ...] | None:
         keep = self.full ^ s
@@ -444,13 +458,22 @@ def _critical_sets(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
     lexicographic order.
 
     Removing an independent set lowers chi by at most one, so these are the
-    sets the graph's set table finds lowering; its certificates settle most
-    of them with no solver call.
+    sets the graph's set table finds lowering. Each lies inside a maximal
+    independent set, which lowers too, so the candidates are the nonempty
+    subsets of the table's lowering maximal sets; its certificates settle
+    most of them with no solver call.
     """
     if not n:
         return ()
     table = _set_relations(n, rows)
-    return tuple(s for s in _independent_sets(rows, table.full) if s and table._lowers(s))
+    candidates = set()
+    for m in table.lowering:
+        s = m
+        while s:
+            candidates.add(s)
+            s = (s - 1) & m
+    ordered = sorted(candidates, key=lambda s: tuple(_bits(s)))
+    return tuple(s for s in ordered if table._lowers(s))
 
 
 class CriticalityReport(NamedTuple):
@@ -465,30 +488,34 @@ class CriticalityReport(NamedTuple):
 def criticality(g: Graph) -> CriticalityReport:
     """Which vertices and edges lower chi when removed, plus summary flags.
 
+    A vertex v is critical when {v} lowers, which the graph's set table
+    decides: a non-lowering set it already holds settles v with no solver
+    call. An edge uv is critical when g-uv is (k-1)-colorable, and g is
+    double-critical when g-u-v is (k-2)-colorable for every edge uv; each is
+    one memoized solver call, so chi(g) is the only chromatic number taken.
     g-u is a subgraph of g-uv, so chi(g-uv) < chi(g) forces u and v to be
     critical vertices: only edges between two of them are tested. Likewise
     a noncritical vertex x with a neighbour y leaves chi(g-x-y) >= chi(g)-1,
     so g is then not double-critical and no vertex pair is tested.
     """
-    k = chromatic_number(g)
     n, rows = g.n, g.rows
-    full = (1 << n) - 1
-
-    def chi_without(drop: int) -> int:
-        return _chromatic(n - drop.bit_count(), _keep_rows(rows, full ^ drop))
-
+    table = _set_relations(n, rows)
+    k = table.k
+    full = table.full
     crit = 0
-    for u in range(n):
-        if chi_without(1 << u) < k:
-            crit |= 1 << u
+    for v in range(n):
+        if table._lowers(1 << v):
+            crit |= 1 << v
     edges = g.edges()
     crit_e = [
         (u, v)
         for u, v in edges
-        if crit >> u & crit >> v & 1 and chromatic_number(delete_edge(g, u, v)) < k
+        if crit >> u & crit >> v & 1
+        and _coloring_of(n, delete_edge(g, u, v).rows, k - 1) is not None
     ]
     double = not any(rows[x] for x in _bits(full ^ crit)) and all(
-        chi_without(1 << u | 1 << v) == k - 2 for u, v in edges
+        _coloring_of(n - 2, _keep_rows(rows, full ^ (1 << u | 1 << v)), k - 2) is not None
+        for u, v in edges
     )
     vertex_critical = crit == full
     return CriticalityReport(

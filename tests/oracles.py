@@ -388,3 +388,41 @@ def implicit_via_sets_by_pairs(g, u, v, kind):
         if _chromatic(g.n - s.bit_count(), _keep_rows(g.rows, full ^ s)) < k:
             return False
     return True
+
+
+def criticality_by_ladder(g):
+    """criticality as it was written before the set table decided it: chi
+    of g-v, g-uv and g-u-v, each climbed by the library's chi ladder.
+    Returns the CriticalityReport's fields as a tuple."""
+    from chromarel.coloring import _chromatic
+    from chromarel.graphs import _bits, _keep_rows, delete_edge
+
+    k = _chromatic(g.n, g.rows)
+    n, rows = g.n, g.rows
+    full = (1 << n) - 1
+
+    def chi_without(drop):
+        return _chromatic(n - drop.bit_count(), _keep_rows(rows, full ^ drop))
+
+    crit = 0
+    for u in range(n):
+        if chi_without(1 << u) < k:
+            crit |= 1 << u
+    edges = g.edges()
+    crit_e = tuple(
+        (u, v)
+        for u, v in edges
+        if crit >> u & crit >> v & 1 and _chromatic(n, delete_edge(g, u, v).rows) < k
+    )
+    double = not any(rows[x] for x in _bits(full ^ crit)) and all(
+        chi_without(1 << u | 1 << v) == k - 2 for u, v in edges
+    )
+    vertex_critical = crit == full
+    return (
+        k,
+        tuple(_bits(crit)),
+        crit_e,
+        vertex_critical,
+        vertex_critical and len(crit_e) == len(edges),
+        double,
+    )

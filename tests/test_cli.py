@@ -317,20 +317,22 @@ def test_verify_rejects_unknown_check(capsys):
     assert run_cli(capsys, "verify", "--checks", "NOPE")[0] == 2
 
 
-def test_jobs_default_comes_from_env(monkeypatch):
+def test_jobs_defaults_to_one_whatever_the_environment(monkeypatch):
     from chromarel import cli
 
-    monkeypatch.delenv("CHROMAREL_JOBS", raising=False)
-    assert cli._default_jobs() == 1
     monkeypatch.setenv("CHROMAREL_JOBS", "3")
-    assert cli._default_jobs() == 3
     args = cli._build_parser().parse_args(["verify", "--all"])
-    assert args.jobs == 3
-    # junk or nonpositive values fall back to serial
-    monkeypatch.setenv("CHROMAREL_JOBS", "many")
-    assert cli._default_jobs() == 1
-    monkeypatch.setenv("CHROMAREL_JOBS", "-2")
-    assert cli._default_jobs() == 1
+    assert args.jobs == 1
+
+
+def test_verify_jobs_takes_graphs_past_the_graph6_short_form(capsys):
+    # path:70 has more vertices than graph6's short form holds, so workers
+    # must not receive it as a graph6 string
+    argv = ["verify", "--checks", "PLANAR-ADD", "--families", "path:70"]
+    code1, out1, _ = run_cli(capsys, *argv, "--jobs", "1")
+    code2, out2, err2 = run_cli(capsys, *argv, "--jobs", "2")
+    assert (code1, code2) == (0, 0), err2
+    assert out1 == out2
 
 
 def test_verify_random_corpus(capsys):

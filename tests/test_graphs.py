@@ -15,7 +15,7 @@ from chromarel import (
     is_connected,
     subdivide_edge,
 )
-from chromarel.graphs import _bits, _free_of, _independent_sets, _keep_rows, _maximal_sets
+from chromarel.graphs import _bits, _keep_rows, _maximal_sets
 from chromarel.families import cycle_graph, path_graph, complete_graph, enumerate_graphs
 
 from conftest import graphs
@@ -163,24 +163,16 @@ def _sets(masks):
     return [frozenset(_bits(s)) for s in masks]
 
 
-def test_independent_sets_c5():
+def test_maximal_sets_c5():
     g = cycle_graph(5)
-    all_sets = _sets(_independent_sets(g.rows, (1 << 5) - 1))
-    assert len(all_sets) == 11  # empty + 5 singletons + 5 pairs
-    assert all_sets[0] == frozenset()
-    assert len(set(all_sets)) == 11
-    assert all_sets == sorted(all_sets, key=sorted)  # lexicographic
     maximal = _sets(_maximal_sets(g.rows, 0))
     assert len(maximal) == 5
     assert all(len(s) == 2 for s in maximal)
 
 
-def test_independent_sets_seeded():
-    # a seed's independent supersets are the seed joined to the independent
-    # sets of its free vertices
+def test_maximal_sets_seeded():
+    # a seed's maximal supersets are those of the graph that hold it
     g = cycle_graph(5)
-    seeded = [s | {0} for s in _sets(_independent_sets(g.rows, _free_of(g.rows, 1)))]
-    assert seeded == [frozenset({0}), frozenset({0, 2}), frozenset({0, 3})]
     assert set(_sets(_maximal_sets(g.rows, 1))) == {frozenset({0, 2}), frozenset({0, 3})}
 
 
@@ -220,15 +212,20 @@ def test_delete_vertex_trace_is_consistent(g, data):
 
 
 @given(graphs(max_n=7), st.data())
-def test_independent_sets_really_independent(g, data):
-    free = data.draw(st.integers(min_value=0, max_value=(1 << g.n) - 1))
-    # every independent subset of free, once, in lexicographic order
-    want = sorted(
-        list(_bits(s))
+def test_maximal_sets_really_maximal(g, data):
+    base = data.draw(st.integers(min_value=0, max_value=(1 << g.n) - 1))
+    if any(g.rows[x] & base for x in _bits(base)):
+        return
+    # every independent superset of base that no vertex outside can join,
+    # once each
+    want = [
+        s
         for s in range(1 << g.n)
-        if not s & ~free and not any(g.rows[x] & s for x in _bits(s))
-    )
-    assert [list(_bits(s)) for s in _independent_sets(g.rows, free)] == want
+        if not base & ~s
+        and not any(g.rows[x] & s for x in _bits(s))
+        and all(g.rows[x] & s for x in range(g.n) if not s >> x & 1)
+    ]
+    assert sorted(_maximal_sets(g.rows, base)) == want
 
 
 @given(graphs(max_n=6))

@@ -292,6 +292,39 @@ def test_criticality_matches_assignment_oracle():
     assert wrong == []
 
 
+@pytest.mark.parametrize("n", range(7, 15))
+def test_criticality_matches_the_ladder_cold_and_warm(n):
+    # seeded random and planted graphs, each once with a fresh set table and
+    # once with the table the cross-validated scan has filled
+    graphs = [gnp(n, p, seed) for p in (0.3, 0.5, 0.7) for seed in range(2)]
+    graphs += [planted(n, k, 0.5, seed) for k in (3, 4) for seed in range(2)]
+    for g in graphs:
+        want = oracles.criticality_by_ladder(g)
+        relations_mod._set_relations.cache_clear()
+        assert tuple(criticality(g)) == want, ("cold", g.edges())
+        relations_mod._set_relations.cache_clear()
+        scan_relations(g)
+        assert tuple(criticality(g)) == want, ("warm", g.edges())
+
+
+def test_criticality_alone_lists_no_maximal_sets(monkeypatch):
+    calls = []
+    real = relations_mod._maximal_sets
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(relations_mod, "_maximal_sets", counting)
+    relations_mod._set_relations.cache_clear()
+    g = gnp(12, 0.5, 1)
+    criticality(g)
+    assert calls == []
+    # the first relation question on the same table lists them
+    implicit_via_sets(g, 0, 1, RelationKind.IDENTITY)
+    assert calls
+
+
 def test_k4_plus_isolated_vertex_is_double_critical_but_not_vertex_critical():
     # the isolated vertex is not critical, yet removing the two ends of any
     # edge of the K4 lowers chi by two: not vertex-critical does not rule
