@@ -397,8 +397,8 @@ def criticality_by_ladder(g):
     from chromarel.coloring import _chromatic
     from chromarel.graphs import _bits, _keep_rows, delete_edge
 
-    k = _chromatic(g.n, g.rows)
     n, rows = g.n, g.rows
+    k = _chromatic(n, rows)
     full = (1 << n) - 1
 
     def chi_without(drop):
