@@ -113,8 +113,8 @@ def _check_bip(g: Graph, parity: int) -> _CheckResult:
     failures: list[_Finding] = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            joined = _component_of(_without_edge(g, u, v).rows, 1 << u, full) >> v & 1
-            expected = bool(joined) and ((u in left) != (v in left)) == bool(parity)
+            joined = not _component_of(_without_edge(g, u, v).rows, 1 << u, full, 1 << v)
+            expected = joined and ((u in left) != (v in left)) == bool(parity)
             got = (u, v) in related
             ran += 1
             if got != expected:
@@ -192,8 +192,9 @@ def _check_cis_inv(g: Graph) -> _CheckResult:
 
 def _check_kempe(g: Graph) -> _CheckResult:
     # A Kempe chain is _component_of over the union of two color-class
-    # masks, the same walk as the Kempe flips of relations._WitnessPool; the
-    # assignment tuple is built only for a failure's locus.
+    # masks, the same walk as the Kempe flips of relations._WitnessPool; it
+    # stops once it reaches v, and returns 0 then. The assignment tuple is
+    # built only for a failure's locus.
     rels = _relations_of(g)
     if not rels:
         return 0, [], []
@@ -211,7 +212,7 @@ def _check_kempe(g: Graph) -> _CheckResult:
                     failures.append(
                         (f"edge pair ({u},{v}) in {tuple(colors)}", "distinct colors", "equal")
                     )
-                elif not _component_of(rows, 1 << u, cls[cu - 1] | cls[cv - 1]) >> v & 1:
+                elif _component_of(rows, 1 << u, cls[cu - 1] | cls[cv - 1], 1 << v):
                     failures.append(
                         (
                             f"edge pair ({u},{v}) in {tuple(colors)}",
@@ -229,7 +230,7 @@ def _check_kempe(g: Graph) -> _CheckResult:
                     if i == cu:
                         continue
                     ran += 1
-                    if not _component_of(rows, 1 << u, cls[cu - 1] | cls[i - 1]) >> v & 1:
+                    if _component_of(rows, 1 << u, cls[cu - 1] | cls[i - 1], 1 << v):
                         failures.append(
                             (
                                 f"identity pair ({u},{v}) in {tuple(colors)}",

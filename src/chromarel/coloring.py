@@ -86,9 +86,12 @@ def k_colorable(g: Graph, k: int, pre: Precoloring | None = None) -> Coloring | 
     Exact backtracking search (DSATUR). The branching vertex is the uncolored
     vertex with the most distinctly-colored neighbors (saturation), ties
     broken by higher degree, then lower index; colors are tried in ascending
-    order, so the search is deterministic. Without a precoloring, color
-    classes are interchangeable and the palette is capped at one more than
-    the number of colors in use.
+    order, so the search is deterministic. Colors that no colored vertex
+    holds, precolored or not, are interchangeable, so a vertex tries only
+    the lowest of them: with no precoloring that caps the palette at one
+    more than the number of colors in use. The pruned branches are palette
+    images of a branch tried before them, so the first coloring found is
+    the one the search without this rule finds.
 
     The rule is kept as one integer key per vertex, sat*n^2 + deg*n + n-1-v,
     so the branching vertex is the largest key; colored vertices read -1.
@@ -112,11 +115,14 @@ def k_colorable(g: Graph, k: int, pre: Precoloring | None = None) -> Coloring | 
     near = [0] * k
     colors = [0] * n
     uncolored = (1 << n) - 1
+    used = 0  # bit c set iff some colored vertex has color c+1
     if pre is not None:
         if pre.k > k:
             raise ValueError(f"precoloring palette {pre.k} exceeds k={k}")
         for c, cls in enumerate(pre._classes(g)):
             uncolored &= ~cls
+            if cls:
+                used |= 1 << c
             while cls:
                 b = cls & -cls
                 v = b.bit_length() - 1
@@ -133,10 +139,9 @@ def k_colorable(g: Graph, k: int, pre: Precoloring | None = None) -> Coloring | 
                 keys[w] += n2
                 banned[w] |= bit
                 seen ^= b
-    canonical = pre is None or not pre.assignment
     full = (1 << k) - 1
 
-    def rec(uncolored: int, max_used: int) -> bool:
+    def rec(uncolored: int, used: int) -> bool:
         if not uncolored:
             return True
         top = max(keys)
@@ -144,9 +149,8 @@ def k_colorable(g: Graph, k: int, pre: Precoloring | None = None) -> Coloring | 
         keys[v] = -1
         uncolored ^= 1 << v
         row = rows[v] & uncolored
-        avail = full & ~banned[v]
-        if canonical and max_used < k:
-            avail &= (2 << max_used) - 1
+        # the colors in use and the lowest color not in use
+        avail = full & ~banned[v] & (used | (used + 1))
         if avail & (avail - 1):
             saved_keys = keys[:]
             saved_banned = banned[:]
@@ -163,7 +167,7 @@ def k_colorable(g: Graph, k: int, pre: Precoloring | None = None) -> Coloring | 
                 keys[w] += n2
                 banned[w] |= bit
                 fresh ^= b
-            if rec(uncolored, max_used if max_used > c else c + 1):
+            if rec(uncolored, used | bit):
                 colors[v] = c + 1
                 return True
             near[c] = seen
@@ -173,7 +177,7 @@ def k_colorable(g: Graph, k: int, pre: Precoloring | None = None) -> Coloring | 
         return False
 
     try:
-        found = rec(uncolored, 0)
+        found = rec(uncolored, used)
     except RecursionError:
         raise ValueError(
             f"graph with {n} vertices is too deep for the exact solver's recursion"

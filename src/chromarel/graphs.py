@@ -171,8 +171,9 @@ def _merge_rows(rows: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
 
     Survivors keep their order and renumber densely: bits a < b are squeezed
     out by mask-and-shift, and w is set wherever a row touched a or b. Any
-    uv edge disappears, so identify_vertices and the polynomial's edge
-    contraction share this kernel.
+    uv edge disappears, so identify_vertices, the relation scan's
+    equal-color question and the polynomial's edge contraction share this
+    kernel.
     """
     a, b = min(u, v), max(u, v)
     ab = 1 << a | 1 << b
@@ -220,10 +221,17 @@ def subdivide_edge(g: Graph, u: int, v: int) -> Graph:
     return Graph._make(g.n + 1, tuple(rows))
 
 
-def _component_of(rows: tuple[int, ...], start: int, within: int) -> int:
-    """Mask of the vertices reachable from the mask `start` inside `within`."""
+def _component_of(rows: tuple[int, ...], start: int, within: int, stop: int = 0) -> int:
+    """Mask of the vertices reachable from the mask `start` inside `within`.
+
+    The walk goes level by level, and returns 0 as soon as a level touches
+    the mask `stop`: a caller that asks whether v is reached passes 1 << v
+    and need not finish the walk when it is. A nonempty start never gives
+    an empty component, so 0 means stop is reachable."""
     comp = frontier = start
     while frontier:
+        if frontier & stop:
+            return 0
         nxt = 0
         while frontier:
             b = frontier & -frontier

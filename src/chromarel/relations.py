@@ -25,9 +25,9 @@ from .graphs import (
     _keep_rows,
     _maximal_sets,
     _memo,
+    _merge_rows,
     add_edge,
     delete_edge,
-    identify_vertices,
 )
 
 
@@ -82,12 +82,19 @@ def _with_edge(g: Graph, u: int, v: int) -> Graph:
 
 
 def _equal_witness(g: Graph, u: int, v: int, k: int) -> tuple[int, ...] | None:
-    """Colors of a k-coloring of g-uv that gives u and v one color, or None."""
-    merged, id_map = identify_vertices(_without_edge(g, u, v), u, v)
-    c = k_colorable(merged, k)
+    """Colors of a k-coloring of g-uv that gives u and v one color, or None.
+
+    The solver colors g-uv with u and v merged. The merge drops any uv edge
+    and keeps the other vertices in order, with the merged vertex last, so
+    slices of its colors give back those of g.
+    """
+    a, b = min(u, v), max(u, v)
+    c = k_colorable(Graph._make(g.n - 1, _merge_rows(g.rows, a, b)), k)
     if c is None:
         return None
-    return tuple(c.assignment[id_map[x]] for x in range(g.n))
+    colors = c.assignment
+    merged = colors[-1:]
+    return colors[:a] + merged + colors[a : b - 1] + merged + colors[b - 1 : -1]
 
 
 def _distinct_witness(g: Graph, u: int, v: int, k: int) -> tuple[int, ...] | None:
@@ -247,13 +254,6 @@ def implicit_via_sets(g: Graph, u: int, v: int, kind: RelationKind) -> bool:
     raise ValueError(f"unknown relation kind {kind!r}")
 
 
-def _class_of(classes: list[int], x: int) -> int:
-    i = 0
-    while not classes[i] >> x & 1:
-        i += 1
-    return i
-
-
 def _flip(classes: list[int], a: int, b: int, chain: int) -> list[int]:
     """Swap color classes a and b on the Kempe chain `chain`."""
     out = list(classes)
@@ -265,14 +265,18 @@ def _flip(classes: list[int], a: int, b: int, chain: int) -> list[int]:
 class _WitnessPool:
     """Proper k-colorings of g, and the pair questions they already settle.
 
-    Colorings are kept as k color-class masks. same[u] has bit v once some
-    k-coloring of g-uv gives u and v one color, so uv is no edge relation;
-    differ[u] has bit v once one gives them distinct colors, so uv is no
-    identity. Only proper colorings of g enter the pool, and every pool
-    coloring separates each adjacent pair. Open questions try a Kempe flip
-    of every pool coloring, newest first: a flip costs far less than the
-    solver call it may save. min_nonextensible keeps a pool too, but reads
-    only its colorings and bits and never flips.
+    Each coloring is kept as k color-class masks with a vertex-to-class
+    index, so a flip finds the classes of u and v with no scan. same[u] has
+    bit v once some k-coloring of g-uv gives u and v one color, so uv is no
+    edge relation; differ[u] has bit v once one gives them distinct colors,
+    so uv is no identity. Only proper colorings of g enter the pool, and
+    every pool coloring separates each adjacent pair. Open questions try a
+    Kempe flip of every pool coloring, newest first: a flip costs far less
+    than the solver call it may save, and its walk stops once the chain
+    reaches v, the case in which the flip settles nothing. An adjacent
+    pair's question changes nothing here: its flips and witnesses color
+    g-uv, not g. min_nonextensible keeps a pool too, but reads only its
+    colorings and bits and never flips.
     """
 
     def __init__(self, g: Graph, k: int):
@@ -281,7 +285,7 @@ class _WitnessPool:
         self.full = (1 << g.n) - 1
         self.same = [0] * g.n
         self.differ = [0] * g.n
-        self.colorings: list[list[int]] = []
+        self.colorings: list[tuple[list[int], list[int]]] = []  # (classes, index)
 
     def add(self, assignment: tuple[int, ...]) -> None:
         classes = [0] * self.k
@@ -290,9 +294,9 @@ class _WitnessPool:
         self._add_classes(classes)
 
     def _add_classes(self, classes: list[int]) -> None:
-        self.colorings.append(classes)
         same, differ = self.same, self.differ
-        for cls in classes:
+        index = [0] * len(same)
+        for i, cls in enumerate(classes):
             other = self.full ^ cls
             rest = cls
             while rest:
@@ -300,7 +304,9 @@ class _WitnessPool:
                 x = b.bit_length() - 1
                 same[x] |= cls
                 differ[x] |= other
+                index[x] = i
                 rest ^= b
+        self.colorings.append((classes, index))
 
     def refutes_edge(self, u: int, v: int) -> bool:
         """True once some k-coloring of g-uv is known to give u and v one color.
@@ -316,11 +322,12 @@ class _WitnessPool:
             rows = list(rows)
             rows[u] ^= 1 << v
             rows[v] ^= 1 << u
-        for classes in reversed(self.colorings):
-            a = _class_of(classes, u)
-            b = _class_of(classes, v)
-            chain = _component_of(rows, 1 << u, classes[a] | classes[b])
-            if not chain >> v & 1:
+        start, stop = 1 << u, 1 << v
+        for classes, index in reversed(self.colorings):
+            a = index[u]
+            b = index[v]
+            chain = _component_of(rows, start, classes[a] | classes[b], stop)
+            if chain:
                 # for an adjacent pair the flip colors g-uv only: it answers
                 # this question and may not enter the pool
                 if not adjacent:
@@ -338,13 +345,14 @@ class _WitnessPool:
             return True
         # u and v share a color in every pool coloring, so they are
         # nonadjacent and g-uv is g itself
-        for classes in reversed(self.colorings):
-            a = _class_of(classes, u)
+        start, stop = 1 << u, 1 << v
+        for classes, index in reversed(self.colorings):
+            a = index[u]
             for i in range(self.k):
                 if i == a:
                     continue
-                chain = _component_of(self.rows, 1 << u, classes[a] | classes[i])
-                if not chain >> v & 1:
+                chain = _component_of(self.rows, start, classes[a] | classes[i], stop)
+                if chain:
                     self._add_classes(_flip(classes, a, i, chain))
                     return True
         return False
@@ -392,63 +400,79 @@ def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelati
     and every relation on a solver refutation or on the refutations it was
     derived from.
 
-    With cross_validate (the default) every answer is recomputed through the
-    independent-set route and any disagreement aborts the scan.
+    The nonadjacent pairs are decided first, in lexicographic order, and the
+    adjacent pairs after them. An adjacent pair's decision changes none of
+    the shared state: its flips and its solver witness color g-uv and never
+    join the pool, the pool already separates it, and v is already apart
+    from u. So the nonadjacent decisions are those of a lexicographic scan,
+    and each adjacent pair meets the fullest pool the scan builds.
+
+    With cross_validate (the default) every answer is then recomputed
+    through the independent-set route, pair by pair in lexicographic order,
+    and the first disagreement aborts the scan. The relations come back in
+    that order too.
     """
     k = chromatic_number(g)
+    rows = g.rows
     pool = _WitnessPool(g, k)
     pool.add(k_colorable(g, k).assignment)
     # ident[x]: x's identity class so far; apart[x]: the vertices that every
     # k-coloring of g separates from some member of that class, as they are
     # adjacent or proven edge relations
     ident = [1 << x for x in range(g.n)]
-    apart = list(g.rows)
+    apart = list(rows)
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    related: dict[tuple[int, int], tuple[bool, bool]] = {}
+    # a stable sort: the nonadjacent pairs, then the adjacent ones
+    for u, v in sorted(pairs, key=lambda p: rows[p[0]] >> p[1] & 1):
+        adjacent = bool(rows[u] >> v & 1)
+        if ident[u] >> v & 1:
+            edge_rel, ident_rel = False, True
+        elif not adjacent and apart[u] & ident[v]:
+            edge_rel, ident_rel = True, False
+        else:
+            edge_rel, ident_rel = _decide_pair(g, u, v, k, pool, adjacent)
+            if ident_rel:
+                merged = ident[u] | ident[v]
+                outside = apart[u] | apart[v]
+                for x in _bits(merged):
+                    ident[x] = merged
+                    apart[x] = outside
+            elif edge_rel:
+                for x in _bits(ident[u]):
+                    apart[x] |= 1 << v
+                for x in _bits(ident[v]):
+                    apart[x] |= 1 << u
+        if edge_rel or ident_rel:
+            related[u, v] = edge_rel, ident_rel
     out: list[ImplicitRelation] = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            adjacent = g.has_edge(u, v)
-            if ident[u] >> v & 1:
-                edge_rel, ident_rel = False, True
-            elif not adjacent and apart[u] & ident[v]:
-                edge_rel, ident_rel = True, False
-            else:
-                edge_rel, ident_rel = _decide_pair(g, u, v, k, pool, adjacent)
-                if ident_rel:
-                    merged = ident[u] | ident[v]
-                    outside = apart[u] | apart[v]
-                    for x in _bits(merged):
-                        ident[x] = merged
-                        apart[x] = outside
-                elif edge_rel:
-                    for x in _bits(ident[u]):
-                        apart[x] |= 1 << v
-                    for x in _bits(ident[v]):
-                        apart[x] |= 1 << u
-            if cross_validate:
-                edge_sets = implicit_via_sets(g, u, v, RelationKind.EDGE)
-                if edge_rel != edge_sets:
-                    raise RouteDisagreementError(g, u, v, RelationKind.EDGE, edge_rel, edge_sets)
-                ident_sets = implicit_via_sets(g, u, v, RelationKind.IDENTITY)
-                if ident_rel != ident_sets:
-                    raise RouteDisagreementError(
-                        g, u, v, RelationKind.IDENTITY, ident_rel, ident_sets
-                    )
-            if edge_rel and ident_rel:
-                # g-uv has a coloring into {1..k}, so one of the two must fail
-                raise RuntimeError(
-                    f"pair ({u},{v}) classified as both edge and identity; "
-                    "the solver is inconsistent"
+    for u, v in pairs:
+        edge_rel, ident_rel = related.get((u, v), (False, False))
+        if cross_validate:
+            edge_sets = implicit_via_sets(g, u, v, RelationKind.EDGE)
+            if edge_rel != edge_sets:
+                raise RouteDisagreementError(g, u, v, RelationKind.EDGE, edge_rel, edge_sets)
+            ident_sets = implicit_via_sets(g, u, v, RelationKind.IDENTITY)
+            if ident_rel != ident_sets:
+                raise RouteDisagreementError(
+                    g, u, v, RelationKind.IDENTITY, ident_rel, ident_sets
                 )
-            if edge_rel or ident_rel:
-                out.append(
-                    ImplicitRelation(
-                        u,
-                        v,
-                        RelationKind.EDGE if edge_rel else RelationKind.IDENTITY,
-                        k,
-                        adjacent,
-                    )
+        if edge_rel and ident_rel:
+            # g-uv has a coloring into {1..k}, so one of the two must fail
+            raise RuntimeError(
+                f"pair ({u},{v}) classified as both edge and identity; "
+                "the solver is inconsistent"
+            )
+        if edge_rel or ident_rel:
+            out.append(
+                ImplicitRelation(
+                    u,
+                    v,
+                    RelationKind.EDGE if edge_rel else RelationKind.IDENTITY,
+                    k,
+                    bool(rows[u] >> v & 1),
                 )
+            )
     return out
 
 
@@ -582,10 +606,10 @@ def _pool_extends(pool: _WitnessPool, domain: tuple[int, ...], pattern: tuple[in
     parts = [0] * max(pattern)
     for x, c in zip(domain, pattern):
         parts[c - 1] |= 1 << x
-    for classes in reversed(pool.colorings):
+    for classes, index in reversed(pool.colorings):
         used = 0
         for part in parts:
-            i = _class_of(classes, (part & -part).bit_length() - 1)
+            i = index[(part & -part).bit_length() - 1]
             if part & ~classes[i] or used >> i & 1:
                 break
             used |= 1 << i

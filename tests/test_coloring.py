@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -12,7 +14,7 @@ from chromarel import (
     k_colorable,
 )
 from chromarel.coloring import _colorings
-from chromarel.graphs import _component_of
+from chromarel.graphs import _bits, _component_of
 from chromarel.families import (
     complete_bipartite,
     complete_graph,
@@ -24,6 +26,7 @@ from chromarel.families import (
     mycielski,
     path_graph,
     petersen,
+    planted,
     wheel_graph,
 )
 
@@ -112,18 +115,21 @@ def test_k_colorable_matches_reference_search():
             chi = chromatic_number(g)
             for k in range(0, chi + 2):
                 assert _search_result(g, k) == _reference_result(g, k), (g.edges(), k)
-            pres = [Precoloring({}, chi)]
-            pres += [Precoloring({v: c}, chi) for v in range(n) for c in range(1, chi + 1)]
-            pres += [
-                Precoloring({u: a, v: b}, chi)
-                for u in range(n)
-                for v in range(u + 1, n)
-                for a in range(1, chi + 1)
-                for b in range(1, chi + 1)
-            ]
-            for pre in pres:
-                got = _search_result(g, chi, pre)
-                assert got == _reference_result(g, chi, pre), (g.edges(), pre)
+            # colors no colored vertex holds are interchangeable, precolored
+            # or not; at chi + 1 a precoloring always leaves some of them
+            for k in (chi, chi + 1):
+                pres = [Precoloring({}, k)]
+                pres += [Precoloring({v: c}, k) for v in range(n) for c in range(1, k + 1)]
+                pres += [
+                    Precoloring({u: a, v: b}, k)
+                    for u in range(n)
+                    for v in range(u + 1, n)
+                    for a in range(1, k + 1)
+                    for b in range(1, k + 1)
+                ]
+                for pre in pres:
+                    got = _search_result(g, k, pre)
+                    assert got == _reference_result(g, k, pre), (g.edges(), pre)
 
 
 @given(
@@ -140,6 +146,35 @@ def test_k_colorable_matches_reference_search_on_random_graphs(n, p, seed, assig
     pre = Precoloring({v: c for v, c in assignment.items() if c <= k}, k)
     # ids past n - 1 hit the range check in both
     assert _search_result(g, k, pre) == _reference_result(g, k, pre)
+
+
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=10**6),
+    st.lists(st.tuples(st.integers(0, 9), st.integers(1, 5)), max_size=4),
+    st.integers(min_value=0, max_value=1),
+)
+def test_k_colorable_matches_reference_search_under_random_precolorings(n, p, seed, picks, dk):
+    g = gnp(n, p, seed)
+    k = chromatic_number(g) + dk
+    pre: dict[int, int] = {}
+    for v, c in picks:
+        # keep the precoloring proper and inside g and the palette
+        if v < n and c <= k and v not in pre and all(pre.get(w) != c for w in _bits(g.rows[v])):
+            pre[v] = c
+    pre = Precoloring(pre, k)
+    assert _search_result(g, k, pre) == oracles.k_colorable_by_tuple_keys(g, k, pre)
+
+
+def test_precolored_refutation_keeps_palette_symmetry():
+    # planted(60,8,0.5,1) has chi = 8, and 0 and 1 share no 8-coloring; the
+    # six colors the precoloring leaves unused are interchangeable, so the
+    # refutation need not try their permutations (about a minute when it did)
+    g = planted(60, 8, 0.5, 1)
+    start = time.perf_counter()
+    assert k_colorable(g, 8, Precoloring({0: 1, 1: 1}, 8)) is None
+    assert time.perf_counter() - start < 10
 
 
 def test_too_deep_search_is_a_value_error():

@@ -15,7 +15,7 @@ from chromarel import (
     is_connected,
     subdivide_edge,
 )
-from chromarel.graphs import _bits, _keep_rows, _maximal_sets
+from chromarel.graphs import _bits, _component_of, _keep_rows, _maximal_sets
 from chromarel.families import cycle_graph, path_graph, complete_graph, enumerate_graphs
 
 from conftest import graphs
@@ -140,6 +140,27 @@ def test_components_and_connectivity():
     assert is_connected(cycle_graph(4))
     assert is_connected(Graph.from_edges(1, []))
     assert is_connected(Graph.from_edges(0, []))
+
+
+def _reachable(g, start, within):
+    # plain BFS over vertex ids: start, then whatever within lets it reach
+    seen = set(_bits(start))
+    frontier = list(seen)
+    while frontier:
+        frontier = [w for x in frontier for w in _bits(g.rows[x] & within) if w not in seen]
+        seen.update(frontier)
+    return sum(1 << x for x in seen)
+
+
+@given(graphs(min_n=1, max_n=9), st.data())
+def test_component_walk_stops_exactly_when_it_reaches_the_stop_mask(g, data):
+    full = (1 << g.n) - 1
+    start = data.draw(st.integers(min_value=1, max_value=full))
+    within = data.draw(st.integers(min_value=0, max_value=full))
+    stop = data.draw(st.integers(min_value=0, max_value=full))
+    comp = _reachable(g, start, within)
+    assert _component_of(g.rows, start, within) == comp
+    assert _component_of(g.rows, start, within, stop) == (0 if comp & stop else comp)
 
 
 def test_bipartition():

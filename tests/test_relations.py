@@ -5,6 +5,7 @@ from chromarel import (
     Coloring,
     Graph,
     RelationKind,
+    RouteDisagreementError,
     chromatic_number,
     criticality,
     implicit_via_sets,
@@ -29,7 +30,9 @@ from chromarel.families import (
 import chromarel.relations as relations_mod
 from chromarel.graphs import _bits, _component_of
 from chromarel.io import parse_graph
-from chromarel.relations import _class_of, _critical_sets, _flip
+from chromarel.checks import run_check
+import chromarel.checks as checks_mod
+from chromarel.relations import _WitnessPool, _critical_sets, _decide_pair, _flip
 from hypothesis import given
 import hypothesis.strategies as st
 
@@ -175,6 +178,75 @@ def test_closure_settles_relations_without_the_solver(monkeypatch):
     rels = scan_relations(planted(30, 3, 0.4, 1), cross_validate=False)
     assert len(rels) == 430
     assert len(calls) < len(rels)
+
+
+def test_scan_decides_nonadjacent_pairs_before_adjacent_ones(monkeypatch):
+    asked = []
+    real = relations_mod._decide_pair
+
+    def recording(g, u, v, k, pool, adjacent):
+        asked.append((adjacent, u, v))
+        return real(g, u, v, k, pool, adjacent)
+
+    monkeypatch.setattr(relations_mod, "_decide_pair", recording)
+    for g in (gnp(12, 0.5, 3), planted(14, 3, 0.4, 1), grotzsch()):
+        asked.clear()
+        got = _scanned(g)
+        assert {adjacent for adjacent, _, _ in asked} == {False, True}
+        # each group in lexicographic order, every nonadjacent pair first
+        assert asked == sorted(asked)
+        assert all(adjacent == g.has_edge(u, v) for adjacent, u, v in asked)
+        assert got == sorted(got)
+        assert got == _pairwise_relations(g)
+
+
+def _pool_state(pool):
+    return (
+        [(list(classes), list(index)) for classes, index in pool.colorings],
+        list(pool.same),
+        list(pool.differ),
+    )
+
+
+@given(graphs(min_n=2, max_n=9))
+def test_adjacent_pair_decisions_leave_the_pool_alone(g):
+    # the reorder rests on this: an adjacent pair's flips and witnesses
+    # color g-uv, and the pool already separates it
+    k = chromatic_number(g)
+    pool = _WitnessPool(g, k)
+    pool.add(k_colorable(g, k).assignment)
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if not g.has_edge(u, v):
+                _decide_pair(g, u, v, k, pool, False)
+    before = _pool_state(pool)
+    for u, v in g.edges():
+        edge_rel, ident_rel = _decide_pair(g, u, v, k, pool, True)
+        assert edge_rel == is_implicit_edge(g, u, v)
+        assert not ident_rel
+        assert _pool_state(pool) == before
+
+
+def test_first_disagreement_is_lexicographic_after_the_reorder(monkeypatch):
+    # in the path 0-2-1-3 the scan decides (0,1), (0,3) and (2,3) before the
+    # adjacent (0,2); lies on (0,2) and (2,3) must still report (0,2), the
+    # scan's second pair, after one agreeing decision and one lie
+    g = Graph.from_edges(4, [(0, 2), (1, 2), (1, 3)])
+    real = relations_mod.implicit_via_sets
+    monkeypatch.setattr(
+        relations_mod,
+        "implicit_via_sets",
+        lambda h, u, v, kind: real(h, u, v, kind)
+        != (kind is RelationKind.EDGE and (u, v) in ((0, 2), (2, 3))),
+    )
+    with pytest.raises(RouteDisagreementError) as err:
+        scan_relations(g)
+    assert (err.value.u, err.value.v, err.value.kind) == (0, 2, RelationKind.EDGE)
+    checks_mod._relations_of.cache_clear()
+    report = run_check("IE2-EQ", [("p4", g)])
+    (f,) = report.failures
+    assert f.locus == "pair (0,2) edge"
+    assert report.instances_run == 3
 
 
 def test_witness_scan_keeps_adjacent_edge_relations():
@@ -461,6 +533,10 @@ def _classes(assignment, k):
     for x, c in enumerate(assignment):
         classes[c - 1] |= 1 << x
     return classes
+
+
+def _class_of(classes, x):
+    return next(i for i, cls in enumerate(classes) if cls >> x & 1)
 
 
 def test_flip_swaps_chain_colors():
