@@ -23,9 +23,7 @@ _EXPORTS = {
     "relations": (
         "CriticalityReport", "ImplicitRelation", "NonExtensibleCertificate",
         "RelationKind", "RouteDisagreementError",
-        "criticality", "implicit_via_sets",
-        "is_implicit_edge", "is_implicit_identity",
-        "min_nonextensible", "scan_relations", "to_dot",
+        "criticality", "implicit_via_sets", "min_nonextensible", "scan_relations", "to_dot",
     ),
     "families": (
         "complete_bipartite", "complete_graph", "cycle_graph", "enumerate_graphs",

@@ -40,11 +40,10 @@ from .relations import (
     RelationKind,
     RouteDisagreementError,
     _critical_sets,
+    _related,
     _set_relations,
     _without_edge,
     criticality,
-    is_implicit_edge,
-    is_implicit_identity,
     min_nonextensible,
     scan_relations,
 )
@@ -163,10 +162,7 @@ def _cis_recurse(
         h = Graph._make(keep.bit_count(), _keep_rows(g.rows, keep))
         hu = (keep & ((1 << u) - 1)).bit_count()
         hv = (keep & ((1 << v) - 1)).bit_count()
-        if kind is RelationKind.EDGE:
-            holds = is_implicit_edge(h, hu, hv)
-        else:
-            holds = is_implicit_identity(h, hu, hv)
+        holds = _related(h, hu, hv, kind)
         ran += 1
         where = f"{desc} minus {list(_bits(s))}"
         if not holds:
@@ -298,7 +294,7 @@ def _check_subdiv(g: Graph) -> _CheckResult:
             continue
         for a, b in ((u, w), (w, v)):
             ran += 1
-            if not is_implicit_edge(h, a, b):
+            if not _related(h, a, b, RelationKind.EDGE):
                 failures.append(
                     (f"subdivide ({u},{v})", f"({a},{b}) is an edge relation", "not a relation")
                 )
@@ -353,7 +349,7 @@ def _check_dc_bound(g: Graph) -> _CheckResult:
         for u, v in g.edges():
             h = delete_edge(g, u, v)
             ran += 1
-            if not is_implicit_identity(h, u, v):
+            if not _related(h, u, v, RelationKind.IDENTITY):
                 failures.append((f"edge ({u},{v})", "identity pair in g-uv", "not identity"))
                 continue
             cns = g.rows[u] & g.rows[v]

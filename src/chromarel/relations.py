@@ -7,7 +7,10 @@ when present, so the relations are independent of adjacency. Each relation
 can be decided two ways: by direct colorability (the definition route) or by
 searching the maximal independent sets for one whose removal drops the
 chromatic number (the set route). scan_relations runs both and refuses to
-return if they ever disagree.
+return if they ever disagree. The public way to decide one pair alone is
+implicit_via_sets, the set route; the catalog checks that ask about one pair
+of a derived graph use the private _related, one solver call of the
+definition route.
 """
 
 from __future__ import annotations
@@ -103,24 +106,12 @@ def _distinct_witness(g: Graph, u: int, v: int, k: int) -> tuple[int, ...] | Non
     return None if c is None else c.assignment
 
 
-def is_implicit_edge(g: Graph, u: int, v: int) -> bool:
-    """True iff no coloring of g-uv into {1..chi(g)} makes u and v equal.
-
-    Equal colors on u,v are achievable exactly when the graph obtained by
-    identifying u and v in g-uv is still chi(g)-colorable.
-    """
-    _pair_check(g, u, v)
-    return _equal_witness(g, u, v, chromatic_number(g)) is None
-
-
-def is_implicit_identity(g: Graph, u: int, v: int) -> bool:
-    """True iff no coloring of g-uv into {1..chi(g)} makes u and v differ.
-
-    Distinct colors are achievable exactly when (g-uv)+uv = g+uv is
-    chi(g)-colorable; for adjacent pairs that graph is g itself.
-    """
-    _pair_check(g, u, v)
-    return _distinct_witness(g, u, v, chromatic_number(g)) is None
+def _related(g: Graph, u: int, v: int, kind: RelationKind) -> bool:
+    """Whether uv is a relation of the kind, by one solver call at chi(g):
+    no coloring of g-uv into {1..chi(g)} gives u and v one color (edge), or
+    none gives them distinct colors (identity)."""
+    witness = _equal_witness if kind is RelationKind.EDGE else _distinct_witness
+    return witness(g, u, v, chromatic_number(g)) is None
 
 
 @_memo
@@ -387,8 +378,9 @@ def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelati
 
     The definition route keeps a pool of witness k-colorings of g. A pair
     question that a pool coloring, or one Kempe flip of it, answers needs no
-    solver call; the rest go to the exact solver as in is_implicit_edge and
-    is_implicit_identity, and satisfiable answers that color g join the pool.
+    solver call; the rest go to the exact solver, which colors g-uv with u
+    and v merged for the edge question and g+uv for the identity question,
+    and satisfiable answers that color g join the pool.
 
     The relations proven so far settle more pairs with no call. Every
     k-coloring of g gives an identity pair one color, so identities form

@@ -95,19 +95,29 @@ def set_partitions(items):
         yield [[first]] + part
 
 
+@functools.lru_cache(maxsize=None)
+def _partition_pair_masks(n):
+    """Every partition of range(n), in set_partitions order, as its block
+    count and the mask of its within-block pairs: bit u*n+v for u < v."""
+    return tuple(
+        (
+            len(part),
+            sum(
+                1 << (u * n + v)
+                for block in part
+                for u, v in itertools.combinations(sorted(block), 2)
+            ),
+        )
+        for part in set_partitions(list(range(n)))
+    )
+
+
 def independent_partition_block_counts(g):
     """Block counts of every vertex partition whose blocks are independent,
-    found by scanning all partitions."""
-    js = []
-    for part in set_partitions(list(range(g.n))):
-        ok = all(
-            not g.has_edge(u, v)
-            for block in part
-            for u, v in itertools.combinations(block, 2)
-        )
-        if ok:
-            js.append(len(part))
-    return js
+    found by scanning all partitions: a partition qualifies when none of its
+    within-block pairs is an edge."""
+    edges = sum(1 << (u * g.n + v) for u, v in g.edges())
+    return [j for j, pairs in _partition_pair_masks(g.n) if not pairs & edges]
 
 
 def count_by_partition(g, k, js=None):
@@ -337,6 +347,42 @@ def k_colorable_by_tuple_keys(g, k, pre=None):
     if not rec(remaining, start_used):
         return None
     return tuple(colors)
+
+
+@functools.lru_cache(maxsize=None)
+def _chromatic_by_tuple_keys(g):
+    """The least k at which k_colorable_by_tuple_keys finds a coloring."""
+    k = 0
+    while k_colorable_by_tuple_keys(g, k) is None:
+        k += 1
+    return k
+
+
+def is_implicit_edge(g, u, v):
+    """True iff no coloring of g-uv into {1..chi(g)} gives u and v one color:
+    g-uv with u and v merged is not chi(g)-colorable. v's edges move to u,
+    and the vertices above v move down by one."""
+    from chromarel import Graph
+
+    new = [x - (x > v) for x in range(g.n)]
+    new[v] = new[u]
+    merged = {
+        (min(new[a], new[b]), max(new[a], new[b]))
+        for a, b in g.edges()
+        if {a, b} != {u, v}
+    }
+    h = Graph.from_edges(g.n - 1, sorted(merged))
+    return k_colorable_by_tuple_keys(h, _chromatic_by_tuple_keys(g)) is None
+
+
+def is_implicit_identity(g, u, v):
+    """True iff no coloring of g-uv into {1..chi(g)} gives u and v distinct
+    colors: g+uv is not chi(g)-colorable."""
+    from chromarel import Graph
+
+    edges = set(g.edges()) | {(min(u, v), max(u, v))}
+    h = Graph.from_edges(g.n, sorted(edges))
+    return k_colorable_by_tuple_keys(h, _chromatic_by_tuple_keys(g)) is None
 
 
 def min_nonextensible_by_solver(g, k, max_size=3):

@@ -327,48 +327,100 @@ def test_cis_inv_removes_each_critical_set_and_follows_the_pair(monkeypatch, g):
     # came from. The frame knows which of its graph's vertices are the
     # original ones, so each g-S it decides on must be the induced subgraph
     # on the surviving original ids, in order, with the pair at its images,
-    # and the sets must be the oracle's critical sets that miss the pair.
+    # the question must be of the relation's own kind, and the sets must be
+    # the oracle's critical sets that miss the pair.
     frames = []
     calls = []
     real_recurse = checks_mod._cis_recurse
+    real_related = checks_mod._related
 
     def recurse(h, u, v, kind, depth, desc, failures):
+        # a deeper frame expects the kind of the relation it follows
         if frames:
             parent = frames[-1]
             orig = [x for x in parent["orig"] if x not in parent["last"]]
+            want_kind = parent["kind"]
         else:
             orig = list(range(h.n))
+            want_kind = kind
         sets = [s for s in oracles.critical_sets_by_subsets(h) if u not in s and v not in s]
-        frames.append({"orig": orig, "sets": sets, "next": 0, "pair": (orig[u], orig[v])})
+        frames.append(
+            {"orig": orig, "sets": sets, "next": 0, "pair": (orig[u], orig[v]), "kind": want_kind}
+        )
         ran = real_recurse(h, u, v, kind, depth, desc, failures)
         frame = frames.pop()
         assert frame["next"] == len(frame["sets"])
         return ran
 
-    def decide(real):
-        def wrapped(h, hu, hv):
-            frame = frames[-1]
-            s = frame["sets"][frame["next"]]
-            frame["next"] += 1
-            frame["last"] = {frame["orig"][x] for x in s}
-            kept = [x for x in frame["orig"] if x not in frame["last"]]
-            index = {x: i for i, x in enumerate(kept)}
-            want = Graph.from_edges(
-                len(kept), [(index[a], index[b]) for a, b in g.edges() if a in index and b in index]
-            )
-            ou, ov = frame["pair"]
-            calls.append((len(frames), h == want, (hu, hv) == (index[ou], index[ov])))
-            return real(h, hu, hv)
-
-        return wrapped
+    def related(h, hu, hv, kind):
+        frame = frames[-1]
+        s = frame["sets"][frame["next"]]
+        frame["next"] += 1
+        frame["last"] = {frame["orig"][x] for x in s}
+        kept = [x for x in frame["orig"] if x not in frame["last"]]
+        index = {x: i for i, x in enumerate(kept)}
+        want = Graph.from_edges(
+            len(kept), [(index[a], index[b]) for a, b in g.edges() if a in index and b in index]
+        )
+        ou, ov = frame["pair"]
+        calls.append(
+            (len(frames), h == want, (hu, hv) == (index[ou], index[ov]), kind is frame["kind"])
+        )
+        return real_related(h, hu, hv, kind)
 
     monkeypatch.setattr(checks_mod, "_cis_recurse", recurse)
-    monkeypatch.setattr(checks_mod, "is_implicit_edge", decide(checks_mod.is_implicit_edge))
-    monkeypatch.setattr(
-        checks_mod, "is_implicit_identity", decide(checks_mod.is_implicit_identity)
-    )
+    monkeypatch.setattr(checks_mod, "_related", related)
     report = run_check("CIS-INV", [("g", g)])
     assert report.verdict == "pass", report.failures
     assert report.instances_run == len(calls) > 0
-    assert all(same_graph and same_pair for _, same_graph, same_pair in calls)
-    assert any(depth == 2 for depth, _, _ in calls)
+    assert all(all(same) for _, *same in calls)
+    assert any(depth == 2 for depth, *_ in calls)
+    # both kinds are asked, so a question of the wrong kind shows
+    assert {r.kind for r in scan_relations(g)} == set(RelationKind)
+
+
+def test_subdiv_reports_a_lost_half_edge_relation(monkeypatch):
+    # a refuting _related reaches SUBDIV's last step: each subdivided edge
+    # still drops chi, and both halves then fail, in edge order
+    asked = []
+
+    def refute(h, a, b, kind):
+        asked.append(kind)
+        return False
+
+    monkeypatch.setattr(checks_mod, "_related", refute)
+    report = run_check("SUBDIV", CorpusSpec(families=("k3", "c5")))
+    assert report.verdict == "fail"
+    assert report.instances_run == 3 * 3 + 5 * 3
+    # each graph's graph6, its new vertex's id, and its edges
+    cases = [
+        ("Bw", 3, [(0, 1), (0, 2), (1, 2)]),
+        ("Dhc", 5, [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]),
+    ]
+    assert [tuple(f) for f in report.failures] == [
+        (g6, f"subdivide ({u},{v})", f"({a},{b}) is an edge relation", "not a relation")
+        for g6, w, edges in cases
+        for u, v in edges
+        for a, b in ((u, w), (w, v))
+    ]
+    assert set(asked) == {RelationKind.EDGE} and len(asked) == 16
+
+
+def test_dc_bound_reports_a_lost_identity_on_a_complete_graph(monkeypatch):
+    # on K4 every edge's identity question fails, so no chain walk runs;
+    # the six common-neighbor bounds still pass
+    asked = []
+
+    def refute(h, u, v, kind):
+        asked.append((h.m, u, v, kind))
+        return False
+
+    monkeypatch.setattr(checks_mod, "_related", refute)
+    report = run_check("DC-BOUND", CorpusSpec(families=("k4",)))
+    assert report.verdict == "fail"
+    assert report.instances_run == 6 + 6
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert [tuple(f) for f in report.failures] == [
+        ("C~", f"edge ({u},{v})", "identity pair in g-uv", "not identity") for u, v in edges
+    ]
+    assert asked == [(5, u, v, RelationKind.IDENTITY) for u, v in edges]

@@ -1,8 +1,10 @@
 import networkx as nx
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given
 
 from chromarel import (
+    FORMATS,
     FormatError,
     Graph,
     format_for_path,
@@ -152,6 +154,41 @@ def test_graph6_agrees_with_networkx(g):
 def test_round_trips_all_formats(g):
     for fmt in ("dimacs", "graph6", "edgelist"):
         assert parse_graph(serialize_graph(g, fmt), fmt) == g
+
+
+# arbitrary text, text over the dimacs and edgelist alphabet, short files of
+# keyword lines with small integers, some opening with a dimacs header, and
+# text over graph6's printable range
+_INTS = st.lists(st.integers(min_value=-1, max_value=4), max_size=3).map(
+    lambda xs: " ".join(map(str, xs))
+)
+_LINE = st.builds("{} {}".format, st.sampled_from(("p edge", "e", "c", "n=", "#", "")), _INTS)
+_TEXTS = st.one_of(
+    st.text(),
+    st.text(alphabet="pe c0123456789\n\t=-"),
+    st.builds(
+        lambda first, rest: "\n".join((first, *rest)),
+        st.one_of(st.builds("p edge {} {}".format, st.integers(0, 4), st.integers(0, 2)), _LINE),
+        st.lists(_LINE, max_size=3),
+    ),
+    st.text(alphabet=st.characters(min_codepoint=63, max_codepoint=126)),
+)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@given(_TEXTS)
+def test_any_text_parses_to_a_round_tripping_graph_or_is_refused(fmt, text):
+    try:
+        g = parse_graph(text, fmt)
+    except FormatError:
+        return
+    for out in FORMATS:
+        if out == "graph6" and g.n > 62:
+            # graph6's long form is not written
+            with pytest.raises(FormatError):
+                serialize_graph(g, out)
+        else:
+            assert parse_graph(serialize_graph(g, out), out) == g
 
 
 def test_petersen_round_trip():

@@ -9,8 +9,6 @@ from chromarel import (
     chromatic_number,
     criticality,
     implicit_via_sets,
-    is_implicit_edge,
-    is_implicit_identity,
     k_colorable,
     min_nonextensible,
     scan_relations,
@@ -32,7 +30,7 @@ from chromarel.graphs import _bits, _component_of
 from chromarel.io import parse_graph
 from chromarel.checks import run_check
 import chromarel.checks as checks_mod
-from chromarel.relations import _WitnessPool, _critical_sets, _decide_pair, _flip
+from chromarel.relations import _WitnessPool, _critical_sets, _decide_pair, _flip, _related
 from hypothesis import given
 import hypothesis.strategies as st
 
@@ -95,11 +93,12 @@ def test_k5_minus_edge_identity():
 
 
 def test_pair_predicates_validate_input():
+    # implicit_via_sets is the one public entry that decides a single pair
     g = path_graph(4)
     with pytest.raises(ValueError):
-        is_implicit_edge(g, 1, 1)
+        implicit_via_sets(g, 1, 1, RelationKind.EDGE)
     with pytest.raises(ValueError):
-        is_implicit_identity(g, 0, 4)
+        implicit_via_sets(g, 0, 4, RelationKind.IDENTITY)
 
 
 def test_scan_matches_assignment_enumeration():
@@ -122,9 +121,9 @@ def _pairwise_relations(g):
     out = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if is_implicit_edge(g, u, v):
+            if oracles.is_implicit_edge(g, u, v):
                 out.append((u, v, "edge", g.has_edge(u, v)))
-            elif is_implicit_identity(g, u, v):
+            elif oracles.is_implicit_identity(g, u, v):
                 out.append((u, v, "identity", g.has_edge(u, v)))
     return out
 
@@ -222,7 +221,7 @@ def test_adjacent_pair_decisions_leave_the_pool_alone(g):
     before = _pool_state(pool)
     for u, v in g.edges():
         edge_rel, ident_rel = _decide_pair(g, u, v, k, pool, True)
-        assert edge_rel == is_implicit_edge(g, u, v)
+        assert edge_rel == oracles.is_implicit_edge(g, u, v)
         assert not ident_rel
         assert _pool_state(pool) == before
 
@@ -309,6 +308,34 @@ def test_set_table_matches_the_per_pair_route_on_random_graphs(n):
 @given(graphs(min_n=2, max_n=10))
 def test_set_table_matches_the_per_pair_route(g):
     assert _set_route_mismatches(g) == []
+
+
+def _related_mismatches(g):
+    return [
+        (u, v, kind)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        for kind, oracle in (
+            (RelationKind.EDGE, oracles.is_implicit_edge),
+            (RelationKind.IDENTITY, oracles.is_implicit_identity),
+        )
+        if _related(g, u, v, kind) != oracle(g, u, v)
+    ]
+
+
+def test_related_matches_the_oracles_on_every_small_labeled_graph():
+    wrong = [
+        (g.edges(), bad)
+        for n in range(2, 6)
+        for g in enumerate_graphs(n)
+        for bad in _related_mismatches(g)
+    ]
+    assert wrong == []
+
+
+@given(graphs(min_n=2, max_n=10))
+def test_related_matches_the_oracles(g):
+    assert _related_mismatches(g) == []
 
 
 def test_identity_pairs_are_never_adjacent():
