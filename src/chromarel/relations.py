@@ -106,10 +106,12 @@ def _distinct_witness(g: Graph, u: int, v: int, k: int) -> tuple[int, ...] | Non
     return None if c is None else c.assignment
 
 
+@_memo
 def _related(g: Graph, u: int, v: int, kind: RelationKind) -> bool:
     """Whether uv is a relation of the kind, by one solver call at chi(g):
     no coloring of g-uv into {1..chi(g)} gives u and v one color (edge), or
-    none gives them distinct colors (identity)."""
+    none gives them distinct colors (identity). Memoized: the catalog checks
+    ask the same question of the same derived graph again and again."""
     witness = _equal_witness if kind is RelationKind.EDGE else _distinct_witness
     return witness(g, u, v, chromatic_number(g)) is None
 
@@ -144,7 +146,7 @@ class _SetTable:
         self.rows = rows
         self.full = (1 << n) - 1
         self.k = _chromatic(n, rows)
-        self.certs: list[int] = []  # independent sets known to lower
+        self.certs: dict[int, None] = {}  # independent sets known to lower, in order
         self.blocked: list[int] = []  # independent sets known not to lower
 
     @functools.cached_property
@@ -189,8 +191,7 @@ class _SetTable:
         classes = [0] * (self.k - 1)
         for i, c in enumerate(coloring):
             classes[c - 1] |= 1 << kept[i]
-        self.certs.append(s)
-        self.certs.extend(c for c in classes if c)
+        self.certs.update(dict.fromkeys([s, *filter(None, classes)]))
         return True
 
     def edge(self, u: int, v: int) -> bool:
@@ -349,30 +350,6 @@ class _WitnessPool:
         return False
 
 
-def _decide_pair(
-    g: Graph, u: int, v: int, k: int, pool: _WitnessPool, adjacent: bool
-) -> tuple[bool, bool]:
-    """Whether uv is an edge relation and whether an identity relation, by
-    the pool, its flips and then the solver."""
-    edge_rel = False
-    if not pool.refutes_edge(u, v):
-        colors = _equal_witness(g, u, v, k)
-        if colors is None:
-            edge_rel = True
-        elif not adjacent:
-            pool.add(colors)
-    # adjacent pairs are never identities: the pool's colorings of g
-    # separate them, as g is k-colorable
-    ident_rel = False
-    if not pool.refutes_identity(u, v):
-        colors = _distinct_witness(g, u, v, k)
-        if colors is None:
-            ident_rel = True
-        else:
-            pool.add(colors)
-    return edge_rel, ident_rel
-
-
 def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelation]:
     """Classify every unordered pair at k = chi(g).
 
@@ -385,19 +362,21 @@ def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelati
     The relations proven so far settle more pairs with no call. Every
     k-coloring of g gives an identity pair one color, so identities form
     classes, and a pair inside one class is an identity. Every k-coloring
-    separates adjacent vertices and nonadjacent edge relations, so a
-    nonadjacent pair whose classes hold such a pair is an edge relation. An
-    adjacent pair's edge question is about g-uv, so these rules never
-    answer it. Every negative answer therefore rests on a concrete coloring,
-    and every relation on a solver refutation or on the refutations it was
-    derived from.
+    separates adjacent vertices and nonadjacent edge relations, so a pair
+    whose classes hold such a pair is no identity and, when nonadjacent, an
+    edge relation. An adjacent pair's edge question is about g-uv, so these
+    rules never answer it, and it is never an identity. Every negative
+    answer therefore rests on a concrete coloring, and every relation on a
+    solver refutation or on the refutations it was derived from.
 
-    The nonadjacent pairs are decided first, in lexicographic order, and the
-    adjacent pairs after them. An adjacent pair's decision changes none of
-    the shared state: its flips and its solver witness color g-uv and never
-    join the pool, the pool already separates it, and v is already apart
-    from u. So the nonadjacent decisions are those of a lexicographic scan,
-    and each adjacent pair meets the fullest pool the scan builds.
+    Three sweeps ask the questions, each in lexicographic order: the
+    identity question of every nonadjacent pair, then its edge question,
+    then the edge question of every adjacent pair. The identity classes are
+    thus complete before any edge question, and closure derives every edge
+    relation that one edge or one proven edge relation between two classes
+    implies. An adjacent pair's flips and solver witness color g-uv and never
+    join the pool, so each adjacent pair meets the fullest pool the scan
+    builds.
 
     With cross_validate (the default) every answer is then recomputed
     through the independent-set route, pair by pair in lexicographic order,
@@ -414,29 +393,43 @@ def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelati
     ident = [1 << x for x in range(g.n)]
     apart = list(rows)
     pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    nonadjacent = [(u, v) for u, v in pairs if not rows[u] >> v & 1]
     related: dict[tuple[int, int], tuple[bool, bool]] = {}
-    # a stable sort: the nonadjacent pairs, then the adjacent ones
-    for u, v in sorted(pairs, key=lambda p: rows[p[0]] >> p[1] & 1):
-        adjacent = bool(rows[u] >> v & 1)
+    # the identity sweep; a pair whose classes are kept apart is no identity
+    for u, v in nonadjacent:
         if ident[u] >> v & 1:
-            edge_rel, ident_rel = False, True
-        elif not adjacent and apart[u] & ident[v]:
-            edge_rel, ident_rel = True, False
-        else:
-            edge_rel, ident_rel = _decide_pair(g, u, v, k, pool, adjacent)
-            if ident_rel:
-                merged = ident[u] | ident[v]
-                outside = apart[u] | apart[v]
-                for x in _bits(merged):
-                    ident[x] = merged
-                    apart[x] = outside
-            elif edge_rel:
-                for x in _bits(ident[u]):
-                    apart[x] |= 1 << v
-                for x in _bits(ident[v]):
-                    apart[x] |= 1 << u
-        if edge_rel or ident_rel:
-            related[u, v] = edge_rel, ident_rel
+            related[u, v] = False, True
+        elif not (apart[u] & ident[v] or pool.refutes_identity(u, v)):
+            colors = _distinct_witness(g, u, v, k)
+            if colors is not None:
+                pool.add(colors)
+                continue
+            related[u, v] = False, True
+            merged = ident[u] | ident[v]
+            outside = apart[u] | apart[v]
+            for x in _bits(merged):
+                ident[x] = merged
+                apart[x] = outside
+    # the nonadjacent edge sweep, over the final identity classes
+    for u, v in nonadjacent:
+        if ident[u] >> v & 1:
+            continue
+        if not apart[u] & ident[v]:
+            if pool.refutes_edge(u, v):
+                continue
+            colors = _equal_witness(g, u, v, k)
+            if colors is not None:
+                pool.add(colors)
+                continue
+            for x in _bits(ident[u]):
+                apart[x] |= 1 << v
+            for x in _bits(ident[v]):
+                apart[x] |= 1 << u
+        related[u, v] = True, False
+    # the adjacent edge sweep, which adds nothing to the pool
+    for u, v in g.edges():
+        if not pool.refutes_edge(u, v) and _equal_witness(g, u, v, k) is None:
+            related[u, v] = True, False
     out: list[ImplicitRelation] = []
     for u, v in pairs:
         edge_rel, ident_rel = related.get((u, v), (False, False))

@@ -26,11 +26,11 @@ from chromarel.families import (
     wheel_graph,
 )
 import chromarel.relations as relations_mod
-from chromarel.graphs import _bits, _component_of
+from chromarel.graphs import _bits, _component_of, _keep_rows
 from chromarel.io import parse_graph
 from chromarel.checks import run_check
 import chromarel.checks as checks_mod
-from chromarel.relations import _WitnessPool, _critical_sets, _decide_pair, _flip, _related
+from chromarel.relations import _WitnessPool, _critical_sets, _flip, _related
 from hypothesis import given
 import hypothesis.strategies as st
 
@@ -179,24 +179,48 @@ def test_closure_settles_relations_without_the_solver(monkeypatch):
     assert len(calls) < len(rels)
 
 
-def test_scan_decides_nonadjacent_pairs_before_adjacent_ones(monkeypatch):
+def _record_questions(monkeypatch):
+    """Record every pair question the scan asks, of the pool or of the
+    solver, as (sweep, u, v): sweep 0 is a nonadjacent pair's identity
+    question, 1 its edge question and 2 an adjacent pair's edge question."""
     asked = []
-    real = relations_mod._decide_pair
 
-    def recording(g, u, v, k, pool, adjacent):
-        asked.append((adjacent, u, v))
-        return real(g, u, v, k, pool, adjacent)
+    def recording(real, edge):
+        def ask(owner, u, v, *rest):
+            adjacent = owner.rows[u] >> v & 1
+            asked.append((2 if adjacent else int(edge), u, v))
+            return real(owner, u, v, *rest)
 
-    monkeypatch.setattr(relations_mod, "_decide_pair", recording)
+        return ask
+
+    for name, edge in (("_distinct_witness", False), ("_equal_witness", True)):
+        monkeypatch.setattr(relations_mod, name, recording(getattr(relations_mod, name), edge))
+    for name, edge in (("refutes_identity", False), ("refutes_edge", True)):
+        monkeypatch.setattr(_WitnessPool, name, recording(getattr(_WitnessPool, name), edge))
+    return asked
+
+
+def test_scan_decides_nonadjacent_pairs_before_adjacent_ones(monkeypatch):
+    asked = _record_questions(monkeypatch)
     for g in (gnp(12, 0.5, 3), planted(14, 3, 0.4, 1), grotzsch()):
         asked.clear()
         got = _scanned(g)
-        assert {adjacent for adjacent, _, _ in asked} == {False, True}
-        # each group in lexicographic order, every nonadjacent pair first
+        assert {sweep for sweep, _, _ in asked} == {0, 1, 2}
+        # every nonadjacent identity question, then every nonadjacent edge
+        # question, then every adjacent one, each sweep in lexicographic order
         assert asked == sorted(asked)
-        assert all(adjacent == g.has_edge(u, v) for adjacent, u, v in asked)
         assert got == sorted(got)
         assert got == _pairwise_relations(g)
+
+
+def test_complete_identity_classes_settle_edge_questions(monkeypatch):
+    # De[ has the edges 01 03 13 14 24 34; the identity sweep finds 0 = 4,
+    # so the edge 4-2 proves the edge relation (0,2) with no question about it
+    g = parse_graph("De[", "graph6")
+    asked = _record_questions(monkeypatch)
+    assert _scanned(g) == [(0, 2, "edge", False), (0, 4, "identity", False)]
+    assert (0, 4) in [(u, v) for sweep, u, v in asked if sweep == 0]
+    assert (1, 0, 2) not in asked
 
 
 def _pool_state(pool):
@@ -209,21 +233,42 @@ def _pool_state(pool):
 
 @given(graphs(min_n=2, max_n=9))
 def test_adjacent_pair_decisions_leave_the_pool_alone(g):
-    # the reorder rests on this: an adjacent pair's flips and witnesses
-    # color g-uv, and the pool already separates it
-    k = chromatic_number(g)
-    pool = _WitnessPool(g, k)
-    pool.add(k_colorable(g, k).assignment)
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v):
-                _decide_pair(g, u, v, k, pool, False)
-    before = _pool_state(pool)
-    for u, v in g.edges():
-        edge_rel, ident_rel = _decide_pair(g, u, v, k, pool, True)
-        assert edge_rel == oracles.is_implicit_edge(g, u, v)
-        assert not ident_rel
-        assert _pool_state(pool) == before
+    # each adjacent pair meets the fullest pool because of this: its flips
+    # and witnesses color g-uv, and the pool already separates it
+    pools = []
+
+    class Recording(_WitnessPool):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.before = None
+            pools.append(self)
+
+        def refutes_edge(self, u, v):
+            if self.rows[u] >> v & 1 and self.before is None:
+                self.before = _pool_state(self)
+            return super().refutes_edge(u, v)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relations_mod, "_WitnessPool", Recording)
+        assert _scanned(g) == _pairwise_relations(g)
+    (pool,) = pools
+    if g.m:
+        assert pool.before is not None
+        assert _pool_state(pool) == pool.before
+
+
+@pytest.mark.parametrize("g", [gnp(12, 0.5, 3), planted(14, 3, 0.4, 1)])
+def test_set_table_keeps_each_certificate_once(g):
+    relations_mod._set_relations.cache_clear()
+    scan_relations(g)
+    table = relations_mod._set_relations(g.n, g.rows)
+    certs = list(table.certs)
+    assert len(set(certs)) == len(certs)
+    # each is an independent set of g whose removal lowers chi
+    for s in certs:
+        assert not any(g.rows[x] & s for x in _bits(s))
+        keep = table.full ^ s
+        assert chromatic_number(Graph(keep.bit_count(), _keep_rows(g.rows, keep))) == table.k - 1
 
 
 def test_first_disagreement_is_lexicographic_after_the_reorder(monkeypatch):
