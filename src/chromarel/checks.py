@@ -32,6 +32,7 @@ from .graphs import (
     _component_of,
     _keep_rows,
     _memo,
+    _toggle_rows,
 )
 from .io import serialize_graph
 from .planarity import is_planar
@@ -42,7 +43,6 @@ from .relations import (
     _critical_sets,
     _related,
     _set_relations,
-    _without_edge,
     criticality,
     min_nonextensible,
     scan_relations,
@@ -67,23 +67,17 @@ class CorpusSpec(NamedTuple):
 
 def iter_corpus(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
     """Yield (name, graph) pairs in a deterministic order."""
-    return ((name, g) for name, g, _ in _corpus(spec))
-
-
-def _corpus(spec: CorpusSpec) -> Iterator[tuple[str, Graph, str | None]]:
-    # iter_corpus's pairs, each with its graph6 string where the name is it
     for token in spec.families:
         parts = token.split(":")
-        yield token, generate(parts[0], *parts[1:]), None
+        yield token, generate(parts[0], *parts[1:])
     if spec.exhaustive_n is not None:
         for n in range(1, spec.exhaustive_n + 1):
             for g in enumerate_graphs(n, connected_only=True):
-                g6 = serialize_graph(g, "graph6")
-                yield g6, g, g6
+                yield serialize_graph(g, "graph6"), g
     if spec.random is not None:
         n, p, seed, count = spec.random
         for i in range(count):
-            yield f"gnp({n},{p},{seed + i})", gnp(n, p, seed + i), None
+            yield f"gnp({n},{p},{seed + i})", gnp(n, p, seed + i)
 
 
 @_memo
@@ -107,12 +101,14 @@ def _check_bip(g: Graph, parity: int) -> _CheckResult:
     left = parts[0]
     kind = RelationKind.EDGE if parity else RelationKind.IDENTITY
     related = {(r.u, r.v) for r in _relations_of(g) if r.kind is kind}
+    rows = g.rows
     full = (1 << g.n) - 1
     ran = 0
     failures: list[_Finding] = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            joined = not _component_of(_without_edge(g, u, v).rows, 1 << u, full, 1 << v)
+            cut = _toggle_rows(rows, u, v) if rows[u] >> v & 1 else rows
+            joined = not _component_of(cut, 1 << u, full, 1 << v)
             expected = joined and ((u in left) != (v in left)) == bool(parity)
             got = (u, v) in related
             ran += 1
@@ -125,20 +121,24 @@ def _check_bip(g: Graph, parity: int) -> _CheckResult:
 
 def _check_ie2(g: Graph) -> _CheckResult:
     # The cross-validating scan compares the two routes on each (pair, kind)
-    # decision, edge before identity, and aborts at the first disagreement:
-    # that decision is the failure, and later pairs of g go unreported.
-    try:
-        _relations_of(g)
-    except RouteDisagreementError as e:
-        pair = sum(g.n - 1 - x for x in range(e.u)) + e.v - e.u - 1
-        ran = 2 * pair + (1 if e.kind is RelationKind.EDGE else 2)
-        finding = (
-            f"pair ({e.u},{e.v}) {e.kind.value}",
-            f"definition={e.definition_answer}",
-            f"sets={e.set_answer}",
-        )
-        return ran, [finding], []
+    # decision; a disagreement raises, and _evaluate records it
+    _relations_of(g)
     return g.n * (g.n - 1), [], []
+
+
+def _disagreement(g: Graph, e: RouteDisagreementError) -> _CheckResult:
+    # The scan compares the two routes decision by decision, pair by pair,
+    # edge before identity, and aborts at the first disagreement: that
+    # decision is the failure, the decisions before it ran, and later pairs
+    # of g go unreported.
+    pair = sum(g.n - 1 - x for x in range(e.u)) + e.v - e.u - 1
+    ran = 2 * pair + (1 if e.kind is RelationKind.EDGE else 2)
+    finding = (
+        f"pair ({e.u},{e.v}) {e.kind.value}",
+        f"definition={e.definition_answer}",
+        f"sets={e.set_answer}",
+    )
+    return ran, [finding], []
 
 
 def _cis_recurse(
@@ -153,13 +153,13 @@ def _cis_recurse(
     ran = 0
     full = (1 << g.n) - 1
     uv = 1 << u | 1 << v
-    for s in _critical_sets(g.n, g.rows):
+    for s in _critical_sets(g.rows):
         if s & uv:
             continue
         # g-S renumbers its survivors densely: x becomes the count of kept
         # vertices below it
         keep = full ^ s
-        h = Graph._make(keep.bit_count(), _keep_rows(g.rows, keep))
+        h = Graph._make(_keep_rows(g.rows, keep))
         hu = (keep & ((1 << u) - 1)).bit_count()
         hv = (keep & ((1 << v) - 1)).bit_count()
         holds = _related(h, hu, hv, kind)
@@ -253,7 +253,8 @@ def _check_poly(g: Graph, kind: RelationKind) -> _CheckResult:
     ran = 0
     failures: list[_Finding] = []
     for r in rels:
-        merged, _ = identify_vertices(_without_edge(g, r.u, r.v), r.u, r.v)
+        h = delete_edge(g, r.u, r.v) if r.adjacent else g
+        merged, _ = identify_vertices(h, r.u, r.v)
         val = evaluate(chromatic_polynomial(merged), k)
         ran += 1
         if val != base:
@@ -494,13 +495,19 @@ def _evaluate(
 ) -> list[list[tuple[_CheckResult, float]]]:
     """Each named check's result on each graph, with the seconds it took.
     Each graph meets every check before the next one, so the memos that the
-    checks share serve them all while they are warm."""
+    checks share serve them all while they are warm. A check that meets a
+    route disagreement in g's relation scan records it as IE2-EQ does, so
+    the result is always plain data that a worker can send back."""
     rows = []
     for g in graphs:
         row = []
         for cid in ids:
             start = time.monotonic()
-            row.append((CHECKS[cid][0](g), time.monotonic() - start))
+            try:
+                result = CHECKS[cid][0](g)
+            except RouteDisagreementError as e:
+                result = _disagreement(g, e)
+            row.append((result, time.monotonic() - start))
         rows.append(row)
         # the graph's checks are done, so its set tables, the largest
         # per-graph state, go: later graphs build their own
@@ -529,7 +536,7 @@ def _run_checks(
     # NaN fails every comparison, so it would never stop a run
     if not budget >= 0:
         raise ValueError(f"budget must be a nonnegative number of seconds, got {budget}")
-    items = _corpus(corpus) if isinstance(corpus, CorpusSpec) else ((n, g, None) for n, g in corpus)
+    items = iter_corpus(corpus) if isinstance(corpus, CorpusSpec) else iter(corpus)
 
     def spent(report: CheckReport) -> bool:
         # a check that has spent its budget truncates at the graph it skips
@@ -557,7 +564,8 @@ def _run_checks(
         nonlocal size
         chunk, picked, out = pending.popleft()
         work = 0.0
-        for (name, g, g6), row in zip(chunk, out.result() if pool else out):
+        for (name, g), row in zip(chunk, out.result() if pool else out):
+            g6 = None
             for report, ((ran, failures, notes), seconds) in zip(picked, row):
                 work += seconds
                 if spent(report):
@@ -577,9 +585,9 @@ def _run_checks(
             if not picked:
                 break
             run = tuple(r.check_id for r in picked)
-            # a Graph pickles as its (n, rows), so workers take graphs as they
-            # are, of any order
-            graphs = [g for _, g, _ in chunk]
+            # a Graph pickles whole, so workers take graphs as they are, of
+            # any order
+            graphs = [g for _, g in chunk]
             out = _evaluate(run, graphs) if pool is None else pool.submit(_evaluate, run, graphs)
             pending.append((chunk, picked, out))
             if len(pending) >= (2 * jobs if pool else 1):

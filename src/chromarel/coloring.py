@@ -222,14 +222,14 @@ def _greedy_coloring_size(g: Graph) -> int:
 
 
 def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number, memoized on the graph value (n, rows) by the
-    package's bounded LRU memo, shared across calls."""
-    return _chromatic(g.n, g.rows)
+    """Exact chromatic number, memoized on the graph's rows by the package's
+    bounded LRU memo, shared across calls."""
+    return _chromatic(g.rows)
 
 
 @_memo
-def _chromatic(n: int, rows: tuple[int, ...]) -> int:
-    g = Graph._make(n, rows)
+def _chromatic(rows: tuple[int, ...]) -> int:
+    g = Graph._make(rows)
     if g.n == 0:
         return 0
     if all(r == 0 for r in g.rows):
@@ -280,12 +280,13 @@ def _colorings(rows: tuple[int, ...], k: int) -> Iterator[tuple[list[int], list[
 
 
 @_memo
-def _independent_partition_counts(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
+def _independent_partition_counts(rows: tuple[int, ...]) -> tuple[int, ...]:
     """counts[j] = partitions of the vertices into j nonempty independent classes.
 
     Computed by direct backtracking over vertices in index order, classes kept
     in first-use order so each partition is visited exactly once.
     """
+    n = len(rows)
     counts = [0] * (n + 1)
     class_masks: list[int] = []
 
@@ -317,7 +318,7 @@ def count_colorings(g: Graph, k: int) -> int:
     if k < 0:
         raise ValueError("k must be nonnegative")
     total = 0
-    for j, nj in enumerate(_independent_partition_counts(g.n, g.rows)):
+    for j, nj in enumerate(_independent_partition_counts(g.rows)):
         if nj and j <= k:
             ways = 1
             for i in range(j):

@@ -195,7 +195,7 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
                 i, j = pairs[b]
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-        g = Graph._make(n, tuple(rows))
+        g = Graph._make(tuple(rows))
         if connected_only and not is_connected(g):
             continue
         yield g

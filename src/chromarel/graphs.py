@@ -5,9 +5,10 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Iterator
 
-# The package's one memo. Memoized functions take a graph's value, (n, rows),
-# or a Graph, which hashes and compares by that value. Past the cap the least
-# recently used entry is evicted, so a long computation runs in bounded memory.
+# The package's one memo. Memoized functions take a graph's value, its rows
+# tuple, or a Graph, which hashes and compares by its rows. Past the cap the
+# least recently used entry is evicted, so a long computation runs in bounded
+# memory.
 _MEMO_SIZE = 1 << 16
 _memo = functools.lru_cache(maxsize=_MEMO_SIZE)
 
@@ -37,6 +38,7 @@ class Graph:
     vertices below it.
     """
 
+    # n is len(rows), kept in a slot that only __init__ and _make fill
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, rows: Iterable[int]):
@@ -58,10 +60,10 @@ class Graph:
         self.rows = rows
 
     @classmethod
-    def _make(cls, n: int, rows: tuple[int, ...]) -> Graph:
+    def _make(cls, rows: tuple[int, ...]) -> Graph:
         # Trusted fast path: callers guarantee symmetry and loop-freeness.
         g = object.__new__(cls)
-        g.n = n
+        g.n = len(rows)
         g.rows = rows
         return g
 
@@ -106,23 +108,29 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.rows == other.rows
+        return self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self.n, self.rows))
+        return hash(self.rows)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _toggle_rows(rows: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
+    """Rows with the pair uv flipped: the edge goes if present, else comes.
+    Every edge deletion and addition uses this kernel."""
+    out = list(rows)
+    out[u] ^= 1 << v
+    out[v] ^= 1 << u
+    return tuple(out)
 
 
 def delete_edge(g: Graph, u: int, v: int) -> Graph:
     """Remove the edge uv."""
     if not g.has_edge(u, v):
         raise EditError(f"edge ({u},{v}) not present")
-    rows = list(g.rows)
-    rows[u] &= ~(1 << v)
-    rows[v] &= ~(1 << u)
-    return Graph._make(g.n, tuple(rows))
+    return Graph._make(_toggle_rows(g.rows, u, v))
 
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:
@@ -133,10 +141,7 @@ def add_edge(g: Graph, u: int, v: int) -> Graph:
         raise EditError(f"loop at vertex {u}")
     if g.has_edge(u, v):
         raise EditError(f"edge ({u},{v}) already present")
-    rows = list(g.rows)
-    rows[u] |= 1 << v
-    rows[v] |= 1 << u
-    return Graph._make(g.n, tuple(rows))
+    return Graph._make(_toggle_rows(g.rows, u, v))
 
 
 def _keep_rows(rows: tuple[int, ...], keep: int) -> tuple[int, ...]:
@@ -206,7 +211,7 @@ def identify_vertices(g: Graph, u: int, v: int) -> tuple[Graph, dict[int, int]]:
     a, b = min(u, v), max(u, v)
     w = g.n - 2
     id_map = {x: w if x == a or x == b else x - (x > a) - (x > b) for x in range(g.n)}
-    return Graph._make(g.n - 1, _merge_rows(g.rows, u, v)), id_map
+    return Graph._make(_merge_rows(g.rows, u, v)), id_map
 
 
 def subdivide_edge(g: Graph, u: int, v: int) -> Graph:
@@ -218,7 +223,7 @@ def subdivide_edge(g: Graph, u: int, v: int) -> Graph:
     rows[u] ^= 1 << v | 1 << w
     rows[v] ^= 1 << u | 1 << w
     rows.append(1 << u | 1 << v)
-    return Graph._make(g.n + 1, tuple(rows))
+    return Graph._make(tuple(rows))
 
 
 def _component_of(rows: tuple[int, ...], start: int, within: int, stop: int = 0) -> int:
@@ -242,12 +247,12 @@ def _component_of(rows: tuple[int, ...], start: int, within: int, stop: int = 0)
     return comp
 
 
-def _component_masks(n: int, rows: tuple[int, ...]) -> list[int]:
+def _component_masks(rows: tuple[int, ...]) -> list[int]:
     """Vertex masks of the components, ordered by least vertex."""
-    full = (1 << n) - 1
+    full = (1 << len(rows)) - 1
     seen = 0
     comps = []
-    for s in range(n):
+    for s in range(len(rows)):
         if not seen >> s & 1:
             comp = _component_of(rows, 1 << s, full)
             seen |= comp
@@ -256,7 +261,7 @@ def _component_masks(n: int, rows: tuple[int, ...]) -> list[int]:
 
 
 def is_connected(g: Graph) -> bool:
-    return len(_component_masks(g.n, g.rows)) <= 1
+    return len(_component_masks(g.rows)) <= 1
 
 
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:

@@ -160,7 +160,7 @@ def _parse_graph6(text: str) -> Graph:
             if bits >> pos & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return Graph._make(n, tuple(rows))
+    return Graph._make(tuple(rows))
 
 
 def _write_graph6(g: Graph) -> str:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import _bits, _component_masks, _keep_rows, _memo, _merge_rows
+from .graphs import _bits, _component_masks, _keep_rows, _memo, _merge_rows, _toggle_rows
 
 
 class BudgetError(ValueError):
@@ -74,10 +74,9 @@ def _power_shifted(n: int, c: int, shift: int) -> list[int]:
     return [0] * shift + out
 
 
-def _simplicial(n: int, rows: tuple[int, ...]) -> int | None:
+def _simplicial(rows: tuple[int, ...]) -> int | None:
     """A vertex whose neighborhood is a clique, or None."""
-    for v in range(n):
-        nb = rows[v]
+    for v, nb in enumerate(rows):
         for u in _bits(nb):
             if nb & ~rows[u] != 1 << u:
                 break
@@ -86,11 +85,12 @@ def _simplicial(n: int, rows: tuple[int, ...]) -> int | None:
     return None
 
 
-def _branch_pair(n: int, rows: tuple[int, ...], dense: bool) -> tuple[int, int]:
+def _branch_pair(rows: tuple[int, ...], dense: bool) -> tuple[int, int]:
     # Dense: the missing pair with the most common neighbors; its merge
     # sheds the most edges, so the merged branch stays smallest. Sparse: an
     # edge at a vertex of least degree, so deleting edges soon leaves a
     # simplicial vertex; ties again go to the most common neighbors.
+    n = len(rows)
     if dense:
         full = (1 << n) - 1
         cands = ((u, v) for u in range(n) for v in _bits(full & ~rows[u] & ~((2 << u) - 1)))
@@ -101,40 +101,38 @@ def _branch_pair(n: int, rows: tuple[int, ...], dense: bool) -> tuple[int, int]:
 
 
 @_memo
-def _poly(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
+def _poly(rows: tuple[int, ...]) -> tuple[int, ...]:
     # a tuple: every caller of a memo hit shares the one object
-    return tuple(_reduce(n, rows))
+    return tuple(_reduce(rows))
 
 
-def _reduce(n: int, rows: tuple[int, ...]) -> list[int]:
+def _reduce(rows: tuple[int, ...]) -> list[int]:
+    n = len(rows)
     m = sum(r.bit_count() for r in rows) // 2
     pairs = n * (n - 1) // 2
     if m == 0:
         return [0] * n + [1]
     if m == pairs:
         return _falling_poly(n)
-    comps = _component_masks(n, rows)
+    comps = _component_masks(rows)
     if len(comps) > 1:
         result = [1]
         for mask in comps:
-            result = _mul(result, _poly(mask.bit_count(), _keep_rows(rows, mask)))
+            result = _mul(result, _poly(_keep_rows(rows, mask)))
         return result
     if m == n - 1:  # connected, so a tree
         return _power_shifted(n - 1, -1, 1)
-    v = _simplicial(n, rows)
+    v = _simplicial(rows)
     if v is not None:
         # P(G) = (k - d) P(G - v) when N(v) is a d-clique
-        rest = _poly(n - 1, _keep_rows(rows, ((1 << n) - 1) ^ 1 << v))
+        rest = _poly(_keep_rows(rows, ((1 << n) - 1) ^ 1 << v))
         return _mul([-rows[v].bit_count(), 1], rest)
     dense = 2 * m > pairs
-    u, v = _branch_pair(n, rows, dense)
-    flipped = list(rows)
-    flipped[u] ^= 1 << v
-    flipped[v] ^= 1 << u
+    u, v = _branch_pair(rows, dense)
     # dense: P(G) = P(G + uv) + P(G / uv); sparse: P(G) = P(G - uv) - P(G / uv)
     return _add(
-        _poly(n, tuple(flipped)),
-        _poly(n - 1, _merge_rows(rows, u, v)),
+        _poly(_toggle_rows(rows, u, v)),
+        _poly(_merge_rows(rows, u, v)),
         1 if dense else -1,
     )
 
@@ -154,4 +152,4 @@ def chromatic_polynomial(g, max_vertices: int = 20) -> ChromaticPolynomial:
             f"n={g.n} exceeds the {max_vertices}-vertex budget; "
             "raise max_vertices to force this computation"
         )
-    return ChromaticPolynomial(_poly(g.n, g.rows))
+    return ChromaticPolynomial(_poly(g.rows))

@@ -29,8 +29,7 @@ from .graphs import (
     _maximal_sets,
     _memo,
     _merge_rows,
-    add_edge,
-    delete_edge,
+    _toggle_rows,
 )
 
 
@@ -76,14 +75,6 @@ def _pair_check(g: Graph, u: int, v: int) -> None:
         raise ValueError("pair endpoints must differ")
 
 
-def _without_edge(g: Graph, u: int, v: int) -> Graph:
-    return delete_edge(g, u, v) if g.has_edge(u, v) else g
-
-
-def _with_edge(g: Graph, u: int, v: int) -> Graph:
-    return g if g.has_edge(u, v) else add_edge(g, u, v)
-
-
 def _equal_witness(g: Graph, u: int, v: int, k: int) -> tuple[int, ...] | None:
     """Colors of a k-coloring of g-uv that gives u and v one color, or None.
 
@@ -92,7 +83,7 @@ def _equal_witness(g: Graph, u: int, v: int, k: int) -> tuple[int, ...] | None:
     slices of its colors give back those of g.
     """
     a, b = min(u, v), max(u, v)
-    c = k_colorable(Graph._make(g.n - 1, _merge_rows(g.rows, a, b)), k)
+    c = k_colorable(Graph._make(_merge_rows(g.rows, a, b)), k)
     if c is None:
         return None
     colors = c.assignment
@@ -102,7 +93,8 @@ def _equal_witness(g: Graph, u: int, v: int, k: int) -> tuple[int, ...] | None:
 
 def _distinct_witness(g: Graph, u: int, v: int, k: int) -> tuple[int, ...] | None:
     """Colors of a k-coloring of g+uv, which separates u and v in g-uv, or None."""
-    c = k_colorable(_with_edge(g, u, v), k)
+    rows = g.rows
+    c = k_colorable(g if rows[u] >> v & 1 else Graph._make(_toggle_rows(rows, u, v)), k)
     return None if c is None else c.assignment
 
 
@@ -117,11 +109,11 @@ def _related(g: Graph, u: int, v: int, kind: RelationKind) -> bool:
 
 
 @_memo
-def _coloring_of(n: int, rows: tuple[int, ...], k: int) -> tuple[int, ...] | None:
-    """Colors of the solver's k-coloring of the graph (n, rows), or None.
-    Memoized: across a corpus of small graphs the set route meets the same
-    g-S again and again."""
-    c = k_colorable(Graph._make(n, rows), k)
+def _coloring_of(rows: tuple[int, ...], k: int) -> tuple[int, ...] | None:
+    """Colors of the solver's k-coloring of the graph with these rows, or
+    None. Memoized: across a corpus of small graphs the set route meets the
+    same g-S again and again."""
+    c = k_colorable(Graph._make(rows), k)
     return None if c is None else c.assignment
 
 
@@ -142,10 +134,10 @@ class _SetTable:
     caller the same table, which only ever learns facts about g.
     """
 
-    def __init__(self, n: int, rows: tuple[int, ...]):
+    def __init__(self, rows: tuple[int, ...]):
         self.rows = rows
-        self.full = (1 << n) - 1
-        self.k = _chromatic(n, rows)
+        self.full = (1 << len(rows)) - 1
+        self.k = _chromatic(rows)
         self.certs: dict[int, None] = {}  # independent sets known to lower, in order
         self.blocked: list[int] = []  # independent sets known not to lower
 
@@ -173,8 +165,7 @@ class _SetTable:
         return out
 
     def _coloring_without(self, s: int) -> tuple[int, ...] | None:
-        keep = self.full ^ s
-        return _coloring_of(keep.bit_count(), _keep_rows(self.rows, keep), self.k - 1)
+        return _coloring_of(_keep_rows(self.rows, self.full ^ s), self.k - 1)
 
     def _lowers(self, s: int) -> bool:
         """Whether the independent set s lowers chi; a solver call's answer
@@ -203,12 +194,12 @@ class _SetTable:
         near = (self.rows[u] | self.rows[v]) & ~uv
         if any(not c & near for c in self.certs):
             return False
-        rows = list(self.rows)
-        rows[u] ^= 1 << v
-        rows[v] ^= 1 << u
         # these sets are not independent in g, so the colorings that decide
         # them must not become certificates
-        return all(self._coloring_without(s) is None for s in _maximal_sets(tuple(rows), uv))
+        return all(
+            self._coloring_without(s) is None
+            for s in _maximal_sets(_toggle_rows(self.rows, u, v), uv)
+        )
 
     def identity(self, u: int, v: int) -> bool:
         if self.apart[v] >> u & 1:
@@ -221,8 +212,8 @@ class _SetTable:
 
 
 @_memo
-def _set_relations(n: int, rows: tuple[int, ...]) -> _SetTable:
-    return _SetTable(n, rows)
+def _set_relations(rows: tuple[int, ...]) -> _SetTable:
+    return _SetTable(rows)
 
 
 def implicit_via_sets(g: Graph, u: int, v: int, kind: RelationKind) -> bool:
@@ -240,9 +231,9 @@ def implicit_via_sets(g: Graph, u: int, v: int, kind: RelationKind) -> bool:
     """
     _pair_check(g, u, v)
     if kind is RelationKind.EDGE:
-        return _set_relations(g.n, g.rows).edge(u, v)
+        return _set_relations(g.rows).edge(u, v)
     if kind is RelationKind.IDENTITY:
-        return _set_relations(g.n, g.rows).identity(u, v)
+        return _set_relations(g.rows).identity(u, v)
     raise ValueError(f"unknown relation kind {kind!r}")
 
 
@@ -311,9 +302,7 @@ class _WitnessPool:
         rows = self.rows
         adjacent = rows[u] >> v & 1
         if adjacent:
-            rows = list(rows)
-            rows[u] ^= 1 << v
-            rows[v] ^= 1 << u
+            rows = _toggle_rows(rows, u, v)
         start, stop = 1 << u, 1 << v
         for classes, index in reversed(self.colorings):
             a = index[u]
@@ -394,17 +383,17 @@ def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelati
     apart = list(rows)
     pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
     nonadjacent = [(u, v) for u, v in pairs if not rows[u] >> v & 1]
-    related: dict[tuple[int, int], tuple[bool, bool]] = {}
+    related: dict[tuple[int, int], RelationKind] = {}
     # the identity sweep; a pair whose classes are kept apart is no identity
     for u, v in nonadjacent:
         if ident[u] >> v & 1:
-            related[u, v] = False, True
+            related[u, v] = RelationKind.IDENTITY
         elif not (apart[u] & ident[v] or pool.refutes_identity(u, v)):
             colors = _distinct_witness(g, u, v, k)
             if colors is not None:
                 pool.add(colors)
                 continue
-            related[u, v] = False, True
+            related[u, v] = RelationKind.IDENTITY
             merged = ident[u] | ident[v]
             outside = apart[u] | apart[v]
             for x in _bits(merged):
@@ -425,44 +414,27 @@ def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelati
                 apart[x] |= 1 << v
             for x in _bits(ident[v]):
                 apart[x] |= 1 << u
-        related[u, v] = True, False
+        related[u, v] = RelationKind.EDGE
     # the adjacent edge sweep, which adds nothing to the pool
     for u, v in g.edges():
         if not pool.refutes_edge(u, v) and _equal_witness(g, u, v, k) is None:
-            related[u, v] = True, False
+            related[u, v] = RelationKind.EDGE
     out: list[ImplicitRelation] = []
     for u, v in pairs:
-        edge_rel, ident_rel = related.get((u, v), (False, False))
+        kind = related.get((u, v))
         if cross_validate:
-            edge_sets = implicit_via_sets(g, u, v, RelationKind.EDGE)
-            if edge_rel != edge_sets:
-                raise RouteDisagreementError(g, u, v, RelationKind.EDGE, edge_rel, edge_sets)
-            ident_sets = implicit_via_sets(g, u, v, RelationKind.IDENTITY)
-            if ident_rel != ident_sets:
-                raise RouteDisagreementError(
-                    g, u, v, RelationKind.IDENTITY, ident_rel, ident_sets
-                )
-        if edge_rel and ident_rel:
-            # g-uv has a coloring into {1..k}, so one of the two must fail
-            raise RuntimeError(
-                f"pair ({u},{v}) classified as both edge and identity; "
-                "the solver is inconsistent"
-            )
-        if edge_rel or ident_rel:
-            out.append(
-                ImplicitRelation(
-                    u,
-                    v,
-                    RelationKind.EDGE if edge_rel else RelationKind.IDENTITY,
-                    k,
-                    bool(rows[u] >> v & 1),
-                )
-            )
+            # edge first, as RelationKind lists it
+            for asked in RelationKind:
+                by_sets = implicit_via_sets(g, u, v, asked)
+                if (kind is asked) != by_sets:
+                    raise RouteDisagreementError(g, u, v, asked, kind is asked, by_sets)
+        if kind is not None:
+            out.append(ImplicitRelation(u, v, kind, k, bool(rows[u] >> v & 1)))
     return out
 
 
 @_memo
-def _critical_sets(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
+def _critical_sets(rows: tuple[int, ...]) -> tuple[int, ...]:
     """Masks of the nonempty independent S with chi(g - S) = chi(g) - 1, in
     lexicographic order.
 
@@ -472,9 +444,9 @@ def _critical_sets(n: int, rows: tuple[int, ...]) -> tuple[int, ...]:
     subsets of the table's lowering maximal sets; its certificates settle
     most of them with no solver call.
     """
-    if not n:
+    if not rows:
         return ()
-    table = _set_relations(n, rows)
+    table = _set_relations(rows)
     candidates = set()
     for m in table.lowering:
         s = m
@@ -507,12 +479,12 @@ def criticality(g: Graph) -> CriticalityReport:
     a noncritical vertex x with a neighbour y leaves chi(g-x-y) >= chi(g)-1,
     so g is then not double-critical and no vertex pair is tested.
     """
-    n, rows = g.n, g.rows
-    table = _set_relations(n, rows)
+    rows = g.rows
+    table = _set_relations(rows)
     k = table.k
     full = table.full
     crit = 0
-    for v in range(n):
+    for v in range(g.n):
         if table._lowers(1 << v):
             crit |= 1 << v
     edges = g.edges()
@@ -520,10 +492,10 @@ def criticality(g: Graph) -> CriticalityReport:
         (u, v)
         for u, v in edges
         if crit >> u & crit >> v & 1
-        and _coloring_of(n, delete_edge(g, u, v).rows, k - 1) is not None
+        and _coloring_of(_toggle_rows(rows, u, v), k - 1) is not None
     ]
     double = not any(rows[x] for x in _bits(full ^ crit)) and all(
-        _coloring_of(n - 2, _keep_rows(rows, full ^ (1 << u | 1 << v)), k - 2) is not None
+        _coloring_of(_keep_rows(rows, full ^ (1 << u | 1 << v)), k - 2) is not None
         for u, v in edges
     )
     vertex_critical = crit == full

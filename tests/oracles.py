@@ -428,10 +428,10 @@ def implicit_via_sets_by_pairs(g, u, v, kind):
         rows[u] |= 1 << v
         rows[v] |= 1 << u
         seed = 1 << v
-    k = _chromatic(g.n, g.rows)
+    k = _chromatic(g.rows)
     full = (1 << g.n) - 1
     for s in _maximal_sets(tuple(rows), seed):
-        if _chromatic(g.n - s.bit_count(), _keep_rows(g.rows, full ^ s)) < k:
+        if _chromatic(_keep_rows(g.rows, full ^ s)) < k:
             return False
     return True
 
@@ -444,11 +444,11 @@ def criticality_by_ladder(g):
     from chromarel.graphs import _bits, _keep_rows, delete_edge
 
     n, rows = g.n, g.rows
-    k = _chromatic(n, rows)
+    k = _chromatic(rows)
     full = (1 << n) - 1
 
     def chi_without(drop):
-        return _chromatic(n - drop.bit_count(), _keep_rows(rows, full ^ drop))
+        return _chromatic(_keep_rows(rows, full ^ drop))
 
     crit = 0
     for u in range(n):
@@ -458,7 +458,7 @@ def criticality_by_ladder(g):
     crit_e = tuple(
         (u, v)
         for u, v in edges
-        if crit >> u & crit >> v & 1 and _chromatic(n, delete_edge(g, u, v).rows) < k
+        if crit >> u & crit >> v & 1 and _chromatic(delete_edge(g, u, v).rows) < k
     )
     double = not any(rows[x] for x in _bits(full ^ crit)) and all(
         chi_without(1 << u | 1 << v) == k - 2 for u, v in edges

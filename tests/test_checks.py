@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import time
 from collections import Counter
 
@@ -116,6 +117,55 @@ def test_ie2_reports_the_first_route_disagreement(monkeypatch):
     (f,) = run_check("IE2-EQ", [("p4", path_graph(4))]).failures
     assert f.locus == "pair (0,1) identity"
     assert run_check("IE2-EQ", [("p4", path_graph(4))]).instances_run == 2
+
+
+# the checks that read p4's relation scan; on p4 PLANAR-ADD (chi 2),
+# SUBDIV (chi 2) and DC-BOUND (not double-critical) stop before it
+P4_SCAN_READERS = {
+    "BIP-IE", "BIP-II", "IE2-EQ", "CIS-INV", "KEMPE", "POLY-IE", "POLY-II", "CRIT-ADJ",
+    "MIN-PRE",
+}
+
+
+def _lie_about_edges(monkeypatch):
+    checks_mod._relations_of.cache_clear()
+    real = relations_mod.implicit_via_sets
+    monkeypatch.setattr(relations_mod, "implicit_via_sets", lambda *args: not real(*args))
+
+
+def test_every_check_that_meets_a_route_disagreement_reports_it(monkeypatch):
+    # with the set route lying, the scan that every check reads aborts; each
+    # check that reads it records IE2-EQ's finding and count, and the run
+    # still returns a report for every check
+    _lie_about_edges(monkeypatch)
+    ids = sorted(CHECKS)
+    reports = checks_mod._run_checks(ids, [("p4", path_graph(4))])
+    assert [r.check_id for r in reports] == ids
+    for r in reports:
+        if r.check_id in P4_SCAN_READERS:
+            assert r.verdict == "fail", r.check_id
+            assert r.instances_run == 1, r.check_id
+            assert [tuple(f) for f in r.failures] == [
+                ("Ch", "pair (0,1) edge", "definition=False", "sets=True")
+            ], r.check_id
+        else:
+            assert (r.verdict, r.instances_run) == ("pass", 0), r.check_id
+    # what a worker sends back is plain data
+    out = checks_mod._evaluate(tuple(ids), [path_graph(4)])
+    assert pickle.loads(pickle.dumps(out)) == out
+
+
+def test_a_route_disagreement_crosses_no_worker_boundary(monkeypatch):
+    # the workers are forked from this process, so they inherit the lie
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers that are not forked do not see the monkeypatch")
+    _lie_about_edges(monkeypatch)
+    ids = sorted(CHECKS)
+    corpus = [("p4", path_graph(4)), ("c4", cycle_graph(4)), ("p3", path_graph(3))]
+    seq = [r.to_json_dict() for r in checks_mod._run_checks(ids, corpus)]
+    assert {r["check_id"] for r in seq if r["verdict"] == "fail"} >= P4_SCAN_READERS
+    par = [r.to_json_dict() for r in checks_mod._run_checks(ids, corpus, jobs=2)]
+    assert par == seq
 
 
 def test_ie2_reports_a_lie_on_an_adjacent_pair_edge(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -15,7 +16,7 @@ from chromarel import (
     is_connected,
     subdivide_edge,
 )
-from chromarel.graphs import _bits, _component_of, _keep_rows, _maximal_sets
+from chromarel.graphs import _bits, _component_of, _keep_rows, _maximal_sets, _toggle_rows
 from chromarel.families import cycle_graph, path_graph, complete_graph, enumerate_graphs
 
 from conftest import graphs
@@ -62,6 +63,30 @@ def test_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != c
+
+
+@given(graphs())
+def test_a_graph_is_its_rows(g):
+    # the trusted constructor takes the rows alone; equal rows make equal
+    # graphs with equal hashes, and a pickle round trip gives the graph back
+    h = Graph._make(g.rows)
+    assert h.n == len(g.rows) == g.n
+    assert h == g and hash(h) == hash(g)
+    back = pickle.loads(pickle.dumps(h))
+    assert back == g and hash(back) == hash(g)
+    assert (back.n, back.rows) == (g.n, g.rows)
+
+
+@given(graphs(min_n=2), st.data())
+def test_toggle_kernel_flips_exactly_one_pair(g, data):
+    u, v = data.draw(st.sampled_from(list(itertools.permutations(range(g.n), 2))))
+    rows = _toggle_rows(g.rows, u, v)
+    pair = (min(u, v), max(u, v))
+    want = Graph.from_edges(g.n, sorted(set(g.edges()) ^ {pair}))
+    assert Graph(g.n, rows) == want
+    assert _toggle_rows(rows, u, v) == g.rows
+    edit = delete_edge if g.has_edge(u, v) else add_edge
+    assert edit(g, u, v).rows == rows
 
 
 def test_delete_vertex_shifts_ids():

@@ -261,7 +261,7 @@ def test_adjacent_pair_decisions_leave_the_pool_alone(g):
 def test_set_table_keeps_each_certificate_once(g):
     relations_mod._set_relations.cache_clear()
     scan_relations(g)
-    table = relations_mod._set_relations(g.n, g.rows)
+    table = relations_mod._set_relations(g.rows)
     certs = list(table.certs)
     assert len(set(certs)) == len(certs)
     # each is an independent set of g whose removal lowers chi
@@ -481,7 +481,7 @@ def test_k4_plus_isolated_vertex_is_double_critical_but_not_vertex_critical():
 
 def test_critical_independent_sets_on_c5():
     g = cycle_graph(5)
-    sets = [list(_bits(s)) for s in _critical_sets(g.n, g.rows)]
+    sets = [list(_bits(s)) for s in _critical_sets(g.rows)]
     # 5 singletons and 5 nonadjacent pairs, in lexicographic order
     assert sets == [[0], [0, 2], [0, 3], [1], [1, 3], [1, 4], [2], [2, 4], [3], [4]]
 
@@ -493,7 +493,7 @@ def test_critical_independent_sets_match_subset_oracle():
     # lexicographic order
     wrong = []
     for g in [Graph(0, ())] + [g for n in range(1, 6) for g in enumerate_graphs(n)]:
-        got = [tuple(_bits(s)) for s in _critical_sets(g.n, g.rows)]
+        got = [tuple(_bits(s)) for s in _critical_sets(g.rows)]
         if got != oracles.critical_sets_by_subsets(g):
             wrong.append((g.n, g.edges()))
     assert wrong == []
