@@ -4,17 +4,17 @@ Three text formats:
 
 * ``dimacs``   classic .col: "c" comment lines, one "p edge <n> <m>" header,
   then "e <u> <v>" lines with 1-based endpoints.
-* ``graph6``   the standard ASCII encoding, short form only (n <= 62), one
-  graph per input.
+* ``graph6``   the standard ASCII encoding, one graph per input; more than
+  62 vertices take the long, chr(126)-prefixed size.
 * ``edgelist`` one "u v" pair per line, 0-based, with an optional leading
   "n=<int>" header fixing the vertex count.
 
-A dimacs or edgelist file may declare or imply at most 2^16 vertices.
+A file may declare or imply at most 2^16 vertices.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 FORMATS = ("dimacs", "graph6", "edgelist")
 
@@ -133,50 +133,56 @@ def _parse_graph6(text: str) -> Graph:
     if not s:
         raise FormatError("empty graph6 string")
     data = [ord(ch) - 63 for ch in s]
-    if data[0] == 63:  # chr(126), long-form marker
-        raise FormatError("graph6 long form (n > 62) is not supported")
-    if not (0 <= data[0] <= 62):
-        raise FormatError(f"bad graph6 size byte {s[0]!r}")
-    n = data[0]
-    for i, val in enumerate(data[1:], start=1):
+    for i, val in enumerate(data):
         if not (0 <= val <= 63):
             raise FormatError(f"byte {i} out of graph6 range: {s[i]!r}")
+    # the size: one byte below chr(126), or chr(126) and three more bytes,
+    # or chr(126) twice and six more bytes, six bits each
+    if data[0] < 63:
+        head, size = 1, data[:1]
+    elif data[1:2] == [63]:
+        head, size = 8, data[2:8]
+    else:
+        head, size = 4, data[1:4]
+    if len(data) < head:
+        raise FormatError("truncated graph6 size")
+    n = 0
+    for val in size:
+        n = n << 6 | val
+    if n > _MAX_VERTICES:
+        raise FormatError(f"graph6 size {n} is more than {_MAX_VERTICES} vertices")
     nbits = n * (n - 1) // 2
     expect = (nbits + 5) // 6
-    if len(data) - 1 != expect:
-        raise FormatError(f"expected {expect} data bytes for n={n}, got {len(data) - 1}")
-    bits = 0
-    for val in data[1:]:
-        bits = bits << 6 | val
-    pad = expect * 6 - nbits
-    if bits & ((1 << pad) - 1):
+    if len(data) - head != expect:
+        raise FormatError(f"expected {expect} data bytes for n={n}, got {len(data) - head}")
+    # the bits run down the columns of the upper triangle: for i < j, bit i
+    # of column j is whether ij is an edge
+    bits = "".join(format(val, "06b") for val in data[head:])
+    if "1" in bits[nbits:]:
         raise FormatError("nonzero padding bits")
-    bits >>= pad
     rows = [0] * n
-    pos = nbits
+    pos = 0
     for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if bits >> pos & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+        column = int(bits[pos : pos + j][::-1], 2)
+        pos += j
+        rows[j] |= column
+        for i in _bits(column):
+            rows[i] |= 1 << j
     return Graph._make(tuple(rows))
 
 
 def _write_graph6(g: Graph) -> str:
-    if g.n > 62:
-        raise FormatError("graph6 short form requires n <= 62")
     n = g.n
-    bits = 0
-    nbits = n * (n - 1) // 2
-    for j in range(1, n):
-        for i in range(j):
-            bits = bits << 1 | (g.rows[i] >> j & 1)
-    nbytes = (nbits + 5) // 6
-    bits <<= nbytes * 6 - nbits
-    chars = [chr(n + 63)]
-    for b in range(nbytes - 1, -1, -1):
-        chars.append(chr((bits >> (b * 6) & 63) + 63))
+    bits = "".join(format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    if n <= 62:
+        size = [n]
+    elif n <= 258047:
+        size = [63] + [n >> shift & 63 for shift in (12, 6, 0)]
+    else:
+        size = [63, 63] + [n >> shift & 63 for shift in (30, 24, 18, 12, 6, 0)]
+    chars = [chr(x + 63) for x in size]
+    chars += [chr(int(bits[i : i + 6], 2) + 63) for i in range(0, len(bits), 6)]
     return "".join(chars)
 
 

@@ -3,7 +3,8 @@
 Boolean-only implementation of the left-right planarity test of de Fraysseix,
 de Mendez and Rosenstiehl, in the algorithmic formulation given by Brandes
 ("The left-right planarity test", 2009). Exact for all inputs; linear-ish in
-practice and comfortable up to a few hundred vertices.
+practice and comfortable up to a few hundred vertices; a graph whose
+depth-first tree is deeper than Python's recursion limit raises ValueError.
 """
 
 from __future__ import annotations
@@ -200,9 +201,17 @@ def is_planar(g: Graph) -> bool:
 
     Any graph on at most four vertices is planar; beyond that the edge-count
     bound m <= 3n-6 prunes, and the left-right criterion decides the rest.
+
+    The test's depth-first searches recurse once per tree edge, so a graph
+    too deep for Python's recursion limit raises ValueError.
     """
     if g.n <= 4:
         return True
     if g.m > 3 * g.n - 6:
         return False
-    return _LRPlanarity(g).run()
+    try:
+        return _LRPlanarity(g).run()
+    except RecursionError:
+        raise ValueError(
+            f"graph with {g.n} vertices is too deep for the planarity test's recursion"
+        ) from None

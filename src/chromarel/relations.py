@@ -67,6 +67,14 @@ class RouteDisagreementError(RuntimeError):
             f"{self.graph6!r}: definition={definition_answer} set={set_answer}"
         )
 
+    def __reduce__(self):
+        # replay __init__ from the stored fields, so the error crosses a
+        # process boundary
+        from .io import parse_graph
+
+        return type(self), (parse_graph(self.graph6, "graph6"), self.u, self.v, self.kind,
+                            self.definition_answer, self.set_answer)
+
 
 def _pair_check(g: Graph, u: int, v: int) -> None:
     g._check_vertex(u)
@@ -75,15 +83,22 @@ def _pair_check(g: Graph, u: int, v: int) -> None:
         raise ValueError("pair endpoints must differ")
 
 
-def _equal_witness(g: Graph, u: int, v: int, k: int) -> tuple[int, ...] | None:
-    """Colors of a k-coloring of g-uv that gives u and v one color, or None.
+def _witness(g: Graph, u: int, v: int, kind: RelationKind, k: int) -> tuple[int, ...] | None:
+    """Colors of a k-coloring of g-uv that refutes uv as a relation of the
+    kind, or None: one solver call.
 
-    The solver colors g-uv with u and v merged. The merge drops any uv edge
-    and keeps the other vertices in order, with the merged vertex last, so
-    slices of its colors give back those of g.
+    An edge is refuted by a coloring that gives u and v one color: the solver
+    colors g-uv with u and v merged. The merge drops any uv edge and keeps
+    the other vertices in order, with the merged vertex last, so slices of
+    its colors give back those of g. An identity is refuted by a coloring
+    that separates u and v: the solver colors g+uv.
     """
+    rows = g.rows
+    if kind is RelationKind.IDENTITY:
+        c = k_colorable(g if rows[u] >> v & 1 else Graph._make(_toggle_rows(rows, u, v)), k)
+        return None if c is None else c.assignment
     a, b = min(u, v), max(u, v)
-    c = k_colorable(Graph._make(_merge_rows(g.rows, a, b)), k)
+    c = k_colorable(Graph._make(_merge_rows(rows, a, b)), k)
     if c is None:
         return None
     colors = c.assignment
@@ -91,21 +106,12 @@ def _equal_witness(g: Graph, u: int, v: int, k: int) -> tuple[int, ...] | None:
     return colors[:a] + merged + colors[a : b - 1] + merged + colors[b - 1 : -1]
 
 
-def _distinct_witness(g: Graph, u: int, v: int, k: int) -> tuple[int, ...] | None:
-    """Colors of a k-coloring of g+uv, which separates u and v in g-uv, or None."""
-    rows = g.rows
-    c = k_colorable(g if rows[u] >> v & 1 else Graph._make(_toggle_rows(rows, u, v)), k)
-    return None if c is None else c.assignment
-
-
 @_memo
 def _related(g: Graph, u: int, v: int, kind: RelationKind) -> bool:
-    """Whether uv is a relation of the kind, by one solver call at chi(g):
-    no coloring of g-uv into {1..chi(g)} gives u and v one color (edge), or
-    none gives them distinct colors (identity). Memoized: the catalog checks
-    ask the same question of the same derived graph again and again."""
-    witness = _equal_witness if kind is RelationKind.EDGE else _distinct_witness
-    return witness(g, u, v, chromatic_number(g)) is None
+    """Whether uv is a relation of the kind, by one solver call at chi(g).
+    Memoized: the catalog checks ask the same question of the same derived
+    graph again and again."""
+    return _witness(g, u, v, kind, chromatic_number(g)) is None
 
 
 @_memo
@@ -253,16 +259,13 @@ class _WitnessPool:
     bit v once some k-coloring of g-uv gives u and v one color, so uv is no
     edge relation; differ[u] has bit v once one gives them distinct colors,
     so uv is no identity. Only proper colorings of g enter the pool, and
-    every pool coloring separates each adjacent pair. Open questions try a
-    Kempe flip of every pool coloring, newest first: a flip costs far less
-    than the solver call it may save, and its walk stops once the chain
-    reaches v, the case in which the flip settles nothing. An adjacent
-    pair's question changes nothing here: its flips and witnesses color
-    g-uv, not g. min_nonextensible keeps a pool too, but reads only its
-    colorings and bits and never flips.
+    every pool coloring separates each adjacent pair. refutes answers the
+    one pair question of the definition route. min_nonextensible keeps a
+    pool too, but reads only its colorings and bits and never asks it.
     """
 
     def __init__(self, g: Graph, k: int):
+        self.g = g
         self.rows = g.rows
         self.k = k
         self.full = (1 << g.n) - 1
@@ -291,13 +294,22 @@ class _WitnessPool:
                 rest ^= b
         self.colorings.append((classes, index))
 
-    def refutes_edge(self, u: int, v: int) -> bool:
-        """True once some k-coloring of g-uv is known to give u and v one color.
+    def refutes(self, u: int, v: int, kind: RelationKind) -> bool:
+        """Whether some k-coloring of g-uv refutes uv as a relation of the
+        kind: gives u and v one color (edge) or distinct colors (identity).
 
-        Tries Kempe flips: if the {c(u),c(v)} chain through u in g-uv misses
-        v, flipping it gives u the color of v.
+        The pool's bit answers first. Then Kempe flips of every pool
+        coloring, newest first: a flip costs far less than the solver call
+        it may save, and its walk in g-uv stops once the chain reaches v, the
+        case in which the flip settles nothing. An edge question flips the
+        {c(u),c(v)} chain through u, giving u the color of v; an identity
+        question tries every {c(u),i} chain, moving u off the color of v.
+        Last, one solver call. A nonadjacent pair's flip or witness colors g
+        and joins the pool; an adjacent pair's colors g-uv only, so it
+        answers this question and leaves the pool as it was.
         """
-        if self.same[u] >> v & 1:
+        edge = kind is RelationKind.EDGE
+        if (self.same if edge else self.differ)[u] >> v & 1:
             return True
         rows = self.rows
         adjacent = rows[u] >> v & 1
@@ -306,47 +318,30 @@ class _WitnessPool:
         start, stop = 1 << u, 1 << v
         for classes, index in reversed(self.colorings):
             a = index[u]
-            b = index[v]
-            chain = _component_of(rows, start, classes[a] | classes[b], stop)
-            if chain:
-                # for an adjacent pair the flip colors g-uv only: it answers
-                # this question and may not enter the pool
-                if not adjacent:
-                    self._add_classes(_flip(classes, a, b, chain))
-                return True
-        return False
-
-    def refutes_identity(self, u: int, v: int) -> bool:
-        """True once some k-coloring of g-uv is known to separate u and v.
-
-        Tries Kempe flips: if some {c(u),i} chain through u misses v,
-        flipping it moves u off the color of v.
-        """
-        if self.differ[u] >> v & 1:
-            return True
-        # u and v share a color in every pool coloring, so they are
-        # nonadjacent and g-uv is g itself
-        start, stop = 1 << u, 1 << v
-        for classes, index in reversed(self.colorings):
-            a = index[u]
-            for i in range(self.k):
-                if i == a:
+            for b in (index[v],) if edge else range(self.k):
+                if b == a:
                     continue
-                chain = _component_of(self.rows, start, classes[a] | classes[i], stop)
+                chain = _component_of(rows, start, classes[a] | classes[b], stop)
                 if chain:
-                    self._add_classes(_flip(classes, a, i, chain))
+                    if not adjacent:
+                        self._add_classes(_flip(classes, a, b, chain))
                     return True
-        return False
+        colors = _witness(self.g, u, v, kind, self.k)
+        if colors is None:
+            return False
+        if not adjacent:
+            self.add(colors)
+        return True
 
 
 def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelation]:
     """Classify every unordered pair at k = chi(g).
 
-    The definition route keeps a pool of witness k-colorings of g. A pair
-    question that a pool coloring, or one Kempe flip of it, answers needs no
-    solver call; the rest go to the exact solver, which colors g-uv with u
-    and v merged for the edge question and g+uv for the identity question,
-    and satisfiable answers that color g join the pool.
+    The definition route asks one question per pair and kind: does some
+    k-coloring of g-uv refute it? A pool of witness k-colorings of g answers
+    it by a bit, then by a Kempe flip, and only then by one call of the
+    exact solver, which colors g-uv with u and v merged for the edge
+    question and g+uv for the identity question.
 
     The relations proven so far settle more pairs with no call. Every
     k-coloring of g gives an identity pair one color, so identities form
@@ -363,9 +358,9 @@ def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelati
     then the edge question of every adjacent pair. The identity classes are
     thus complete before any edge question, and closure derives every edge
     relation that one edge or one proven edge relation between two classes
-    implies. An adjacent pair's flips and solver witness color g-uv and never
-    join the pool, so each adjacent pair meets the fullest pool the scan
-    builds.
+    implies. A nonadjacent pair's flip or witness colors g and joins the
+    pool; an adjacent pair's colors g-uv and does not, so each adjacent pair
+    meets the fullest pool the scan builds.
 
     With cross_validate (the default) every answer is then recomputed
     through the independent-set route, pair by pair in lexicographic order,
@@ -388,11 +383,7 @@ def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelati
     for u, v in nonadjacent:
         if ident[u] >> v & 1:
             related[u, v] = RelationKind.IDENTITY
-        elif not (apart[u] & ident[v] or pool.refutes_identity(u, v)):
-            colors = _distinct_witness(g, u, v, k)
-            if colors is not None:
-                pool.add(colors)
-                continue
+        elif not (apart[u] & ident[v] or pool.refutes(u, v, RelationKind.IDENTITY)):
             related[u, v] = RelationKind.IDENTITY
             merged = ident[u] | ident[v]
             outside = apart[u] | apart[v]
@@ -404,20 +395,16 @@ def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelati
         if ident[u] >> v & 1:
             continue
         if not apart[u] & ident[v]:
-            if pool.refutes_edge(u, v):
-                continue
-            colors = _equal_witness(g, u, v, k)
-            if colors is not None:
-                pool.add(colors)
+            if pool.refutes(u, v, RelationKind.EDGE):
                 continue
             for x in _bits(ident[u]):
                 apart[x] |= 1 << v
             for x in _bits(ident[v]):
                 apart[x] |= 1 << u
         related[u, v] = RelationKind.EDGE
-    # the adjacent edge sweep, which adds nothing to the pool
+    # the adjacent edge sweep
     for u, v in g.edges():
-        if not pool.refutes_edge(u, v) and _equal_witness(g, u, v, k) is None:
+        if not pool.refutes(u, v, RelationKind.EDGE):
             related[u, v] = RelationKind.EDGE
     out: list[ImplicitRelation] = []
     for u, v in pairs:

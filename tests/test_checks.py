@@ -27,6 +27,7 @@ from chromarel.checks import CHECKS
 import chromarel.checks as checks_mod
 import chromarel.relations as relations_mod
 from chromarel.families import gnp
+from chromarel.io import parse_graph
 
 import oracles
 
@@ -166,6 +167,17 @@ def test_a_route_disagreement_crosses_no_worker_boundary(monkeypatch):
     assert {r["check_id"] for r in seq if r["verdict"] == "fail"} >= P4_SCAN_READERS
     par = [r.to_json_dict() for r in checks_mod._run_checks(ids, corpus, jobs=2)]
     assert par == seq
+
+
+def test_a_failure_on_more_than_62_vertices_is_replayable(monkeypatch):
+    # graph6's long form names the graph; before, writing it raised out of
+    # the run and the whole report was lost
+    _lie_about_edges(monkeypatch)
+    (report,) = checks_mod._run_checks(["IE2-EQ"], [("p70", path_graph(70))])
+    assert report.verdict == "fail"
+    (f,) = report.failures
+    assert f.graph6.startswith("~")
+    assert parse_graph(f.graph6, "graph6") == path_graph(70)
 
 
 def test_ie2_reports_a_lie_on_an_adjacent_pair_edge(monkeypatch):

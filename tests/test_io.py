@@ -11,7 +11,7 @@ from chromarel import (
     parse_graph,
     serialize_graph,
 )
-from chromarel.families import complete_graph, cycle_graph, path_graph, petersen
+from chromarel.families import complete_graph, cycle_graph, gnp, path_graph, petersen
 
 from conftest import graphs
 
@@ -87,15 +87,15 @@ def test_graph6_header_tolerated():
 
 def test_graph6_rejects_bad_input():
     with pytest.raises(FormatError):
-        parse_graph("~??", "graph6")  # long form
+        parse_graph("~??", "graph6")  # truncated long-form size
     with pytest.raises(FormatError):
         parse_graph("B" + chr(30), "graph6")  # byte below range
     with pytest.raises(FormatError):
         parse_graph("B", "graph6")  # truncated
     with pytest.raises(FormatError):
         parse_graph("Bw?", "graph6")  # trailing junk
-    with pytest.raises(FormatError):
-        serialize_graph(Graph.from_edges(63, []), "graph6")  # needs long form
+    with pytest.raises(FormatError, match="more than 65536 vertices"):
+        parse_graph("~~??@???", "graph6")  # the eight-byte size of 2^18 vertices
 
 
 def test_graph6_reads_one_graph_per_input():
@@ -150,6 +150,17 @@ def test_graph6_agrees_with_networkx(g):
     assert parse_graph(theirs, "graph6") == g
 
 
+@pytest.mark.parametrize("n", [62, 63, 64, 70, 200])
+def test_graph6_long_form_agrees_with_networkx(n):
+    # more than 62 vertices take chr(126) and an 18-bit size
+    for g in (path_graph(n), gnp(n, 0.3, n)):
+        mine = serialize_graph(g, "graph6")
+        theirs = nx.to_graph6_bytes(_to_nx(g), header=False).decode().strip()
+        assert mine == theirs
+        assert mine.startswith("~") == (n > 62)
+        assert parse_graph(mine, "graph6") == g
+
+
 @given(graphs(max_n=10))
 def test_round_trips_all_formats(g):
     for fmt in ("dimacs", "graph6", "edgelist"):
@@ -183,12 +194,7 @@ def test_any_text_parses_to_a_round_tripping_graph_or_is_refused(fmt, text):
     except FormatError:
         return
     for out in FORMATS:
-        if out == "graph6" and g.n > 62:
-            # graph6's long form is not written
-            with pytest.raises(FormatError):
-                serialize_graph(g, out)
-        else:
-            assert parse_graph(serialize_graph(g, out), out) == g
+        assert parse_graph(serialize_graph(g, out), out) == g
 
 
 def test_petersen_round_trip():

@@ -98,3 +98,12 @@ def test_subdivision_preserves_planarity(g, data):
         return
     u, v = data.draw(st.sampled_from(g.edges()))
     assert is_planar(subdivide_edge(g, u, v)) == is_planar(g)
+
+
+def test_too_deep_search_is_a_value_error():
+    # one recursion level per tree edge: past Python's limit the test
+    # reports the graph's size instead of a RecursionError
+    for g in (path_graph(1500), cycle_graph(1200), wheel_graph(995)):
+        with pytest.raises(ValueError, match=f"{g.n} vertices is too deep"):
+            is_planar(g)
+    assert is_planar(cycle_graph(300))

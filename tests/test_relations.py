@@ -1,3 +1,4 @@
+import pickle
 
 import pytest
 
@@ -179,24 +180,43 @@ def test_closure_settles_relations_without_the_solver(monkeypatch):
     assert len(calls) < len(rels)
 
 
+@pytest.mark.parametrize(
+    "g, sat, unsat",
+    [(gnp(12, 0.5, 3), 2, 23), (planted(14, 3, 0.4, 1), 3, 2), (grotzsch(), 1, 0)],
+)
+def test_scan_solver_calls_are_pinned(monkeypatch, g, sat, unsat):
+    # the first coloring, then one call per question that neither the pool's
+    # bits, a Kempe flip nor closure settles; a change to the order of the
+    # questions or to what joins the pool moves these counts
+    found = []
+    real = relations_mod.k_colorable
+
+    def counting(*args, **kwargs):
+        c = real(*args, **kwargs)
+        found.append(c is not None)
+        return c
+
+    monkeypatch.setattr(relations_mod, "k_colorable", counting)
+    scan_relations(g, cross_validate=False)
+    assert (found.count(True), found.count(False)) == (sat, unsat)
+
+
 def _record_questions(monkeypatch):
     """Record every pair question the scan asks, of the pool or of the
     solver, as (sweep, u, v): sweep 0 is a nonadjacent pair's identity
     question, 1 its edge question and 2 an adjacent pair's edge question."""
     asked = []
 
-    def recording(real, edge):
-        def ask(owner, u, v, *rest):
+    def recording(real):
+        def ask(owner, u, v, kind, *rest):
             adjacent = owner.rows[u] >> v & 1
-            asked.append((2 if adjacent else int(edge), u, v))
-            return real(owner, u, v, *rest)
+            asked.append((2 if adjacent else int(kind is RelationKind.EDGE), u, v))
+            return real(owner, u, v, kind, *rest)
 
         return ask
 
-    for name, edge in (("_distinct_witness", False), ("_equal_witness", True)):
-        monkeypatch.setattr(relations_mod, name, recording(getattr(relations_mod, name), edge))
-    for name, edge in (("refutes_identity", False), ("refutes_edge", True)):
-        monkeypatch.setattr(_WitnessPool, name, recording(getattr(_WitnessPool, name), edge))
+    monkeypatch.setattr(relations_mod, "_witness", recording(relations_mod._witness))
+    monkeypatch.setattr(_WitnessPool, "refutes", recording(_WitnessPool.refutes))
     return asked
 
 
@@ -243,10 +263,10 @@ def test_adjacent_pair_decisions_leave_the_pool_alone(g):
             self.before = None
             pools.append(self)
 
-        def refutes_edge(self, u, v):
+        def refutes(self, u, v, kind):
             if self.rows[u] >> v & 1 and self.before is None:
                 self.before = _pool_state(self)
-            return super().refutes_edge(u, v)
+            return super().refutes(u, v, kind)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(relations_mod, "_WitnessPool", Recording)
@@ -291,6 +311,18 @@ def test_first_disagreement_is_lexicographic_after_the_reorder(monkeypatch):
     (f,) = report.failures
     assert f.locus == "pair (0,2) edge"
     assert report.instances_run == 3
+
+
+@pytest.mark.parametrize("g", [path_graph(4), path_graph(70)])
+def test_a_route_disagreement_pickles(g):
+    # a scan in a process pool sends the error back whole; more than 62
+    # vertices take graph6's long form
+    e = RouteDisagreementError(g, 0, 2, RelationKind.IDENTITY, True, False)
+    back = pickle.loads(pickle.dumps(e))
+    assert type(back) is RouteDisagreementError
+    fields = ("graph6", "u", "v", "kind", "definition_answer", "set_answer", "args")
+    assert [getattr(back, f) for f in fields] == [getattr(e, f) for f in fields]
+    assert parse_graph(back.graph6, "graph6") == g
 
 
 def test_witness_scan_keeps_adjacent_edge_relations():
