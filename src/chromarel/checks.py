@@ -66,7 +66,15 @@ class CorpusSpec(NamedTuple):
 
 
 def iter_corpus(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
-    """Yield (name, graph) pairs in a deterministic order."""
+    """Yield (name, graph) pairs in a deterministic order.
+
+    An exhaustive_n outside 1..7 raises ValueError before the first pair;
+    enumerate_graphs alone would refuse n = 8 only after sweeping every
+    graph on up to seven vertices.
+    """
+    n = spec.exhaustive_n
+    if n is not None and not 1 <= n <= 7:
+        raise ValueError(f"exhaustive n must be at least 1 and at most 7, got {n}")
     for token in spec.families:
         parts = token.split(":")
         yield token, generate(parts[0], *parts[1:])
@@ -496,7 +504,8 @@ def _evaluate(
     """Each named check's result on each graph, with the seconds it took.
     Each graph meets every check before the next one, so the memos that the
     checks share serve them all while they are warm. A check that meets a
-    route disagreement in g's relation scan records it as IE2-EQ does, so
+    route disagreement in g's relation scan records it as IE2-EQ does, and
+    one that raises ValueError on g records the message as g's failure, so
     the result is always plain data that a worker can send back."""
     rows = []
     for g in graphs:
@@ -507,6 +516,10 @@ def _evaluate(
                 result = CHECKS[cid][0](g)
             except RouteDisagreementError as e:
                 result = _disagreement(g, e)
+            except ValueError as e:
+                # a graph that a check cannot evaluate, such as one too deep
+                # for the solver's recursion, fails that check alone
+                result = 0, [("graph", "an evaluation", str(e))], []
             row.append((result, time.monotonic() - start))
         rows.append(row)
         # the graph's checks are done, so its set tables, the largest

@@ -161,8 +161,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     if args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.exhaustive is not None and args.exhaustive < 1:
-        raise CliError(f"--exhaustive must be at least 1, got {args.exhaustive}")
     if args.exhaustive is None and args.families is None and args.random is None:
         corpus = default_corpus()
     else:

@@ -280,6 +280,43 @@ def test_iter_corpus_order():
     assert names[0] == "k3" and names[1] == "c4"
 
 
+def test_exhaustive_order_past_seven_is_refused_before_any_check(monkeypatch):
+    # enumerate_graphs refuses n = 8 only once the sweep reaches it, after
+    # every graph on up to seven vertices; the corpus refuses it first
+    ran = []
+    monkeypatch.setitem(CHECKS, "KEMPE", (lambda g: ran.append(g) or (1, [], []), ""))
+    start = time.monotonic()
+    for n in (8, 0):
+        spec = CorpusSpec(families=("p4",), exhaustive_n=n)
+        with pytest.raises(ValueError, match=f"at least 1 and at most 7, got {n}"):
+            next(iter_corpus(spec))
+        with pytest.raises(ValueError, match="at most 7"):
+            run_check("KEMPE", spec, budget=2)
+    assert time.monotonic() - start < 5
+    assert ran == []
+
+
+def test_a_graph_a_check_cannot_evaluate_fails_that_check_alone(monkeypatch):
+    # a ValueError on one graph is that graph's finding; the run goes on,
+    # and the other graphs and checks keep their results
+    def kempe(g):
+        if g.n > 4:
+            raise ValueError(f"graph with {g.n} vertices is too big")
+        return real(g)
+
+    real = CHECKS["KEMPE"][0]
+    monkeypatch.setitem(CHECKS, "KEMPE", (kempe, ""))
+    corpus = [("c5", cycle_graph(5)), ("p4", path_graph(4))]
+    kempe_report, bip = checks_mod._run_checks(["KEMPE", "BIP-IE"], corpus)
+    assert kempe_report.verdict == "fail"
+    assert kempe_report.corpus_size == 2
+    assert kempe_report.instances_run == run_check("KEMPE", corpus[1:]).instances_run > 0
+    assert [tuple(f) for f in kempe_report.failures] == [
+        ("Dhc", "graph", "an evaluation", "graph with 5 vertices is too big")
+    ]
+    assert (bip.verdict, bip.corpus_size) == ("pass", 2)
+
+
 def test_iter_corpus_random_is_seeded():
     spec = CorpusSpec(random=(10, 0.4, 9, 3))
     a = [(name, g.rows) for name, g in iter_corpus(spec)]

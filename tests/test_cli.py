@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -371,6 +372,38 @@ def test_verify_rejects_empty_or_nonpositive_corpus(capsys, corpus):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "at least 1" in err
+
+
+def test_verify_refuses_an_exhaustive_order_past_seven_at_once(capsys):
+    # refused before the corpus is read: enumerate_graphs alone would sweep
+    # every graph on up to seven vertices first, past any budget's check
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "verify", "--exhaustive", "8", "--budget", "2")
+    assert time.monotonic() - start < 5
+    assert code == 2
+    assert out == ""
+    assert err == "error: exhaustive n must be at least 1 and at most 7, got 8\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_reports_a_graph_too_deep_for_the_solver(capsys, jobs):
+    # the 1 500-vertex path is past the exact solver's recursion; KEMPE
+    # reports it as that graph's failure, and P4's instances still count
+    code, out, err = run_cli(
+        capsys, "verify", "--checks", "KEMPE,PLANAR-ADD", "--families", "p4,path:1500",
+        "--jobs", jobs,
+    )
+    assert code == 1
+    kempe, planar = json.loads(out)["checks"]
+    _, p4_only, _ = run_cli(capsys, "verify", "--checks", "KEMPE", "--families", "p4")
+    assert kempe["instances_run"] == json.loads(p4_only)["checks"][0]["instances_run"] > 0
+    assert (kempe["corpus_size"], kempe["verdict"]) == (2, "fail")
+    (failure,) = kempe["failures"]
+    assert failure["graph"] == serialize_graph(path_graph(1500), "graph6")
+    assert "1500 vertices is too deep" in failure["got"]
+    assert (planar["corpus_size"], planar["verdict"]) == (2, "pass")
+    assert json.loads(out)["verdict"] == "fail"
+    assert "Traceback" not in err
 
 
 def test_cli_import_leaves_out_the_process_pool():

@@ -100,10 +100,86 @@ def test_subdivision_preserves_planarity(g, data):
     assert is_planar(subdivide_edge(g, u, v)) == is_planar(g)
 
 
-def test_too_deep_search_is_a_value_error():
-    # one recursion level per tree edge: past Python's limit the test
-    # reports the graph's size instead of a RecursionError
+def test_deep_graphs_are_decided():
+    # path addition keeps its own stack, so graphs that a recursive
+    # depth-first search could not reach are decided
     for g in (path_graph(1500), cycle_graph(1200), wheel_graph(995)):
-        with pytest.raises(ValueError, match=f"{g.n} vertices is too deep"):
-            is_planar(g)
-    assert is_planar(cycle_graph(300))
+        assert is_planar(g)
+    # K3,3 with each edge a path of 167 edges: 1 500 vertices
+    hubs, inner = [(a, b) for a in range(3) for b in range(3, 6)], 166
+    edges = []
+    for i, (a, b) in enumerate(hubs):
+        path = [a] + [6 + i * inner + j for j in range(inner)] + [b]
+        edges += zip(path, path[1:])
+    g = Graph.from_edges(6 + 9 * inner, edges)
+    assert g.n == 1500
+    assert not is_planar(g)
+
+
+def test_graph_atlas_matches_networkx():
+    # every graph on at most seven vertices, up to isomorphism
+    for h in nx.graph_atlas_g():
+        g = Graph.from_edges(h.number_of_nodes(), h.edges())
+        assert is_planar(g) == _nx_planar(g), g.edges()
+
+
+def _triangulation(n, rng):
+    """A seeded maximal planar graph on n >= 3 vertices, as its faces:
+    half[x, y] = z when the face whose counterclockwise side runs from x to
+    y is xyz. Vertices are stacked into random faces, then random edges are
+    flipped."""
+    half = {}
+
+    def face(a, b, c, put=True):
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            if put:
+                half[x, y] = z
+            else:
+                del half[x, y]
+
+    face(0, 1, 2)
+    face(0, 2, 1)
+    for v in range(3, n):
+        a, b = rng.choice(list(half))
+        c = half[a, b]
+        face(a, b, c, put=False)
+        face(a, b, v)
+        face(b, c, v)
+        face(c, a, v)
+    for _ in range(2 * n):
+        # ab is the diagonal of the quadrilateral adbc; flip it to cd
+        a, b = rng.choice(list(half))
+        c, d = half[a, b], half[b, a]
+        if (c, d) in half:
+            continue
+        face(a, b, c, put=False)
+        face(b, a, d, put=False)
+        face(a, d, c)
+        face(d, b, c)
+    return half
+
+
+def test_triangulations_with_a_chord_match_networkx():
+    # some edges go and one chord comes, so m <= 3n-6 and the edge bound
+    # decides nothing; half the chords are the other diagonal of a removed
+    # edge, which keeps the graph planar, half are random missing pairs
+    rng = random.Random(11)
+    verdicts = []
+    for i in range(60):
+        n = rng.randint(20, 80)
+        half = _triangulation(n, rng)
+        edges = sorted({(min(e), max(e)) for e in half})
+        assert len(edges) == 3 * n - 6 and _nx_planar(Graph.from_edges(n, edges))
+        rng.shuffle(edges)
+        kept = set(edges[rng.randint(1, n // 4) :])
+        a, b = edges[0]
+        chord = tuple(sorted((half[a, b], half[b, a])))
+        if i % 2 or chord in kept:
+            chord = rng.choice(
+                [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in kept]
+            )
+        g = Graph.from_edges(n, sorted(kept | {chord}))
+        assert g.m <= 3 * n - 6
+        verdicts.append(is_planar(g))
+        assert verdicts[-1] == _nx_planar(g), (n, g.edges())
+    assert 0 < sum(verdicts) < len(verdicts)
