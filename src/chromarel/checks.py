@@ -68,13 +68,20 @@ class CorpusSpec(NamedTuple):
 def iter_corpus(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
     """Yield (name, graph) pairs in a deterministic order.
 
-    An exhaustive_n outside 1..7 raises ValueError before the first pair;
-    enumerate_graphs alone would refuse n = 8 only after sweeping every
-    graph on up to seven vertices.
+    A spec that names no graph, an exhaustive_n outside 1..7, and a random
+    n or count below 1 raise ValueError before the first pair: a run over
+    them would pass vacuously, and enumerate_graphs alone would refuse
+    n = 8 only after sweeping every graph on up to seven vertices.
     """
+    if not (spec.families or spec.exhaustive_n is not None or spec.random is not None):
+        raise ValueError("the corpus names no graph")
     n = spec.exhaustive_n
     if n is not None and not 1 <= n <= 7:
         raise ValueError(f"exhaustive n must be at least 1 and at most 7, got {n}")
+    if spec.random is not None:
+        n, _, _, count = spec.random
+        if n < 1 or count < 1:
+            raise ValueError(f"random n and count must be at least 1, got n={n}, count={count}")
     for token in spec.families:
         parts = token.split(":")
         yield token, generate(parts[0], *parts[1:])
@@ -539,13 +546,20 @@ def _run_checks(
     A check's budget is its own summed evaluation seconds, as measured in
     the workers under jobs > 1. A check that has spent it skips the rest of
     the corpus with verdict "budget-exhausted", which never counts as a
-    pass. A budget that is negative or NaN is refused. Results are identical
-    for any jobs value; each report takes its instances in corpus order.
+    pass. An empty or unknown id, jobs below 1, and a budget that is
+    negative or NaN are refused before any check runs. Results are
+    identical for any jobs value; each report takes its instances in corpus
+    order.
     """
     reports = [CheckReport(check_id=cid, corpus_size=0, instances_run=0) for cid in ids]
+    if not reports:
+        raise ValueError("no checks named")
     for report in reports:
         if report.check_id not in CHECKS:
-            raise ValueError(f"unknown check {report.check_id!r}")
+            known = ", ".join(sorted(CHECKS))
+            raise ValueError(f"unknown check {report.check_id!r}; known checks: {known}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     # NaN fails every comparison, so it would never stop a run
     if not budget >= 0:
         raise ValueError(f"budget must be a nonnegative number of seconds, got {budget}")

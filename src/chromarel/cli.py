@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .graphs import EditError, Graph
+from .graphs import Graph
 from .io import FORMATS, FormatError, format_for_path, parse_graph, serialize_graph
 
 if TYPE_CHECKING:
@@ -91,7 +91,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         return _analyze(g, args)
     except ValueError as exc:
         # input the exact search cannot take, such as a graph too deep for
-        # its recursion
+        # its recursion or a precoloring that does not fit the graph
         raise CliError(f"{args.file}: {exc}") from exc
 
 
@@ -121,12 +121,7 @@ def _analyze(g: Graph, args: argparse.Namespace) -> int:
     status = 0
     if args.pre is not None:
         target = args.extend if args.extend is not None else k
-        pre = _parse_precoloring(args.pre, target)
-        try:
-            pre.validate_against(g)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        full = k_colorable(g, target, pre)
+        full = k_colorable(g, target, _parse_precoloring(args.pre, target))
         result["extension"] = {
             "k": target,
             "extends": full is not None,
@@ -145,28 +140,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .checks import CHECKS, CorpusSpec, _run_checks, default_corpus, run_check
 
     if args.checks:
-        ids = []
-        for piece in args.checks.split(","):
-            cid = piece.strip().upper()
-            if not cid:
-                continue
-            if cid not in CHECKS:
-                known = ", ".join(sorted(CHECKS))
-                raise CliError(f"unknown check {cid!r}; known checks: {known}")
-            ids.append(cid)
-        if not ids:
-            raise CliError("no checks named")
+        ids = [cid for p in args.checks.split(",") if (cid := p.strip().upper())]
     else:
         ids = sorted(CHECKS)
-
-    if args.jobs < 1:
-        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     if args.exhaustive is None and args.families is None and args.random is None:
         corpus = default_corpus()
     else:
-        families: tuple[str, ...] = ()
-        if args.families:
-            families = tuple(p.strip() for p in args.families.split(",") if p.strip())
+        families = tuple(p.strip() for p in (args.families or "").split(",") if p.strip())
         random_arg = None
         if args.random:
             try:
@@ -174,8 +154,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 random_arg = (int(n_str), float(p_str), args.seed, int(count_str))
             except ValueError as exc:
                 raise CliError(f"bad --random value {args.random!r}; expected N,P,COUNT") from exc
-            if random_arg[0] < 1 or random_arg[3] < 1:
-                raise CliError(f"bad --random value {args.random!r}; N and COUNT must be at least 1")
         corpus = CorpusSpec(
             families=families,
             exhaustive_n=args.exhaustive,
@@ -188,7 +166,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             reports = [run_check(ids[0], corpus, budget=args.budget, jobs=args.jobs)]
         else:
             reports = _run_checks(ids, corpus, budget=args.budget, jobs=args.jobs)
-    except (ValueError, EditError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc)) from exc
     for report in reports:
         print(

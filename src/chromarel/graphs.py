@@ -69,6 +69,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -79,7 +81,7 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u},{v})")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, tuple(rows))
+        return cls._make(tuple(rows))
 
     @property
     def m(self) -> int:
@@ -135,12 +137,10 @@ def delete_edge(g: Graph, u: int, v: int) -> Graph:
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:
     """Add the edge uv between distinct nonadjacent vertices."""
-    g._check_vertex(u)
-    g._check_vertex(v)
-    if u == v:
-        raise EditError(f"loop at vertex {u}")
     if g.has_edge(u, v):
         raise EditError(f"edge ({u},{v}) already present")
+    if u == v:
+        raise EditError(f"loop at vertex {u}")
     return Graph._make(_toggle_rows(g.rows, u, v))
 
 
@@ -202,12 +202,10 @@ def identify_vertices(g: Graph, u: int, v: int) -> tuple[Graph, dict[int, int]]:
     The merged vertex is last, at id n-2. Returns the graph and the old-id to
     new-id mapping, which sends u and v both to n-2.
     """
-    g._check_vertex(u)
-    g._check_vertex(v)
-    if u == v:
-        raise EditError("cannot identify a vertex with itself")
     if g.has_edge(u, v):
         raise EditError(f"({u},{v}) is an edge; delete it first")
+    if u == v:
+        raise EditError("cannot identify a vertex with itself")
     a, b = min(u, v), max(u, v)
     w = g.n - 2
     id_map = {x: w if x == a or x == b else x - (x > a) - (x > b) for x in range(g.n)}
@@ -226,6 +224,19 @@ def subdivide_edge(g: Graph, u: int, v: int) -> Graph:
     return Graph._make(tuple(rows))
 
 
+def _reach(rows: tuple[int, ...], mask: int) -> int:
+    """Mask of the neighbours of mask's vertices: the OR of their rows.
+
+    Every bit-row walk steps with it: components, Kempe chains, the
+    Bron-Kerbosch base, bipartiteness and planarity's paths."""
+    out = 0
+    while mask:
+        b = mask & -mask
+        out |= rows[b.bit_length() - 1]
+        mask ^= b
+    return out
+
+
 def _component_of(rows: tuple[int, ...], start: int, within: int, stop: int = 0) -> int:
     """Mask of the vertices reachable from the mask `start` inside `within`.
 
@@ -237,12 +248,7 @@ def _component_of(rows: tuple[int, ...], start: int, within: int, stop: int = 0)
     while frontier:
         if frontier & stop:
             return 0
-        nxt = 0
-        while frontier:
-            b = frontier & -frontier
-            nxt |= rows[b.bit_length() - 1]
-            frontier ^= b
-        frontier = nxt & within & ~comp
+        frontier = _reach(rows, frontier) & within & ~comp
         comp |= frontier
     return comp
 
@@ -267,32 +273,24 @@ def is_connected(g: Graph) -> bool:
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
     """The unique per-component 2-part split, or None if an odd cycle exists.
 
-    Within each component the part containing the least vertex goes left, so
-    the result is deterministic.
+    Each component is walked level by level from its least vertex: an edge
+    inside a level closes an odd cycle, and the even levels go left, so the
+    least vertex does and the result is deterministic.
     """
-    side = [0] * g.n  # 0 unvisited, 1 left, 2 right
-    left = right = 0
-    for s in range(g.n):
-        if side[s]:
-            continue
-        side[s] = 1
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in _bits(g.rows[u]):
-                    if side[v] == 0:
-                        side[v] = 3 - side[u]
-                        nxt.append(v)
-                    elif side[v] == side[u]:
-                        return None
-            frontier = nxt
-    for u in range(g.n):
-        if side[u] == 1:
-            left |= 1 << u
-        else:
-            right |= 1 << u
-    return frozenset(_bits(left)), frozenset(_bits(right))
+    rows = g.rows
+    full = (1 << g.n) - 1
+    rest, right = full, 0
+    while rest:
+        level, odd = rest & -rest, False
+        while level:
+            nxt = _reach(rows, level)
+            if nxt & level:
+                return None
+            if odd:
+                right |= level
+            rest &= ~level
+            level, odd = nxt & rest, not odd
+    return frozenset(_bits(full ^ right)), frozenset(_bits(right))
 
 
 def common_neighbors(g: Graph, u: int, v: int) -> frozenset[int]:
@@ -303,10 +301,7 @@ def common_neighbors(g: Graph, u: int, v: int) -> frozenset[int]:
 
 def _free_of(rows: tuple[int, ...], base: int) -> int:
     """Mask of the vertices outside base with no neighbour in it."""
-    free = ((1 << len(rows)) - 1) & ~base
-    for x in _bits(base):
-        free &= ~rows[x]
-    return free
+    return ((1 << len(rows)) - 1) & ~base & ~_reach(rows, base)
 
 
 def _maximal_sets(rows: tuple[int, ...], base: int) -> Iterator[int]:

@@ -11,7 +11,7 @@ it is tested apart. Exact, O(n*m), and iterative: no input is too deep.
 
 from __future__ import annotations
 
-from .graphs import Graph, _bits, _component_masks, _component_of
+from .graphs import Graph, _bits, _component_masks, _component_of, _reach
 
 
 def _low(x: int) -> int:
@@ -27,14 +27,6 @@ def _core(rows: tuple[int, ...], part: int) -> int:
         part ^= 1 << x
         leaves += [y for y in _bits(rows[x] & part) if (rows[y] & part).bit_count() == 1]
     return part
-
-
-def _reach(rows: tuple[int, ...], mask: int) -> int:
-    """Mask of the neighbours of mask's vertices."""
-    out = 0
-    for x in _bits(mask):
-        out |= rows[x]
-    return out
 
 
 def _path(rows: tuple[int, ...], comp: int, attach: int) -> list[int]:

@@ -47,6 +47,29 @@ def kempe_chain_by_bfs(g, assignment, u, b):
     return seen
 
 
+def bipartition_by_bfs(g):
+    """Two-color each component by a queue search from its least vertex,
+    which goes left; None when an edge joins two vertices of one color."""
+    side = {}
+    for s in range(g.n):
+        if s in side:
+            continue
+        side[s] = 0
+        queue = collections.deque([s])
+        while queue:
+            x = queue.popleft()
+            for y in g.neighbors(x):
+                if y not in side:
+                    side[y] = 1 - side[x]
+                    queue.append(y)
+                elif side[y] == side[x]:
+                    return None
+    return (
+        frozenset(x for x in side if side[x] == 0),
+        frozenset(x for x in side if side[x] == 1),
+    )
+
+
 def chromatic_by_assignment(g):
     return _chromatic_by_assignment(g.n, tuple(g.edges()))
 

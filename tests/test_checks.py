@@ -77,7 +77,7 @@ def test_budget_must_be_nonnegative(budget):
 
 
 def test_unknown_check_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="known checks: BIP-IE, BIP-II, CIS-INV"):
         run_check("NO-SUCH", SMALL)
 
 
@@ -294,6 +294,38 @@ def test_exhaustive_order_past_seven_is_refused_before_any_check(monkeypatch):
             run_check("KEMPE", spec, budget=2)
     assert time.monotonic() - start < 5
     assert ran == []
+
+
+def test_a_corpus_that_names_no_graph_is_refused():
+    with pytest.raises(ValueError, match="names no graph"):
+        next(iter_corpus(CorpusSpec()))
+
+
+@pytest.mark.parametrize(
+    "corpus, jobs, message",
+    [
+        (CorpusSpec(random=(5, 0.5, 0, 0)), 1, "at least 1"),
+        (CorpusSpec(random=(5, 0.5, 0, -4)), 1, "at least 1"),
+        (CorpusSpec(random=(0, 0.5, 0, 3)), 1, "at least 1"),
+        (CorpusSpec(), 1, "names no graph"),
+        (SMALL, 0, "jobs must be at least 1, got 0"),
+        (SMALL, -7, "jobs must be at least 1, got -7"),
+    ],
+)
+def test_a_run_that_would_pass_vacuously_is_refused_before_any_check(
+    monkeypatch, corpus, jobs, message
+):
+    # each of these used to pass over 0 graphs, or to run serially
+    ran = []
+    monkeypatch.setitem(CHECKS, "KEMPE", (lambda g: ran.append(g) or (1, [], []), ""))
+    with pytest.raises(ValueError, match=message):
+        run_check("KEMPE", corpus, jobs=jobs)
+    assert ran == []
+
+
+def test_an_empty_id_list_is_refused():
+    with pytest.raises(ValueError, match="no checks named"):
+        checks_mod._run_checks((), SMALL)
 
 
 def test_a_graph_a_check_cannot_evaluate_fails_that_check_alone(monkeypatch):

@@ -125,6 +125,11 @@ def test_analyze_rejects_bad_precolorings(capsys, p4_file):
     assert run_cli(capsys, "analyze", p4_file, "--pre", "9=1")[0] == 2
     assert run_cli(capsys, "analyze", p4_file, "--pre", "0=1,1=1")[0] == 2  # improper
     assert run_cli(capsys, "analyze", p4_file, "--pre", "0=5")[0] == 2  # outside palette
+    # the solver validates the precoloring; its refusal names the file
+    code, out, err = run_cli(capsys, "analyze", p4_file, "--pre", "0=1,1=1")
+    assert (out, err) == ("", f"error: {p4_file}: precoloring is improper on edge (0,1)\n")
+    code, out, err = run_cli(capsys, "analyze", p4_file, "--pre", "9=1")
+    assert (out, err) == ("", f"error: {p4_file}: vertex 9 outside 0..3\n")
 
 
 def test_analyze_dot_output(capsys, p4_file, tmp_path):
@@ -315,7 +320,9 @@ def test_verify_rejects_a_negative_or_nan_budget(capsys, budget):
 
 
 def test_verify_rejects_unknown_check(capsys):
-    assert run_cli(capsys, "verify", "--checks", "NOPE")[0] == 2
+    code, _, err = run_cli(capsys, "verify", "--checks", "NOPE")
+    assert code == 2
+    assert err.startswith("error: unknown check 'NOPE'; known checks: BIP-IE, ")
 
 
 def test_jobs_defaults_to_one_whatever_the_environment(monkeypatch):
@@ -372,6 +379,20 @@ def test_verify_rejects_empty_or_nonpositive_corpus(capsys, corpus):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "at least 1" in err
+
+
+@pytest.mark.parametrize("families", ["", " , "])
+def test_verify_refuses_an_empty_family_list(capsys, families):
+    # this used to run an empty corpus and report a vacuous pass
+    code, out, err = run_cli(capsys, "verify", "--checks", "KEMPE", "--families", families)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the corpus names no graph\n"
+
+
+def test_verify_refuses_an_empty_check_list(capsys):
+    code, out, err = run_cli(capsys, "verify", "--checks", " , ", "--families", "p4")
+    assert (code, out, err) == (2, "", "error: no checks named\n")
 
 
 def test_verify_refuses_an_exhaustive_order_past_seven_at_once(capsys):

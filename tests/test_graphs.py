@@ -1,6 +1,8 @@
 import itertools
 import pickle
+import random
 
+import networkx as nx
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -16,8 +18,16 @@ from chromarel import (
     is_connected,
     subdivide_edge,
 )
-from chromarel.graphs import _bits, _component_of, _keep_rows, _maximal_sets, _toggle_rows
-from chromarel.families import cycle_graph, path_graph, complete_graph, enumerate_graphs
+from chromarel.graphs import (
+    _bits,
+    _component_of,
+    _free_of,
+    _keep_rows,
+    _maximal_sets,
+    _reach,
+    _toggle_rows,
+)
+from chromarel.families import cycle_graph, path_graph, complete_graph, enumerate_graphs, gnp
 
 from conftest import graphs
 
@@ -54,6 +64,11 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph.from_edges(-1, [])
+
+
+@given(graphs())
+def test_from_edges_builds_what_the_validating_constructor_accepts(g):
+    assert Graph(g.n, g.rows) == g
 
 
 def test_equality_and_hash():
@@ -107,6 +122,17 @@ def test_delete_and_add_edge():
         delete_edge(h, 0, 1)
     with pytest.raises(EditError):
         add_edge(g, 0, 1)
+
+
+@pytest.mark.parametrize("edit", [add_edge, identify_vertices])
+def test_edits_refuse_a_loop_and_a_vertex_outside_the_graph(edit):
+    g = path_graph(3)
+    with pytest.raises(EditError):
+        edit(g, 1, 1)
+    for u, v in [(0, 3), (3, 0), (-1, 2)]:
+        with pytest.raises(ValueError, match="outside 0..2") as info:
+            edit(g, u, v)
+        assert not isinstance(info.value, EditError)
 
 
 def test_identify_nonadjacent_pair():
@@ -188,6 +214,19 @@ def test_component_walk_stops_exactly_when_it_reaches_the_stop_mask(g, data):
     assert _component_of(g.rows, start, within, stop) == (0 if comp & stop else comp)
 
 
+@given(graphs(max_n=10), st.data())
+def test_reach_and_free_of_match_a_per_vertex_loop(g, data):
+    full = (1 << g.n) - 1
+    mask = data.draw(st.integers(min_value=0, max_value=full))
+    reach = 0
+    for x in range(g.n):
+        if mask >> x & 1:
+            reach |= g.rows[x]
+    assert _reach(g.rows, mask) == reach
+    free = sum(1 << x for x in range(g.n) if not mask >> x & 1 and not g.rows[x] & mask)
+    assert _free_of(g.rows, mask) == free
+
+
 def test_bipartition():
     left, right = bipartition(cycle_graph(4))
     assert set(left) | set(right) == {0, 1, 2, 3}
@@ -197,6 +236,32 @@ def test_bipartition():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     left, right = bipartition(g)
     assert 0 in left and 2 in left
+    assert bipartition(Graph.from_edges(0, [])) == (frozenset(), frozenset())
+    # a triangle beside an even component
+    assert bipartition(Graph.from_edges(5, [(0, 1), (2, 3), (3, 4), (2, 4)])) is None
+
+
+def _check_bipartition(g):
+    got = bipartition(g)
+    assert got == oracles.bipartition_by_bfs(g), g.edges()
+    h = nx.empty_graph(g.n)
+    h.add_edges_from(g.edges())
+    assert (got is not None) == nx.is_bipartite(h)
+
+
+def test_bipartition_matches_a_queue_search_on_the_graph_atlas():
+    # every graph on at most seven vertices, up to isomorphism, among them
+    # the empty graph, disconnected graphs and graphs with one odd component
+    for h in nx.graph_atlas_g():
+        _check_bipartition(Graph.from_edges(h.number_of_nodes(), h.edges()))
+
+
+def test_bipartition_matches_a_queue_search_on_random_graphs():
+    rng = random.Random(28)
+    for seed in range(300):
+        n = rng.randint(0, 60)
+        # sparse enough that 136 of the 300 are bipartite and 205 disconnected
+        _check_bipartition(gnp(n, rng.choice([0.02, 0.05, 0.1, 0.3]), seed))
 
 
 def test_common_neighbors():
