@@ -71,7 +71,10 @@ def iter_corpus(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
     A spec that names no graph, an exhaustive_n outside 1..7, and a random
     n or count below 1 raise ValueError before the first pair: a run over
     them would pass vacuously, and enumerate_graphs alone would refuse
-    n = 8 only after sweeping every graph on up to seven vertices.
+    n = 8 only after sweeping every graph on up to seven vertices. The
+    named graphs and the first random graph are built before the first
+    pair too, so generate and gnp refuse a bad token or p at once, not
+    after the sweep that comes before them.
     """
     if not (spec.families or spec.exhaustive_n is not None or spec.random is not None):
         raise ValueError("the corpus names no graph")
@@ -79,20 +82,19 @@ def iter_corpus(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
     if n is not None and not 1 <= n <= 7:
         raise ValueError(f"exhaustive n must be at least 1 and at most 7, got {n}")
     if spec.random is not None:
-        n, _, _, count = spec.random
+        n, p, seed, count = spec.random
         if n < 1 or count < 1:
             raise ValueError(f"random n and count must be at least 1, got n={n}, count={count}")
-    for token in spec.families:
-        parts = token.split(":")
-        yield token, generate(parts[0], *parts[1:])
+    named = [(token, generate(*token.split(":"))) for token in spec.families]
+    first = gnp(n, p, seed) if spec.random is not None else None
+    yield from named
     if spec.exhaustive_n is not None:
-        for n in range(1, spec.exhaustive_n + 1):
-            for g in enumerate_graphs(n, connected_only=True):
+        for k in range(1, spec.exhaustive_n + 1):
+            for g in enumerate_graphs(k, connected_only=True):
                 yield serialize_graph(g, "graph6"), g
     if spec.random is not None:
-        n, p, seed, count = spec.random
         for i in range(count):
-            yield f"gnp({n},{p},{seed + i})", gnp(n, p, seed + i)
+            yield f"gnp({n},{p},{seed + i})", first if i == 0 else gnp(n, p, seed + i)
 
 
 @_memo
@@ -475,23 +477,14 @@ class CheckFailure(NamedTuple):
 class CheckReport:
     """One check's outcome over a corpus, filled in as the run goes."""
 
-    def __init__(
-        self,
-        check_id: str,
-        corpus_size: int,
-        instances_run: int,
-        failures: list[CheckFailure] | None = None,
-        notes: list[str] | None = None,
-        elapsed: float = 0.0,
-        verdict: str = "pass",
-    ):
+    def __init__(self, check_id: str):
         self.check_id = check_id
-        self.corpus_size = corpus_size
-        self.instances_run = instances_run
-        self.failures = [] if failures is None else failures
-        self.notes = [] if notes is None else notes
-        self.elapsed = elapsed
-        self.verdict = verdict
+        self.corpus_size = 0
+        self.instances_run = 0
+        self.failures: list[CheckFailure] = []
+        self.notes: list[str] = []
+        self.elapsed = 0.0
+        self.verdict = "pass"
 
     def to_json_dict(self) -> dict:
         # elapsed stays out: the JSON is byte-stable across runs
@@ -551,7 +544,7 @@ def _run_checks(
     identical for any jobs value; each report takes its instances in corpus
     order.
     """
-    reports = [CheckReport(check_id=cid, corpus_size=0, instances_run=0) for cid in ids]
+    reports = [CheckReport(cid) for cid in ids]
     if not reports:
         raise ValueError("no checks named")
     for report in reports:

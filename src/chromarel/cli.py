@@ -27,8 +27,9 @@ if TYPE_CHECKING:
     from .coloring import Precoloring
 
 
-class CliError(Exception):
-    """Bad usage or bad input; exits with status 2."""
+class CliError(ValueError):
+    """Bad usage or bad input, with the context the library lacks; main
+    exits with status 2 on it as on any ValueError."""
 
 
 def _canonical(obj) -> str:
@@ -77,27 +78,36 @@ def _parse_precoloring(text: str, k: int) -> Precoloring:
         assignment[v] = c
     if not assignment:
         raise CliError("empty precoloring")
-    try:
-        return Precoloring(assignment, k)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    return Precoloring(assignment, k)
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .relations import RouteDisagreementError, to_dot
+
     if args.extend is not None and args.pre is None:
         raise CliError("--extend needs --pre")
     g = _read_graph(args.file, args.format)
     try:
-        return _analyze(g, args)
+        result, rels = _analyze(g, args)
+    except RouteDisagreementError as exc:
+        # two supposedly equivalent decision procedures disagreed; surface it
+        # like a failed check rather than a usage problem
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         # input the exact search cannot take, such as a graph too deep for
-        # its recursion or a precoloring that does not fit the graph
+        # its recursion or a precoloring that is malformed or does not fit
+        # the graph
         raise CliError(f"{args.file}: {exc}") from exc
+    if args.dot:
+        _write_out(to_dot(g, rels), args.dot)
+    _write_out(_canonical(result), args.output)
+    return 1 if result.get("extension", {}).get("extends") is False else 0
 
 
-def _analyze(g: Graph, args: argparse.Namespace) -> int:
+def _analyze(g: Graph, args: argparse.Namespace) -> tuple[dict, list | None]:
     from .coloring import chromatic_number, k_colorable
-    from .relations import RelationKind, criticality, scan_relations, to_dot
+    from .relations import RelationKind, criticality, scan_relations
 
     k = chromatic_number(g)
     result: dict = {"n": g.n, "m": g.m, "chi": k}
@@ -118,7 +128,6 @@ def _analyze(g: Graph, args: argparse.Namespace) -> int:
             "is_critical": crit.is_critical,
             "is_double_critical": crit.is_double_critical,
         }
-    status = 0
     if args.pre is not None:
         target = args.extend if args.extend is not None else k
         full = k_colorable(g, target, _parse_precoloring(args.pre, target))
@@ -128,12 +137,7 @@ def _analyze(g: Graph, args: argparse.Namespace) -> int:
             "verdict": "extensible" if full is not None else "non-extensible",
             "coloring": full.to_json_dict() if full is not None else None,
         }
-        if full is None:
-            status = 1
-    if args.dot:
-        _write_out(to_dot(g, rels or ()), args.dot)
-    _write_out(_canonical(result), args.output)
-    return status
+    return result, rels
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -160,14 +164,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             random=random_arg,
         )
 
-    try:
-        # one check alone runs through run_check, the name perfbench times it by
-        if len(ids) == 1:
-            reports = [run_check(ids[0], corpus, budget=args.budget, jobs=args.jobs)]
-        else:
-            reports = _run_checks(ids, corpus, budget=args.budget, jobs=args.jobs)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    # one check alone runs through run_check, the name perfbench times it by
+    if len(ids) == 1:
+        reports = [run_check(ids[0], corpus, budget=args.budget, jobs=args.jobs)]
+    else:
+        reports = _run_checks(ids, corpus, budget=args.budget, jobs=args.jobs)
     for report in reports:
         print(
             f"{report.check_id}: {report.verdict} "
@@ -187,10 +188,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     from .families import generate
 
-    try:
-        g = generate(args.family, *args.params)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    g = generate(args.family, *args.params)
     fmt = args.format or (format_for_path(args.output) if args.output else "edgelist")
     return _write_graph(g, fmt, args.output)
 
@@ -201,10 +199,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _write_graph(g: Graph, fmt: str, out: str | None) -> int:
-    try:
-        text = serialize_graph(g, fmt)
-    except FormatError as exc:
-        raise CliError(str(exc)) from exc
+    text = serialize_graph(g, fmt)
     # serialize_graph's graph6 string also names graphs inside reports; as a
     # file it ends its line like the other formats
     _write_out(text + "\n" if fmt == "graph6" else text, out)
@@ -212,13 +207,10 @@ def _write_graph(g: Graph, fmt: str, out: str | None) -> int:
 
 
 def _cmd_poly(args: argparse.Namespace) -> int:
-    from .polynomial import BudgetError, chromatic_polynomial, evaluate
+    from .polynomial import chromatic_polynomial, evaluate
 
     g = _read_graph(args.file, args.format)
-    try:
-        poly = chromatic_polynomial(g, max_vertices=args.max_vertices)
-    except BudgetError as exc:
-        raise CliError(str(exc)) from exc
+    poly = chromatic_polynomial(g, max_vertices=args.max_vertices)
     evals: dict[str, int] = {}
     if args.eval:
         for piece in args.eval.split(","):
@@ -294,26 +286,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _route_disagreement() -> tuple[type[Exception], ...]:
-    # An except clause evaluates its class only once an exception reaches it,
-    # and only a command that loaded the relation module can raise this one.
-    relations = sys.modules.get("chromarel.relations")
-    return (relations.RouteDisagreementError,) if relations is not None else ()
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # the one place that turns a refusal into an exit status: every refusal,
+    # the CLI's own and the library's, is a ValueError
     try:
         return args.func(args)
-    except CliError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _route_disagreement() as exc:
-        # two supposedly equivalent decision procedures disagreed; surface it
-        # like a failed check rather than a usage problem
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping, NamedTuple
 
-from .graphs import Graph, _bits, _memo, bipartition
+from .graphs import Graph, _bits, _component_masks, _keep_rows, _memo, bipartition
 
 
 class Coloring(NamedTuple):
@@ -50,14 +50,11 @@ class Precoloring:
         self.assignment = dict(sorted(assignment.items()))
         self.k = k
 
-    def validate_against(self, g: Graph) -> None:
-        """Raise unless the domain fits g and no precolored edge is monochrome."""
-        self._classes(g)
-
     def _classes(self, g: Graph) -> list[int]:
-        """Check as validate_against does, then return the vertex mask of
-        each color class 1..k. A clash names the least precolored vertex
-        that has one, then its least neighbor of the same color."""
+        """The vertex mask of each color class 1..k. Raises ValueError for
+        a precolored vertex outside g or a precolored edge whose ends share
+        a color; a clash names the least precolored vertex that has one,
+        then its least neighbor of the same color."""
         for v in self.assignment:
             g._check_vertex(v)
         classes = [0] * self.k
@@ -187,32 +184,28 @@ def k_colorable(g: Graph, k: int, pre: Precoloring | None = None) -> Coloring | 
     return Coloring(tuple(colors), k)
 
 
-def _greedy_clique_size(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    order = sorted(range(g.n), key=lambda v: (-g.rows[v].bit_count(), v))
+def _greedy_clique_size(rows: tuple[int, ...], order: list[int]) -> int:
     best = 1
-    for seed in order[: min(4, g.n)]:
+    for seed in order[:4]:
         clique = 1 << seed
-        common = g.rows[seed]
+        common = rows[seed]
         while common:
             pick = -1
             for v in _bits(common):
-                if pick < 0 or g.rows[v].bit_count() > g.rows[pick].bit_count():
+                if pick < 0 or rows[v].bit_count() > rows[pick].bit_count():
                     pick = v
             clique |= 1 << pick
-            common &= g.rows[pick]
+            common &= rows[pick]
         best = max(best, clique.bit_count())
     return best
 
 
-def _greedy_coloring_size(g: Graph) -> int:
-    order = sorted(range(g.n), key=lambda v: (-g.rows[v].bit_count(), v))
-    colors = [0] * g.n
+def _greedy_coloring_size(rows: tuple[int, ...], order: list[int]) -> int:
+    colors = [0] * len(rows)
     top = 0
     for v in order:
         used = 0
-        for w in _bits(g.rows[v]):
+        for w in _bits(rows[v]):
             if colors[w]:
                 used |= 1 << (colors[w] - 1)
         c = ((used + 1) & ~used).bit_length()  # lowest free color
@@ -232,12 +225,18 @@ def _chromatic(rows: tuple[int, ...]) -> int:
     g = Graph._make(rows)
     if g.n == 0:
         return 0
-    if all(r == 0 for r in g.rows):
+    if all(r == 0 for r in rows):
         return 1
     if bipartition(g) is not None:
         return 2
-    ub = _greedy_coloring_size(g)
-    lb = max(_greedy_clique_size(g), 3)
+    comps = _component_masks(rows)
+    if len(comps) > 1:
+        # chi is the largest chi of a component; the ladder below, run on
+        # the whole graph, would refute each k through every component
+        return max(_chromatic(_keep_rows(rows, mask)) for mask in comps)
+    order = sorted(range(g.n), key=lambda v: (-rows[v].bit_count(), v))
+    ub = _greedy_coloring_size(rows, order)
+    lb = max(_greedy_clique_size(rows, order), 3)
     for k in range(lb, ub):
         if k_colorable(g, k) is not None:
             return k

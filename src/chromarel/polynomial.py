@@ -145,11 +145,18 @@ def chromatic_polynomial(g, max_vertices: int = 20) -> ChromaticPolynomial:
     deletion-contraction when sparse (see the module docstring). Memoized
     on the exact labeled adjacency by the package's bounded LRU memo, shared
     across calls. Instances with more than `max_vertices` vertices are
-    refused; pass a larger budget to force the computation.
+    refused; pass a larger budget to force the computation. The reductions
+    recurse, so a graph too deep for Python's recursion limit, such as a
+    long cycle, raises BudgetError too.
     """
     if g.n > max_vertices:
         raise BudgetError(
             f"n={g.n} exceeds the {max_vertices}-vertex budget; "
             "raise max_vertices to force this computation"
         )
-    return ChromaticPolynomial(_poly(g.rows))
+    try:
+        return ChromaticPolynomial(_poly(g.rows))
+    except RecursionError:
+        raise BudgetError(
+            f"graph with {g.n} vertices is too deep for the polynomial's recursion"
+        ) from None

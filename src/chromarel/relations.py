@@ -76,13 +76,6 @@ class RouteDisagreementError(RuntimeError):
                             self.definition_answer, self.set_answer)
 
 
-def _pair_check(g: Graph, u: int, v: int) -> None:
-    g._check_vertex(u)
-    g._check_vertex(v)
-    if u == v:
-        raise ValueError("pair endpoints must differ")
-
-
 def _witness(g: Graph, u: int, v: int, kind: RelationKind, k: int) -> tuple[int, ...] | None:
     """Colors of a k-coloring of g-uv that refutes uv as a relation of the
     kind, or None: one solver call.
@@ -235,7 +228,9 @@ def implicit_via_sets(g: Graph, u: int, v: int, kind: RelationKind) -> bool:
     needs the maximal sets of g-uv instead. Every answer is a lookup into
     the graph's memoized table, which enumerates the maximal sets once.
     """
-    _pair_check(g, u, v)
+    g.has_edge(u, v)  # refuses a vertex outside g
+    if u == v:
+        raise ValueError("pair endpoints must differ")
     if kind is RelationKind.EDGE:
         return _set_relations(g.rows).edge(u, v)
     if kind is RelationKind.IDENTITY:

@@ -302,6 +302,21 @@ def test_a_corpus_that_names_no_graph_is_refused():
 
 
 @pytest.mark.parametrize(
+    "spec, message",
+    [
+        (CorpusSpec(families=("p4", "nosuch")), "^unknown family 'nosuch'$"),
+        (CorpusSpec(families=("p4",), exhaustive_n=7, random=(5, 1.5, 0, 3)), r"^p must lie in \[0,1\]$"),
+        (CorpusSpec(exhaustive_n=7, random=(5, math.nan, 0, 3)), r"^p must lie in \[0,1\]$"),
+    ],
+)
+def test_a_bad_token_or_p_is_refused_before_the_first_pair(spec, message):
+    # generate and gnp refuse these themselves; the corpus builds the named
+    # graphs and the first random one before it yields, not after the sweep
+    with pytest.raises(ValueError, match=message):
+        next(iter_corpus(spec))
+
+
+@pytest.mark.parametrize(
     "corpus, jobs, message",
     [
         (CorpusSpec(random=(5, 0.5, 0, 0)), 1, "at least 1"),

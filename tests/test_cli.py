@@ -7,6 +7,7 @@ import time
 import pytest
 
 import chromarel.relations as relations_mod
+from chromarel.checks import CHECKS
 from chromarel.cli import main
 from chromarel.families import cycle_graph, gnp, path_graph, wheel_graph
 from chromarel.io import serialize_graph
@@ -132,6 +133,22 @@ def test_analyze_rejects_bad_precolorings(capsys, p4_file):
     assert (out, err) == ("", f"error: {p4_file}: vertex 9 outside 0..3\n")
 
 
+@pytest.mark.parametrize(
+    "pre, message",
+    [
+        ("0:1", "bad precoloring entry '0:1'; expected VERTEX=COLOR"),
+        ("0=x", "bad precoloring entry '0=x': invalid literal for int() with base 10: 'x'"),
+        ("0=1,0=2", "vertex 0 precolored twice"),
+        (" , ", "empty precoloring"),
+        ("0=5", "color 5 at vertex 0 outside 1..2"),
+    ],
+)
+def test_every_pre_refusal_names_the_file(capsys, p4_file, pre, message):
+    # refusals raised while parsing --pre, and those of the solver, read alike
+    code, out, err = run_cli(capsys, "analyze", p4_file, "--pre", pre)
+    assert (code, out, err) == (2, "", f"error: {p4_file}: {message}\n")
+
+
 def test_analyze_dot_output(capsys, p4_file, tmp_path):
     dot_path = tmp_path / "p4.dot"
     code, _, _ = run_cli(capsys, "analyze", p4_file, "--dot", str(dot_path))
@@ -214,9 +231,27 @@ def test_poly_without_eval(capsys, c4_file):
 
 
 def test_poly_budget(capsys, c4_file):
-    code, _, err = run_cli(capsys, "poly", c4_file, "--max-vertices", "3")
-    assert code == 2
-    assert "error:" in err
+    code, out, err = run_cli(capsys, "poly", c4_file, "--max-vertices", "3")
+    message = "n=4 exceeds the 3-vertex budget; raise max_vertices to force this computation"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_polynomial_too_deep_for_its_recursion_is_bad_input(tmp_path):
+    # contracting an edge of a cycle leaves a cycle one shorter, so the
+    # 400-cycle recurses past Python's limit; a fresh process shows the
+    # stderr that a user sees
+    path = tmp_path / "c400.col"
+    path.write_text(serialize_graph(cycle_graph(400), "dimacs"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chromarel.cli", "poly", str(path), "--max-vertices", "400"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "400 vertices" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_gen_and_convert_round_trip(capsys, tmp_path):
@@ -238,7 +273,7 @@ def test_gen_to_stdout_and_errors(capsys):
     code, out, _ = run_cli(capsys, "gen", "path", "3", "--format", "dimacs")
     assert code == 0
     assert out.startswith("p edge 3 2")
-    assert run_cli(capsys, "gen", "nosuch")[0] == 2
+    assert run_cli(capsys, "gen", "nosuch") == (2, "", "error: unknown family 'nosuch'\n")
     assert run_cli(capsys, "gen", "path", "zero")[0] == 2
 
 
@@ -320,9 +355,9 @@ def test_verify_rejects_a_negative_or_nan_budget(capsys, budget):
 
 
 def test_verify_rejects_unknown_check(capsys):
-    code, _, err = run_cli(capsys, "verify", "--checks", "NOPE")
-    assert code == 2
-    assert err.startswith("error: unknown check 'NOPE'; known checks: BIP-IE, ")
+    code, out, err = run_cli(capsys, "verify", "--checks", "NOPE")
+    known = ", ".join(sorted(CHECKS))
+    assert (code, out, err) == (2, "", f"error: unknown check 'NOPE'; known checks: {known}\n")
 
 
 def test_jobs_defaults_to_one_whatever_the_environment(monkeypatch):
@@ -404,6 +439,22 @@ def test_verify_refuses_an_exhaustive_order_past_seven_at_once(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: exhaustive n must be at least 1 and at most 7, got 8\n"
+
+
+@pytest.mark.parametrize(
+    "corpus, message",
+    [
+        (["--exhaustive", "6", "--random", "5,1.5,3"], "p must lie in [0,1]"),
+        (["--families", "gnp:50:0.5:5,nosuch"], "unknown family 'nosuch'"),
+    ],
+)
+def test_verify_refuses_a_bad_family_token_or_p_before_any_check(capsys, monkeypatch, corpus, message):
+    # refused before the first graph reaches a check, not once the corpus
+    # reaches the bad value
+    ran = []
+    monkeypatch.setitem(CHECKS, "KEMPE", (lambda g: ran.append(g) or (1, [], []), ""))
+    code, out, err = run_cli(capsys, "verify", "--checks", "KEMPE", *corpus)
+    assert (code, out, err, ran) == (2, "", f"error: {message}\n", [])
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

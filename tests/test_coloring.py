@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import time
 
 import pytest
@@ -193,9 +195,12 @@ def test_precoloring_validation():
         Precoloring({0: 0}, 2)  # colors are 1-based
     with pytest.raises(ValueError):
         Precoloring({0: 3}, 2)
+    # the solver validates a precoloring against the graph it colors
     pre = Precoloring({0: 1, 1: 1}, 2)
-    with pytest.raises(ValueError):
-        pre.validate_against(path_graph(2))  # improper on the edge
+    with pytest.raises(ValueError, match=r"^precoloring is improper on edge \(0,1\)$"):
+        k_colorable(path_graph(2), 2, pre)
+    with pytest.raises(ValueError, match=r"^vertex 2 outside 0\.\.1$"):
+        k_colorable(path_graph(2), 2, Precoloring({2: 1}, 2))
 
 
 def _color_tuples(g, k):
@@ -251,6 +256,26 @@ def test_class_mask_chains_match_bfs_oracle():
                         chain = _component_of(g.rows, 1 << u, classes[a - 1] | classes[b - 1])
                         want = oracles.kempe_chain_by_bfs(g, colors, u, b)
                         assert chain == sum(1 << x for x in want), (g.edges(), colors, u, b)
+
+
+def test_chi_of_a_disconnected_graph_is_its_largest_component_chi():
+    # G(30,0.2,3) plus a disjoint K8. The greedy clique bound seeds from the
+    # highest degrees, all in the sparse part, and finds 4; a ladder over
+    # the whole graph then refutes k = 4..7 by backtracking through the
+    # sparse part, for minutes. A fresh process with a timeout fails
+    # instead of hanging.
+    code = """
+from chromarel import Graph, chromatic_number
+from chromarel.families import gnp
+
+g = gnp(30, 0.2, 3)
+k8 = [(30 + i, 30 + j) for i in range(8) for j in range(i + 1, 8)]
+print(chromatic_number(Graph.from_edges(38, [*g.edges(), *k8])))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
+    )
+    assert (proc.returncode, proc.stdout) == (0, "8\n"), proc.stderr
 
 
 def test_equal_graphs_share_one_chi_computation():

@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -22,6 +25,7 @@ from chromarel.families import (
     wheel_graph,
 )
 
+import chromarel.polynomial as polynomial_mod
 import oracles
 from conftest import graphs
 
@@ -195,3 +199,20 @@ def test_tree_closed_form(picks):
     n = len(picks) + 1
     g = Graph.from_edges(n, [(p % (i + 1), i + 1) for i, p in enumerate(picks)])
     _agrees(g, lambda k: k * (k - 1) ** (n - 1))
+
+
+def test_a_graph_too_deep_for_the_recursion_is_over_budget():
+    # contracting an edge of a cycle leaves a cycle one shorter, so C60
+    # recurses about sixty levels deep: past a limit fifty frames above here
+    g = cycle_graph(60)
+    polynomial_mod._poly.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        with pytest.raises(
+            BudgetError, match="^graph with 60 vertices is too deep for the polynomial's recursion$"
+        ):
+            chromatic_polynomial(g, max_vertices=60)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert evaluate(chromatic_polynomial(g, max_vertices=60), 3) == 2**60 + 2
