@@ -17,14 +17,10 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .graphs import Graph
 from .io import FORMATS, FormatError, format_for_path, parse_graph, serialize_graph
-
-if TYPE_CHECKING:
-    from .coloring import Precoloring
 
 
 class CliError(ValueError):
@@ -58,9 +54,10 @@ def _write_out(text: str, out: str | None) -> None:
             raise CliError(f"cannot write {out}: {exc}") from exc
 
 
-def _parse_precoloring(text: str, k: int) -> Precoloring:
-    from .coloring import Precoloring
-
+def _parse_precoloring(text: str) -> dict[int, int]:
+    """The VERTEX=COLOR entries of --pre, refused before any work. Without
+    --extend the palette is chi, so the colors are checked against it once
+    chi is known."""
     assignment: dict[int, int] = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -78,7 +75,7 @@ def _parse_precoloring(text: str, k: int) -> Precoloring:
         assignment[v] = c
     if not assignment:
         raise CliError("empty precoloring")
-    return Precoloring(assignment, k)
+    return assignment
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -106,9 +103,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _analyze(g: Graph, args: argparse.Namespace) -> tuple[dict, list | None]:
-    from .coloring import chromatic_number, k_colorable
+    from .coloring import Precoloring, chromatic_number, k_colorable
     from .relations import RelationKind, criticality, scan_relations
 
+    assignment = _parse_precoloring(args.pre) if args.pre is not None else None
+    pre = None
+    if assignment is not None and args.extend is not None:
+        # the palette is known before chi, so its colors are checked now too
+        pre = Precoloring(assignment, args.extend)
     k = chromatic_number(g)
     result: dict = {"n": g.n, "m": g.m, "chi": k}
     rels = None
@@ -128,11 +130,12 @@ def _analyze(g: Graph, args: argparse.Namespace) -> tuple[dict, list | None]:
             "is_critical": crit.is_critical,
             "is_double_critical": crit.is_double_critical,
         }
-    if args.pre is not None:
-        target = args.extend if args.extend is not None else k
-        full = k_colorable(g, target, _parse_precoloring(args.pre, target))
+    if assignment is not None:
+        if pre is None:
+            pre = Precoloring(assignment, k)
+        full = k_colorable(g, pre.k, pre)
         result["extension"] = {
-            "k": target,
+            "k": pre.k,
             "extends": full is not None,
             "verdict": "extensible" if full is not None else "non-extensible",
             "coloring": full.to_json_dict() if full is not None else None,

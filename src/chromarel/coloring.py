@@ -90,13 +90,19 @@ def k_colorable(g: Graph, k: int, pre: Precoloring | None = None) -> Coloring | 
     images of a branch tried before them, so the first coloring found is
     the one the search without this rule finds.
 
-    The rule is kept as one integer key per vertex, sat*n^2 + deg*n + n-1-v,
-    so the branching vertex is the largest key; colored vertices read -1.
-    near[c] masks the vertices with a neighbor of color c+1, so coloring v
-    with it raises the saturation of exactly rows[v] & uncolored & ~near[c].
-    A node with several colors to try snapshots keys and banned and restores
-    them before its next color; a node that fails leaves that to the nearest
-    such ancestor.
+    Saturation is kept bit-sliced, as in San Segundo's bitboard DSATUR:
+    k.bit_length() masks, highest bit first, read as one binary count per
+    vertex. near[c] masks the vertices with a neighbor of color c+1, so
+    coloring v with it adds one to exactly rows[v] & uncolored & ~near[c],
+    by a ripple carry into the child node's own copy of the masks. The
+    branching vertex comes from narrowing the uncolored mask through the
+    saturation masks from the highest bit down, then through the static
+    degree masks, highest degree first, then taking the lowest bit. A color
+    is free for v when v is outside its near mask. Only colors in use have
+    a nonempty near mask, so the saturation s that the narrowing reads
+    leaves v exactly |used| - s free colors in use: with none and no unused
+    color left the node fails at once, and once the last of them is tried
+    only the lowest unused color remains.
 
     The search recurses once per vertex it colors, so a graph too large for
     Python's recursion limit raises ValueError.
@@ -105,14 +111,16 @@ def k_colorable(g: Graph, k: int, pre: Precoloring | None = None) -> Coloring | 
         raise ValueError("k must be nonnegative")
     n = g.n
     rows = g.rows
-    n2 = n * n
-    last = n - 1
-    keys = [r.bit_count() * n + last - v for v, r in enumerate(rows)]
-    banned = [0] * n  # bit c set iff some neighbor has color c+1
+    levels = [0] * n  # levels[d] masks the vertices of degree d
+    for v, r in enumerate(rows):
+        levels[r.bit_count()] |= 1 << v
+    by_degree = [level for level in reversed(levels) if level]
     near = [0] * k
     colors = [0] * n
     uncolored = (1 << n) - 1
     used = 0  # bit c set iff some colored vertex has color c+1
+    low = k.bit_length() - 1  # index of the counter's lowest bit
+    sat = [0] * (low + 1)
     if pre is not None:
         if pre.k > k:
             raise ValueError(f"precoloring palette {pre.k} exceeds k={k}")
@@ -120,61 +128,78 @@ def k_colorable(g: Graph, k: int, pre: Precoloring | None = None) -> Coloring | 
             uncolored &= ~cls
             if cls:
                 used |= 1 << c
-            while cls:
-                b = cls & -cls
-                v = b.bit_length() - 1
+            for v in _bits(cls):
                 colors[v] = c + 1
-                keys[v] = -1
                 near[c] |= rows[v]
-                cls ^= b
-        for c, seen in enumerate(near):
-            bit = 1 << c
-            seen &= uncolored
-            while seen:
-                b = seen & -seen
-                w = b.bit_length() - 1
-                keys[w] += n2
-                banned[w] |= bit
-                seen ^= b
+        for seen in near:
+            add = seen & uncolored
+            i = low
+            while add:
+                plane = sat[i]
+                sat[i] = plane ^ add
+                add &= plane
+                i -= 1
     full = (1 << k) - 1
 
-    def rec(uncolored: int, used: int) -> bool:
+    def rec(uncolored: int, used: int, sat: list[int]) -> bool:
         if not uncolored:
             return True
-        top = max(keys)
-        v = last - top % n
-        keys[v] = -1
-        uncolored ^= 1 << v
+        # narrow to the most saturated vertices; s is their saturation
+        pick = uncolored
+        s = 0
+        for plane in sat:
+            s += s
+            top = pick & plane
+            if top:
+                pick = top
+                s += 1
+        # the lowest color not in use, and how many colors in use are free
+        new = (used + 1) & ~used & full
+        left = used.bit_count() - s
+        if not (left or new):
+            return False
+        if pick & (pick - 1):
+            for level in by_degree:
+                top = pick & level
+                if top:
+                    pick = top
+                    break
+        b = pick & -pick
+        v = b.bit_length() - 1
+        uncolored ^= b
         row = rows[v] & uncolored
-        # the colors in use and the lowest color not in use
-        avail = full & ~banned[v] & (used | (used + 1))
-        if avail & (avail - 1):
-            saved_keys = keys[:]
-            saved_banned = banned[:]
+        avail = used | new if left else new
         while avail:
             bit = avail & -avail
             avail ^= bit
             c = bit.bit_length() - 1
             seen = near[c]
+            if seen & b:
+                continue
+            if bit != new:
+                left -= 1
+                if not left:
+                    avail &= new
             near[c] = seen | row
-            fresh = row & ~seen
-            while fresh:
-                b = fresh & -fresh
-                w = b.bit_length() - 1
-                keys[w] += n2
-                banned[w] |= bit
-                fresh ^= b
-            if rec(uncolored, used | bit):
+            add = row & ~seen
+            if add:
+                child = sat[:]
+                i = low
+                while add:
+                    plane = child[i]
+                    child[i] = plane ^ add
+                    add &= plane
+                    i -= 1
+            else:
+                child = sat
+            if rec(uncolored, used | bit, child):
                 colors[v] = c + 1
                 return True
             near[c] = seen
-            if avail:
-                keys[:] = saved_keys
-                banned[:] = saved_banned
         return False
 
     try:
-        found = rec(uncolored, used)
+        found = rec(uncolored, used, sat)
     except RecursionError:
         raise ValueError(
             f"graph with {n} vertices is too deep for the exact solver's recursion"

@@ -246,6 +246,22 @@ def _flip(classes: list[int], a: int, b: int, chain: int) -> list[int]:
     return out
 
 
+def _chain(rows: tuple[int, ...], u: int, v: int, within: int) -> int:
+    """The Kempe chain through u inside the mask `within` in g-uv, or 0 when
+    it reaches v.
+
+    g and g-uv differ only in the pair uv. The walk takes u's step itself,
+    to u's neighbors other than v, and then stays inside `within` minus u,
+    so no later step can cross uv: it reads g's own rows, with no copy of
+    the rows of g-uv.
+    """
+    first = rows[u] & ~(1 << v) & within
+    if not first:
+        return 1 << u
+    chain = _component_of(rows, first, within & ~(1 << u), 1 << v)
+    return chain | 1 << u if chain else 0
+
+
 class _WitnessPool:
     """Proper k-colorings of g, and the pair questions they already settle.
 
@@ -308,15 +324,12 @@ class _WitnessPool:
             return True
         rows = self.rows
         adjacent = rows[u] >> v & 1
-        if adjacent:
-            rows = _toggle_rows(rows, u, v)
-        start, stop = 1 << u, 1 << v
         for classes, index in reversed(self.colorings):
             a = index[u]
             for b in (index[v],) if edge else range(self.k):
                 if b == a:
                     continue
-                chain = _component_of(rows, start, classes[a] | classes[b], stop)
+                chain = _chain(rows, u, v, classes[a] | classes[b])
                 if chain:
                     if not adjacent:
                         self._add_classes(_flip(classes, a, b, chain))

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import chromarel.coloring as coloring_mod
 import chromarel.relations as relations_mod
 from chromarel.checks import CHECKS
 from chromarel.cli import main
@@ -133,19 +134,42 @@ def test_analyze_rejects_bad_precolorings(capsys, p4_file):
     assert (out, err) == ("", f"error: {p4_file}: vertex 9 outside 0..3\n")
 
 
+MALFORMED_PRE = [
+    ("0:1", "bad precoloring entry '0:1'; expected VERTEX=COLOR"),
+    ("0=x", "bad precoloring entry '0=x': invalid literal for int() with base 10: 'x'"),
+    ("0=1,0=2", "vertex 0 precolored twice"),
+    (" , ", "empty precoloring"),
+]
+
+
 @pytest.mark.parametrize(
-    "pre, message",
-    [
-        ("0:1", "bad precoloring entry '0:1'; expected VERTEX=COLOR"),
-        ("0=x", "bad precoloring entry '0=x': invalid literal for int() with base 10: 'x'"),
-        ("0=1,0=2", "vertex 0 precolored twice"),
-        (" , ", "empty precoloring"),
-        ("0=5", "color 5 at vertex 0 outside 1..2"),
-    ],
+    "pre, message", [*MALFORMED_PRE, ("0=5", "color 5 at vertex 0 outside 1..2")]
 )
 def test_every_pre_refusal_names_the_file(capsys, p4_file, pre, message):
     # refusals raised while parsing --pre, and those of the solver, read alike
     code, out, err = run_cli(capsys, "analyze", p4_file, "--pre", pre)
+    assert (code, out, err) == (2, "", f"error: {p4_file}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        *((["--pre", pre], message) for pre, message in MALFORMED_PRE),
+        (["--pre", "0=5", "--extend", "3"], "color 5 at vertex 0 outside 1..3"),
+        (["--pre", "0=1", "--extend", "-1"], "palette size must be nonnegative"),
+    ],
+)
+def test_malformed_pre_is_refused_before_the_work(capsys, monkeypatch, p4_file, argv, message):
+    # the text of --pre needs no chi, and neither does a palette that
+    # --extend gives, so either is refused before chi, the relation scan
+    # and criticality run
+    def forbidden(*args, **kwargs):
+        raise AssertionError("analysis ran before --pre was parsed")
+
+    monkeypatch.setattr(coloring_mod, "chromatic_number", forbidden)
+    monkeypatch.setattr(relations_mod, "scan_relations", forbidden)
+    monkeypatch.setattr(relations_mod, "criticality", forbidden)
+    code, out, err = run_cli(capsys, "analyze", p4_file, "--relations", "--criticality", *argv)
     assert (code, out, err) == (2, "", f"error: {p4_file}: {message}\n")
 
 

@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 import time
@@ -167,6 +168,30 @@ def test_k_colorable_matches_reference_search_under_random_precolorings(n, p, se
             pre[v] = c
     pre = Precoloring(pre, k)
     assert _search_result(g, k, pre) == oracles.k_colorable_by_tuple_keys(g, k, pre)
+
+
+def test_k_colorable_matches_reference_search_at_relation_scan_sizes():
+    # the relation scan and chi's ladder ask about graphs of 20-40 vertices
+    # at chi - 1 and chi; the comparisons above stop at 10. Precolorings go
+    # only on graphs of up to 30 vertices: the reference keeps no palette
+    # symmetry under a precoloring, and on larger graphs takes seconds
+    for seed in range(16):
+        cases = [gnp(n, 0.5 if seed % 2 else 0.3, seed) for n in (20, 25, 30, 35, 40)]
+        cases.append(planted(20 + seed % 3 * 5, 3 + seed % 4, 0.5, seed))
+        for g in cases:
+            chi = chromatic_number(g)
+            rng = random.Random(f"{seed}:{g.n}")
+            for k in (chi - 1, chi):
+                assert _search_result(g, k) == oracles.k_colorable_by_tuple_keys(g, k)
+                for size in range(1, 4) if g.n <= 30 else ():
+                    pre: dict[int, int] = {}
+                    for v in rng.sample(range(g.n), size):
+                        c = rng.randint(1, k)
+                        if all(pre.get(w) != c for w in _bits(g.rows[v])):
+                            pre[v] = c
+                    pre = Precoloring(pre, k)
+                    got = _search_result(g, k, pre)
+                    assert got == oracles.k_colorable_by_tuple_keys(g, k, pre), (g.rows, k, pre)
 
 
 def test_precolored_refutation_keeps_palette_symmetry():

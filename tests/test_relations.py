@@ -1,3 +1,4 @@
+import itertools
 import pickle
 
 import pytest
@@ -27,11 +28,11 @@ from chromarel.families import (
     wheel_graph,
 )
 import chromarel.relations as relations_mod
-from chromarel.graphs import _bits, _component_of, _keep_rows
+from chromarel.graphs import _bits, _component_of, _keep_rows, _toggle_rows
 from chromarel.io import parse_graph
 from chromarel.checks import run_check
 import chromarel.checks as checks_mod
-from chromarel.relations import _WitnessPool, _critical_sets, _flip, _related
+from chromarel.relations import _WitnessPool, _chain, _critical_sets, _flip, _related
 from hypothesis import given
 import hypothesis.strategies as st
 
@@ -667,3 +668,26 @@ def test_flip_is_an_involution_and_stays_proper(g, data):
     assert Coloring(colors, k).is_proper(g)
     back = _component_of(g.rows, 1 << u, once[a] | once[b])
     assert _flip(once, a, b, back) == classes
+
+
+@pytest.mark.parametrize("g", [gnp(12, 0.5, 1), gnp(14, 0.3, 2), planted(13, 4, 0.5, 3)])
+def test_chain_is_the_kempe_chain_in_g_minus_uv(g):
+    # the pool walks g's own rows; the chain must be the one a walk over
+    # the rows of g-uv finds, and 0 exactly when that walk reaches v
+    k = chromatic_number(g)
+    pool = _WitnessPool(g, k)
+    pool.add(k_colorable(g, k).assignment)
+    for u, v in itertools.combinations(range(g.n), 2):
+        for kind in RelationKind:
+            pool.refutes(u, v, kind)
+    assert len(pool.colorings) > 1
+    for u, v in itertools.permutations(range(g.n), 2):
+        cut = _toggle_rows(g.rows, u, v) if g.rows[u] >> v & 1 else g.rows
+        for classes, index in pool.colorings:
+            a = index[u]
+            for b in range(k):
+                if b != a:
+                    within = classes[a] | classes[b]
+                    assert _chain(g.rows, u, v, within) == _component_of(
+                        cut, 1 << u, within, 1 << v
+                    ), (u, v, a, b)
