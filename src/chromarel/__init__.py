@@ -7,12 +7,7 @@ import importlib
 # (PEP 562), so a process imports only the modules it uses: `chromarel poly`
 # never loads the relation scan or the check catalog.
 _EXPORTS = {
-    "graphs": (
-        "EditError", "Graph",
-        "add_edge", "bipartition", "common_neighbors",
-        "delete_edge", "identify_vertices",
-        "is_connected", "subdivide_edge",
-    ),
+    "graphs": ("Graph", "bipartition", "is_connected"),
     "io": ("FORMATS", "FormatError", "format_for_path", "parse_graph", "serialize_graph"),
     "coloring": (
         "Coloring", "Precoloring",

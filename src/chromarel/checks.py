@@ -21,17 +21,13 @@ from .coloring import _colorings, chromatic_number
 from .families import enumerate_graphs, generate, gnp
 from .graphs import (
     Graph,
-    add_edge,
     bipartition,
-    common_neighbors,
-    delete_edge,
     is_connected,
-    identify_vertices,
-    subdivide_edge,
     _bits,
     _component_of,
     _keep_rows,
     _memo,
+    _merge_rows,
     _toggle_rows,
 )
 from .io import serialize_graph
@@ -256,8 +252,8 @@ def _check_kempe(g: Graph) -> _CheckResult:
 
 def _check_poly(g: Graph, kind: RelationKind) -> _CheckResult:
     # Merging a related pair in g-uv leaves P(merged, k) = 0 for an edge
-    # relation and P(merged, k) = P(g, k) for an identity, which is never
-    # adjacent, so g-uv is g.
+    # relation and P(merged, k) = P(g, k) for an identity. The merge kernel
+    # drops any uv edge, so it merges in g-uv straight from g's rows.
     rels = [r for r in _relations_of(g) if r.kind is kind]
     if not rels:
         return 0, [], []
@@ -270,8 +266,7 @@ def _check_poly(g: Graph, kind: RelationKind) -> _CheckResult:
     ran = 0
     failures: list[_Finding] = []
     for r in rels:
-        h = delete_edge(g, r.u, r.v) if r.adjacent else g
-        merged, _ = identify_vertices(h, r.u, r.v)
+        merged = Graph._make(_merge_rows(g.rows, r.u, r.v))
         val = evaluate(chromatic_polynomial(merged), k)
         ran += 1
         if val != base:
@@ -286,10 +281,10 @@ def _check_planar_add(g: Graph) -> _CheckResult:
     ran = 0
     failures: list[_Finding] = []
     for r in _relations_of(g):
-        if g.has_edge(r.u, r.v):
+        if r.adjacent:
             continue
         ran += 1
-        if is_planar(add_edge(g, r.u, r.v)):
+        if is_planar(Graph._make(_toggle_rows(g.rows, r.u, r.v))):
             failures.append(
                 (f"{r.kind.value} pair ({r.u},{r.v})", "g+uv nonplanar", "still planar")
             )
@@ -302,9 +297,14 @@ def _check_subdiv(g: Graph) -> _CheckResult:
         return 0, [], []
     ran = 0
     failures: list[_Finding] = []
+    w = g.n
     for u, v in g.edges():
-        h = subdivide_edge(g, u, v)
-        w = g.n
+        # the path u-w-v replaces the edge uv, with w appended at id n
+        rows = list(g.rows)
+        rows[u] ^= 1 << v | 1 << w
+        rows[v] ^= 1 << u | 1 << w
+        rows.append(1 << u | 1 << v)
+        h = Graph._make(tuple(rows))
         chi_h = chromatic_number(h)
         ran += 1
         if chi_h != k - 1:
@@ -350,7 +350,8 @@ def _check_dc_bound(g: Graph) -> _CheckResult:
     if g.m == 0 or not _criticality_of(g).is_double_critical:
         return 0, [], []
     k = chromatic_number(g)
-    common = [(u, v, len(common_neighbors(g, u, v))) for u, v in g.edges()]
+    rows = g.rows
+    common = [(u, v, (rows[u] & rows[v]).bit_count()) for u, v in g.edges()]
     ran = len(common)
     failures: list[_Finding] = [
         (f"edge ({u},{v}) common neighbors", f">= {k - 2}", str(cn))
@@ -365,12 +366,12 @@ def _check_dc_bound(g: Graph) -> _CheckResult:
         # every coloring of g-uv merges only u,v and each of the k-2 chains
         # runs through its own common neighbor
         for u, v in g.edges():
-            h = delete_edge(g, u, v)
+            h = Graph._make(_toggle_rows(rows, u, v))
             ran += 1
             if not _related(h, u, v, RelationKind.IDENTITY):
                 failures.append((f"edge ({u},{v})", "identity pair in g-uv", "not identity"))
                 continue
-            cns = g.rows[u] & g.rows[v]
+            cns = rows[u] & rows[v]
             ends = 1 << u | 1 << v
             for colors, cls in _colorings(h.rows, k - 1):
                 a = colors[u]

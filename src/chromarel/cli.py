@@ -57,7 +57,7 @@ def _write_out(text: str, out: str | None) -> None:
 def _parse_precoloring(text: str) -> dict[int, int]:
     """The VERTEX=COLOR entries of --pre, refused before any work. Without
     --extend the palette is chi, so the colors are checked against it once
-    chi is known."""
+    chi is known; g's own refusals come before either."""
     assignment: dict[int, int] = {}
     for piece in text.split(","):
         piece = piece.strip()
@@ -83,6 +83,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
     if args.extend is not None and args.pre is None:
         raise CliError("--extend needs --pre")
+    if args.dot == "-" and args.output in (None, "-"):
+        # DOT text ahead of the JSON would leave stdout unparseable
+        raise CliError("--dot - needs -o to send the JSON to a file")
     g = _read_graph(args.file, args.format)
     try:
         result, rels = _analyze(g, args)
@@ -108,9 +111,12 @@ def _analyze(g: Graph, args: argparse.Namespace) -> tuple[dict, list | None]:
 
     assignment = _parse_precoloring(args.pre) if args.pre is not None else None
     pre = None
-    if assignment is not None and args.extend is not None:
-        # the palette is known before chi, so its colors are checked now too
-        pre = Precoloring(assignment, args.extend)
+    if assignment is not None:
+        # a vertex outside g or an improper edge needs no chi, and a palette
+        # that --extend gives is known before chi too
+        Precoloring._masks(g, assignment)
+        if args.extend is not None:
+            pre = Precoloring(assignment, args.extend)
     k = chromatic_number(g)
     result: dict = {"n": g.n, "m": g.m, "chi": k}
     rels = None
@@ -146,6 +152,10 @@ def _analyze(g: Graph, args: argparse.Namespace) -> tuple[dict, list | None]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .checks import CHECKS, CorpusSpec, _run_checks, default_corpus, run_check
 
+    if args.seed is not None and args.random is None:
+        raise CliError("--seed needs --random")
+    if args.all and args.checks:
+        raise CliError("--all and --checks exclude each other")
     if args.checks:
         ids = [cid for p in args.checks.split(",") if (cid := p.strip().upper())]
     else:
@@ -158,7 +168,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.random:
             try:
                 n_str, p_str, count_str = args.random.split(",")
-                random_arg = (int(n_str), float(p_str), args.seed, int(count_str))
+                random_arg = (int(n_str), float(p_str), args.seed or 0, int(count_str))
             except ValueError as exc:
                 raise CliError(f"bad --random value {args.random!r}; expected N,P,COUNT") from exc
         corpus = CorpusSpec(
@@ -258,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", type=int, metavar="N", help="all connected graphs of order <= N")
     p.add_argument("--families", metavar="LIST", help="comma-separated generate() tokens")
     p.add_argument("--random", metavar="N,P,COUNT", help="seeded random graphs")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="first seed for --random (default 0)")
     p.add_argument("--budget", type=float, default=600.0, metavar="SECONDS")
     p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("-o", "--output", metavar="OUT")

@@ -17,9 +17,6 @@ class Coloring(NamedTuple):
     assignment: tuple[int, ...]
     k: int
 
-    def color(self, u: int) -> int:
-        return self.assignment[u]
-
     def is_proper(self, g: Graph) -> bool:
         if len(self.assignment) != g.n:
             return False
@@ -50,23 +47,26 @@ class Precoloring:
         self.assignment = dict(sorted(assignment.items()))
         self.k = k
 
-    def _classes(self, g: Graph) -> list[int]:
-        """The vertex mask of each color class 1..k. Raises ValueError for
-        a precolored vertex outside g or a precolored edge whose ends share
-        a color; a clash names the least precolored vertex that has one,
-        then its least neighbor of the same color."""
-        for v in self.assignment:
+    @staticmethod
+    def _masks(g: Graph, assignment: Mapping[int, int]) -> dict[int, int]:
+        """The vertex mask of each color the assignment uses. Raises
+        ValueError for a precolored vertex outside g or a precolored edge
+        whose ends share a color; a clash names the least precolored vertex
+        that has one, then its least neighbor of the same color. Neither
+        refusal needs the palette, so the CLI makes them before any work."""
+        assignment = dict(sorted(assignment.items()))
+        for v in assignment:
             g._check_vertex(v)
-        classes = [0] * self.k
-        for v, c in self.assignment.items():
-            classes[c - 1] |= 1 << v
+        masks: dict[int, int] = {}
+        for v, c in assignment.items():
+            masks[c] = masks.get(c, 0) | 1 << v
         rows = g.rows
-        for v, c in self.assignment.items():
-            clash = rows[v] & classes[c - 1]
+        for v, c in assignment.items():
+            clash = rows[v] & masks[c]
             if clash:
                 w = (clash & -clash).bit_length() - 1
                 raise ValueError(f"precoloring is improper on edge ({v},{w})")
-        return classes
+        return masks
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Precoloring):
@@ -124,13 +124,12 @@ def k_colorable(g: Graph, k: int, pre: Precoloring | None = None) -> Coloring | 
     if pre is not None:
         if pre.k > k:
             raise ValueError(f"precoloring palette {pre.k} exceeds k={k}")
-        for c, cls in enumerate(pre._classes(g)):
+        for c, cls in Precoloring._masks(g, pre.assignment).items():
             uncolored &= ~cls
-            if cls:
-                used |= 1 << c
+            used |= 1 << (c - 1)
             for v in _bits(cls):
-                colors[v] = c + 1
-                near[c] |= rows[v]
+                colors[v] = c
+                near[c - 1] |= rows[v]
         for seen in near:
             add = seen & uncolored
             i = low

@@ -13,10 +13,6 @@ _MEMO_SIZE = 1 << 16
 _memo = functools.lru_cache(maxsize=_MEMO_SIZE)
 
 
-class EditError(ValueError):
-    """Raised when a graph edit's precondition is violated."""
-
-
 def _bits(x: int) -> Iterator[int]:
     """Yield the set bit positions of x in ascending order."""
     while x:
@@ -29,13 +25,13 @@ class Graph:
     """Undirected simple graph whose vertices are exactly 0..n-1.
 
     Adjacency is stored as one integer bit row per vertex: bit v of
-    ``rows[u]`` is set iff uv is an edge. Instances are immutable; every
-    edit returns a new Graph. Edge deletion and addition move no id, and
-    subdividing an edge appends the new vertex at id n. Merging u and v
+    ``rows[u]`` is set iff uv is an edge. Instances are immutable; a derived
+    graph is built from rows by a kernel and wrapped with _make. Flipping a
+    pair with _toggle_rows moves no id. Merging u and v with _merge_rows
     keeps the other vertices in order, renumbers them densely and puts the
     merged vertex last, at id n-2. The induced-subgraph kernel _keep_rows
     keeps the survivors in order too, so survivor x gets the count of kept
-    vertices below it.
+    vertices below it. SUBDIV appends its subdividing vertex w at id n.
     """
 
     # n is len(rows), kept in a slot that only __init__ and _make fill
@@ -92,14 +88,6 @@ class Graph:
         self._check_vertex(v)
         return bool(self.rows[u] >> v & 1)
 
-    def neighbors(self, u: int) -> list[int]:
-        self._check_vertex(u)
-        return list(_bits(self.rows[u]))
-
-    def degree(self, u: int) -> int:
-        self._check_vertex(u)
-        return self.rows[u].bit_count()
-
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in _bits(self.rows[u]) if u < v]
 
@@ -126,22 +114,6 @@ def _toggle_rows(rows: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
     out[u] ^= 1 << v
     out[v] ^= 1 << u
     return tuple(out)
-
-
-def delete_edge(g: Graph, u: int, v: int) -> Graph:
-    """Remove the edge uv."""
-    if not g.has_edge(u, v):
-        raise EditError(f"edge ({u},{v}) not present")
-    return Graph._make(_toggle_rows(g.rows, u, v))
-
-
-def add_edge(g: Graph, u: int, v: int) -> Graph:
-    """Add the edge uv between distinct nonadjacent vertices."""
-    if g.has_edge(u, v):
-        raise EditError(f"edge ({u},{v}) already present")
-    if u == v:
-        raise EditError(f"loop at vertex {u}")
-    return Graph._make(_toggle_rows(g.rows, u, v))
 
 
 def _keep_rows(rows: tuple[int, ...], keep: int) -> tuple[int, ...]:
@@ -176,8 +148,8 @@ def _merge_rows(rows: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
 
     Survivors keep their order and renumber densely: bits a < b are squeezed
     out by mask-and-shift, and w is set wherever a row touched a or b. Any
-    uv edge disappears, so identify_vertices, the relation scan's
-    equal-color question and the polynomial's edge contraction share this
+    uv edge disappears, so the relation scan's equal-color question, the
+    polynomial's edge contraction and the POLY-IE/II checks share this
     kernel.
     """
     a, b = min(u, v), max(u, v)
@@ -194,34 +166,6 @@ def _merge_rows(rows: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
     r = (rows[a] | rows[b]) & ~ab
     out.append(r & low | (r & mid) >> 1 | (r >> (b + 1)) << (b - 1))
     return tuple(out)
-
-
-def identify_vertices(g: Graph, u: int, v: int) -> tuple[Graph, dict[int, int]]:
-    """Merge nonadjacent u and v into one vertex with the union neighborhood.
-
-    The merged vertex is last, at id n-2. Returns the graph and the old-id to
-    new-id mapping, which sends u and v both to n-2.
-    """
-    if g.has_edge(u, v):
-        raise EditError(f"({u},{v}) is an edge; delete it first")
-    if u == v:
-        raise EditError("cannot identify a vertex with itself")
-    a, b = min(u, v), max(u, v)
-    w = g.n - 2
-    id_map = {x: w if x == a or x == b else x - (x > a) - (x > b) for x in range(g.n)}
-    return Graph._make(_merge_rows(g.rows, u, v)), id_map
-
-
-def subdivide_edge(g: Graph, u: int, v: int) -> Graph:
-    """Replace edge uv with a path u-w-v through a new vertex w = n."""
-    if not g.has_edge(u, v):
-        raise EditError(f"edge ({u},{v}) not present")
-    w = g.n
-    rows = list(g.rows)
-    rows[u] ^= 1 << v | 1 << w
-    rows[v] ^= 1 << u | 1 << w
-    rows.append(1 << u | 1 << v)
-    return Graph._make(tuple(rows))
 
 
 def _reach(rows: tuple[int, ...], mask: int) -> int:
@@ -291,12 +235,6 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
             rest &= ~level
             level, odd = nxt & rest, not odd
     return frozenset(_bits(full ^ right)), frozenset(_bits(right))
-
-
-def common_neighbors(g: Graph, u: int, v: int) -> frozenset[int]:
-    g._check_vertex(u)
-    g._check_vertex(v)
-    return frozenset(_bits(g.rows[u] & g.rows[v]))
 
 
 def _free_of(rows: tuple[int, ...], base: int) -> int:

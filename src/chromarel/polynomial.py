@@ -26,10 +26,6 @@ class ChromaticPolynomial(NamedTuple):
 
     coefficients: tuple[int, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
 
 def evaluate(p: ChromaticPolynomial, k: int) -> int:
     """Exact integer evaluation at a nonnegative palette size."""

@@ -40,8 +40,8 @@ def kempe_chain_by_bfs(g, assignment, u, b):
     queue = collections.deque([u])
     while queue:
         x = queue.popleft()
-        for y in g.neighbors(x):
-            if y not in seen and assignment[y] in pair:
+        for y in range(g.n):
+            if g.rows[x] >> y & 1 and y not in seen and assignment[y] in pair:
                 seen.add(y)
                 queue.append(y)
     return seen
@@ -58,7 +58,9 @@ def bipartition_by_bfs(g):
         queue = collections.deque([s])
         while queue:
             x = queue.popleft()
-            for y in g.neighbors(x):
+            for y in range(g.n):
+                if not g.rows[x] >> y & 1:
+                    continue
                 if y not in side:
                     side[y] = 1 - side[x]
                     queue.append(y)
@@ -464,7 +466,7 @@ def criticality_by_ladder(g):
     of g-v, g-uv and g-u-v, each climbed by the library's chi ladder.
     Returns the CriticalityReport's fields as a tuple."""
     from chromarel.coloring import _chromatic
-    from chromarel.graphs import _bits, _keep_rows, delete_edge
+    from chromarel.graphs import _bits, _keep_rows, _toggle_rows
 
     n, rows = g.n, g.rows
     k = _chromatic(rows)
@@ -481,7 +483,7 @@ def criticality_by_ladder(g):
     crit_e = tuple(
         (u, v)
         for u, v in edges
-        if crit >> u & crit >> v & 1 and _chromatic(delete_edge(g, u, v).rows) < k
+        if crit >> u & crit >> v & 1 and _chromatic(_toggle_rows(rows, u, v)) < k
     )
     double = not any(rows[x] for x in _bits(full ^ crit)) and all(
         chi_without(1 << u | 1 << v) == k - 2 for u, v in edges

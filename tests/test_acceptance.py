@@ -13,17 +13,16 @@ import sys
 import time
 
 from chromarel import (
-    add_edge,
     chromatic_number,
     chromatic_polynomial,
     evaluate,
-    identify_vertices,
     is_planar,
     scan_relations,
     RelationKind,
     Graph,
 )
 from chromarel.checks import CorpusSpec, default_corpus, run_check
+from chromarel.graphs import _merge_rows, _toggle_rows
 from chromarel.families import (
     complete_bipartite,
     complete_graph,
@@ -106,10 +105,10 @@ def test_criterion_03_worked_examples():
     rels = {(r.u, r.v): r.kind for r in scan_relations(p4)}
     assert rels[(0, 3)] is RelationKind.EDGE
 
-    merged, _ = identify_vertices(p4, 0, 3)
+    merged = Graph._make(_merge_rows(p4.rows, 0, 3))
     assert merged == complete_graph(3)
 
-    c4 = add_edge(p4, 0, 3)
+    c4 = Graph._make(_toggle_rows(p4.rows, 0, 3))
     assert c4 == cycle_graph(4)
     c4_rels = {(r.u, r.v): r.kind for r in scan_relations(c4)}
     for pair in ((0, 1), (1, 2), (2, 3), (0, 3)):
@@ -119,7 +118,7 @@ def test_criterion_03_worked_examples():
     rels5 = {(r.u, r.v): r.kind for r in scan_relations(p5)}
     assert rels5[(0, 4)] is RelationKind.IDENTITY
 
-    c5 = add_edge(p5, 0, 4)
+    c5 = Graph._make(_toggle_rows(p5.rows, 0, 4))
     assert c5 == cycle_graph(5)
     assert chromatic_number(c5) == 3
     assert scan_relations(c5) == []

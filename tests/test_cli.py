@@ -121,6 +121,23 @@ def test_analyze_extend_needs_pre(capsys, p4_file):
     assert "--extend needs --pre" in err
 
 
+@pytest.mark.parametrize("output", [[], ["-o", "-"]])
+def test_analyze_refuses_dot_on_stdout_beside_the_json(capsys, tmp_path, output):
+    # DOT text ahead of the JSON would leave stdout unparseable; the refusal
+    # comes before the graph is read, so the missing file is never opened
+    missing = str(tmp_path / "missing.col")
+    code, out, err = run_cli(capsys, "analyze", missing, "--dot", "-", *output)
+    assert (code, out, err) == (2, "", "error: --dot - needs -o to send the JSON to a file\n")
+
+
+def test_analyze_writes_dot_to_stdout_when_the_json_goes_to_a_file(capsys, p4_file, tmp_path):
+    json_path = tmp_path / "p4.json"
+    code, out, _ = run_cli(capsys, "analyze", p4_file, "--dot", "-", "-o", str(json_path))
+    assert code == 0
+    assert out.startswith("graph G {")
+    assert json.loads(json_path.read_text())["chi"] == 2
+
+
 def test_analyze_rejects_bad_precolorings(capsys, p4_file):
     assert run_cli(capsys, "analyze", p4_file, "--pre", "0:1")[0] == 2
     assert run_cli(capsys, "analyze", p4_file, "--pre", "0=1,0=2")[0] == 2
@@ -157,12 +174,14 @@ def test_every_pre_refusal_names_the_file(capsys, p4_file, pre, message):
         *((["--pre", pre], message) for pre, message in MALFORMED_PRE),
         (["--pre", "0=5", "--extend", "3"], "color 5 at vertex 0 outside 1..3"),
         (["--pre", "0=1", "--extend", "-1"], "palette size must be nonnegative"),
+        (["--pre", "4=1"], "vertex 4 outside 0..3"),
+        (["--pre", "0=1,1=1"], "precoloring is improper on edge (0,1)"),
     ],
 )
 def test_malformed_pre_is_refused_before_the_work(capsys, monkeypatch, p4_file, argv, message):
-    # the text of --pre needs no chi, and neither does a palette that
-    # --extend gives, so either is refused before chi, the relation scan
-    # and criticality run
+    # the text of --pre needs no chi, nor does checking it against g, nor a
+    # palette that --extend gives, so each is refused before chi, the
+    # relation scan and criticality run
     def forbidden(*args, **kwargs):
         raise AssertionError("analysis ran before --pre was parsed")
 
@@ -481,6 +500,22 @@ def test_verify_refuses_a_bad_family_token_or_p_before_any_check(capsys, monkeyp
     assert (code, out, err, ran) == (2, "", f"error: {message}\n", [])
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--seed", "5", "--checks", "KEMPE", "--families", "k4"], "--seed needs --random"),
+        (["--all", "--checks", "KEMPE", "--families", "k4"], "--all and --checks exclude each other"),
+    ],
+)
+def test_verify_refuses_an_option_it_would_ignore(capsys, monkeypatch, argv, message):
+    # --seed seeds only --random, and --all names every check; beside what
+    # they would not change, each is bad usage before any check runs
+    ran = []
+    monkeypatch.setitem(CHECKS, "KEMPE", (lambda g: ran.append(g) or (1, [], []), ""))
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert (code, out, err, ran) == (2, "", f"error: {message}\n", [])
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_verify_reports_a_graph_too_deep_for_the_solver(capsys, jobs):
     # the 1 500-vertex path is past the exact solver's recursion; KEMPE
@@ -570,6 +605,33 @@ def test_analyze_and_poly_runs_load_no_dataclasses(tmp_path):
     assert json.loads(poly)["coeffs"][-1] == 1
     assert json.loads(verify)["verdict"] == "pass"
     assert (after_analyze, after_poly, after_verify) == ("True", "True", "True")
+
+
+def test_public_surface_is_pinned():
+    # any change to the package's names shows here as a diff
+    import chromarel
+    from chromarel import ChromaticPolynomial, Coloring, Graph
+
+    assert sorted(chromarel.__all__) == [
+        "BudgetError", "CHECKS", "CheckFailure", "CheckReport", "ChromaticPolynomial",
+        "Coloring", "CorpusSpec", "CriticalityReport", "FORMATS", "FormatError", "Graph",
+        "ImplicitRelation", "NonExtensibleCertificate", "Precoloring", "RelationKind",
+        "RouteDisagreementError", "__version__", "bipartition", "chromatic_number",
+        "chromatic_polynomial", "complete_bipartite", "complete_graph", "count_colorings",
+        "criticality", "cycle_graph", "default_corpus", "enumerate_graphs", "evaluate",
+        "format_for_path", "generate", "gnp", "grotzsch", "implicit_via_sets",
+        "is_connected", "is_planar", "iter_corpus", "k_colorable", "min_nonextensible",
+        "moser_spindle", "mycielski", "parse_graph", "path_graph", "petersen", "planted",
+        "run_check", "scan_relations", "serialize_graph", "to_dot", "wheel_graph",
+    ]
+    # derived graphs come from the row kernels, not from Graph-level edits
+    for name in ("EditError", "add_edge", "common_neighbors", "delete_edge",
+                 "identify_vertices", "subdivide_edge"):
+        with pytest.raises(AttributeError):
+            getattr(chromarel, name)
+    for cls, name in ((Graph, "neighbors"), (Graph, "degree"), (Coloring, "color"),
+                      (ChromaticPolynomial, "degree")):
+        assert not hasattr(cls, name), name
 
 
 def test_package_names_resolve_to_their_home_objects():

@@ -7,23 +7,14 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from chromarel import (
-    EditError,
-    Graph,
-    add_edge,
-    bipartition,
-    common_neighbors,
-    delete_edge,
-    identify_vertices,
-    is_connected,
-    subdivide_edge,
-)
+from chromarel import Graph, bipartition, is_connected
 from chromarel.graphs import (
     _bits,
     _component_of,
     _free_of,
     _keep_rows,
     _maximal_sets,
+    _merge_rows,
     _reach,
     _toggle_rows,
 )
@@ -51,8 +42,8 @@ def test_from_edges_basic():
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
     assert g.has_edge(1, 0)
     assert not g.has_edge(0, 2)
-    assert g.neighbors(1) == [0, 2]
-    assert g.degree(0) == 1
+    assert list(_bits(g.rows[1])) == [0, 2]
+    assert g.rows[0].bit_count() == 1
 
 
 def test_from_edges_rejects_bad_input():
@@ -100,8 +91,6 @@ def test_toggle_kernel_flips_exactly_one_pair(g, data):
     want = Graph.from_edges(g.n, sorted(set(g.edges()) ^ {pair}))
     assert Graph(g.n, rows) == want
     assert _toggle_rows(rows, u, v) == g.rows
-    edit = delete_edge if g.has_edge(u, v) else add_edge
-    assert edit(g, u, v).rows == rows
 
 
 def test_delete_vertex_shifts_ids():
@@ -114,48 +103,22 @@ def test_delete_vertex_shifts_ids():
 
 def test_delete_and_add_edge():
     g = cycle_graph(4)
-    h = delete_edge(g, 0, 1)
+    h = Graph._make(_toggle_rows(g.rows, 0, 1))
     assert h.n == 4 and h.m == 3
     assert not h.has_edge(0, 1)
-    assert add_edge(h, 0, 1) == g
-    with pytest.raises(EditError):
-        delete_edge(h, 0, 1)
-    with pytest.raises(EditError):
-        add_edge(g, 0, 1)
-
-
-@pytest.mark.parametrize("edit", [add_edge, identify_vertices])
-def test_edits_refuse_a_loop_and_a_vertex_outside_the_graph(edit):
-    g = path_graph(3)
-    with pytest.raises(EditError):
-        edit(g, 1, 1)
-    for u, v in [(0, 3), (3, 0), (-1, 2)]:
-        with pytest.raises(ValueError, match="outside 0..2") as info:
-            edit(g, u, v)
-        assert not isinstance(info.value, EditError)
+    assert Graph._make(_toggle_rows(h.rows, 0, 1)) == g
 
 
 def test_identify_nonadjacent_pair():
-    g = path_graph(4)
-    h, id_map = identify_vertices(g, 0, 2)
-    assert id_map == {0: 2, 1: 0, 2: 2, 3: 1}  # the merged vertex is last
-    # merged endpoint keeps both neighborhoods
+    # 1 and 3 keep their order as 0 and 1; the merged vertex is last, at 2,
+    # and keeps both neighborhoods
+    h = Graph._make(_merge_rows(path_graph(4).rows, 0, 2))
     assert h.n == 3
     assert set(h.edges()) == {(0, 2), (1, 2)}
-    with pytest.raises(EditError):
-        identify_vertices(g, 0, 1)  # adjacent
 
 
 def test_identify_path_ends_gives_triangle():
-    h, _ = identify_vertices(path_graph(4), 0, 3)
-    assert h == complete_graph(3)
-
-
-def test_subdivide_edge():
-    g = complete_graph(3)
-    h = subdivide_edge(g, 0, 1)
-    # a 4-cycle through the new vertex, appended at id n = 3
-    assert set(h.edges()) == {(0, 2), (0, 3), (1, 2), (1, 3)}
+    assert Graph._make(_merge_rows(path_graph(4).rows, 0, 3)) == complete_graph(3)
 
 
 def test_every_memo_has_the_one_shared_cap():
@@ -264,12 +227,6 @@ def test_bipartition_matches_a_queue_search_on_random_graphs():
         _check_bipartition(gnp(n, rng.choice([0.02, 0.05, 0.1, 0.3]), seed))
 
 
-def test_common_neighbors():
-    g = complete_graph(4)
-    assert common_neighbors(g, 0, 1) == frozenset({2, 3})
-    assert common_neighbors(path_graph(3), 0, 2) == frozenset({1})
-
-
 def _sets(masks):
     return [frozenset(_bits(s)) for s in masks]
 
@@ -342,6 +299,13 @@ def test_maximal_sets_really_maximal(g, data):
     assert sorted(_maximal_sets(g.rows, base)) == want
 
 
+def _merged_id(n, u, v):
+    # where the merge sends each old id: u and v to the last id, n-2, and
+    # the others down past whichever of u and v lie below them
+    a, b = min(u, v), max(u, v)
+    return {x: n - 2 if x in (u, v) else x - (x > a) - (x > b) for x in range(n)}
+
+
 @given(graphs(max_n=6))
 def test_identify_merges_neighborhoods(g):
     pairs = [
@@ -351,37 +315,31 @@ def test_identify_merges_neighborhoods(g):
         if not g.has_edge(u, v)
     ]
     for u, v in pairs:
-        h, id_map = identify_vertices(g, u, v)
-        merged = {id_map[x] for x in g.neighbors(u)}
-        merged |= {id_map[x] for x in g.neighbors(v)}
-        assert set(h.neighbors(g.n - 2)) == merged
+        rows = _merge_rows(g.rows, u, v)
+        f = _merged_id(g.n, u, v)
+        merged = {f[x] for x in _bits(g.rows[u] | g.rows[v])}
+        assert set(_bits(rows[g.n - 2])) == merged
 
 
 def _merge_reference(g, u, v):
     # the merge spelled out edge by edge through the validating constructor
-    a, b = min(u, v), max(u, v)
-    w = g.n - 2
-    f = {x: w if x in (u, v) else x - (x > a) - (x > b) for x in range(g.n)}
+    f = _merged_id(g.n, u, v)
     edges = {
         (min(f[x], f[y]), max(f[x], f[y])) for x, y in g.edges() if {x, y} != {u, v}
     }
-    return Graph.from_edges(g.n - 1, sorted(edges)), f
+    return Graph.from_edges(g.n - 1, sorted(edges))
 
 
 @given(graphs(min_n=2, max_n=9))
 def test_merge_kernel_matches_from_edges_reference(g):
+    # adjacent pairs too: the kernel drops the uv edge
     for u in range(g.n):
         for v in range(g.n):
             if u == v:
                 continue
-            ref, f = _merge_reference(g, u, v)
-            if g.has_edge(u, v):
-                h = identify_vertices(delete_edge(g, u, v), u, v)[0]
-            else:
-                h, id_map = identify_vertices(g, u, v)
-                assert id_map == f
-            assert h.rows == ref.rows
-            Graph(h.n, h.rows)  # symmetric, loop-free, in range
+            rows = _merge_rows(g.rows, u, v)
+            assert rows == _merge_reference(g, u, v).rows
+            Graph(len(rows), rows)  # symmetric, loop-free, in range
 
 
 def _induced_reference(g, kept):

@@ -11,10 +11,9 @@ from chromarel import (
     chromatic_number,
     chromatic_polynomial,
     count_colorings,
-    delete_edge,
     evaluate,
-    identify_vertices,
 )
+from chromarel.graphs import _merge_rows, _toggle_rows
 from chromarel.families import (
     complete_graph,
     cycle_graph,
@@ -56,13 +55,13 @@ def test_known_polynomials(g, coeffs):
 
 def test_polynomial_shape():
     p = chromatic_polynomial(cycle_graph(6))
-    assert p.degree == 6
+    assert len(p.coefficients) - 1 == 6
     assert p.coefficients[-1] == 1  # monic
     assert p.coefficients[0] == 0  # no empty-palette colorings
     # nonzero coefficients alternate in sign from the top
     for i, c in enumerate(p.coefficients):
         if c:
-            assert (c > 0) == ((p.degree - i) % 2 == 0)
+            assert (c > 0) == ((len(p.coefficients) - 1 - i) % 2 == 0)
 
 
 def test_evaluate():
@@ -113,7 +112,7 @@ def test_budget():
     big = complete_graph(21)
     with pytest.raises(BudgetError):
         chromatic_polynomial(big)
-    assert chromatic_polynomial(big, max_vertices=21).degree == 21
+    assert len(chromatic_polynomial(big, max_vertices=21).coefficients) == 22
     with pytest.raises(BudgetError):
         chromatic_polynomial(cycle_graph(8), max_vertices=7)
 
@@ -137,9 +136,8 @@ def test_deletion_contraction_identity(g, data):
         return
     u, v = data.draw(st.sampled_from(g.edges()))
     whole = chromatic_polynomial(g)
-    minus = chromatic_polynomial(delete_edge(g, u, v))
-    contracted, _ = identify_vertices(delete_edge(g, u, v), u, v)
-    merged = chromatic_polynomial(contracted)
+    minus = chromatic_polynomial(Graph._make(_toggle_rows(g.rows, u, v)))
+    merged = chromatic_polynomial(Graph._make(_merge_rows(g.rows, u, v)))
     for k in range(g.n + 1):
         assert evaluate(whole, k) == evaluate(minus, k) - evaluate(merged, k)
 
@@ -171,7 +169,7 @@ def test_dense_graphs_count_colorings(g):
 
 def _agrees(g, closed_form):
     p = chromatic_polynomial(g)
-    assert p.degree == g.n
+    assert len(p.coefficients) - 1 == g.n
     # n + 1 points fix a degree-n polynomial
     for k in range(g.n + 1):
         assert evaluate(p, k) == closed_form(k), (g.edges(), k)
