@@ -36,6 +36,7 @@ from .polynomial import chromatic_polynomial, evaluate
 from .relations import (
     RelationKind,
     RouteDisagreementError,
+    _chain,
     _critical_sets,
     _related,
     _set_relations,
@@ -120,8 +121,7 @@ def _check_bip(g: Graph, parity: int) -> _CheckResult:
     failures: list[_Finding] = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            cut = _toggle_rows(rows, u, v) if rows[u] >> v & 1 else rows
-            joined = not _component_of(cut, 1 << u, full, 1 << v)
+            joined = not _chain(rows, u, v, full)
             expected = joined and ((u in left) != (v in left)) == bool(parity)
             got = (u, v) in related
             ran += 1
@@ -200,10 +200,12 @@ def _check_cis_inv(g: Graph) -> _CheckResult:
 
 
 def _check_kempe(g: Graph) -> _CheckResult:
-    # A Kempe chain is _component_of over the union of two color-class
-    # masks, the same walk as the Kempe flips of relations._WitnessPool; it
-    # stops once it reaches v, and returns 0 then. The assignment tuple is
-    # built only for a failure's locus.
+    # In every chi-coloring a relation first keeps its color rule: an edge
+    # relation's ends differ, an identity's share a color. Then the chain in
+    # g-uv through u on {c(u), i} reaches v, for i = c(v) at an edge and for
+    # every other color i at an identity. relations._chain is that walk, the
+    # one the witness pool's Kempe flips take; it returns 0 once it reaches
+    # v. The assignment tuple is built only for a failure's locus.
     rels = _relations_of(g)
     if not rels:
         return 0, [], []
@@ -215,38 +217,29 @@ def _check_kempe(g: Graph) -> _CheckResult:
         for r in rels:
             u, v = r.u, r.v
             cu, cv = colors[u], colors[v]
-            if r.kind is RelationKind.EDGE:
+            edge = r.kind is RelationKind.EDGE
+            if (cu == cv) == edge:
                 ran += 1
-                if cu == cv:
-                    failures.append(
-                        (f"edge pair ({u},{v}) in {tuple(colors)}", "distinct colors", "equal")
+                failures.append(
+                    (
+                        f"{r.kind.value} pair ({u},{v}) in {tuple(colors)}",
+                        "distinct colors" if edge else "equal colors",
+                        "equal" if edge else "distinct",
                     )
-                elif _component_of(rows, 1 << u, cls[cu - 1] | cls[cv - 1], 1 << v):
+                )
+                continue
+            for i in (cv,) if edge else range(1, k + 1):
+                if i == cu:
+                    continue
+                ran += 1
+                if _chain(rows, u, v, cls[cu - 1] | cls[i - 1]):
                     failures.append(
                         (
-                            f"edge pair ({u},{v}) in {tuple(colors)}",
-                            f"chain on {{{cu},{cv}}} reaches {v}",
+                            f"{r.kind.value} pair ({u},{v}) in {tuple(colors)}",
+                            f"chain on {{{cu},{i}}} reaches {v}",
                             "chain misses it",
                         )
                     )
-            elif cu != cv:
-                ran += 1
-                failures.append(
-                    (f"identity pair ({u},{v}) in {tuple(colors)}", "equal colors", "distinct")
-                )
-            else:
-                for i in range(1, k + 1):
-                    if i == cu:
-                        continue
-                    ran += 1
-                    if _component_of(rows, 1 << u, cls[cu - 1] | cls[i - 1], 1 << v):
-                        failures.append(
-                            (
-                                f"identity pair ({u},{v}) in {tuple(colors)}",
-                                f"chain on {{{cu},{i}}} reaches {v}",
-                                "chain misses it",
-                            )
-                        )
     return ran, failures, []
 
 
@@ -386,6 +379,8 @@ def _check_dc_bound(g: Graph) -> _CheckResult:
                     if i == a:
                         continue
                     ran += 1
+                    # its own walk, not relations._chain: the check needs
+                    # the whole chain u-m-v, not whether it reaches v
                     chain = _component_of(h.rows, 1 << u, cls[a - 1] | cls[i - 1])
                     middle = chain & ~ends
                     if not chain >> v & 1 or middle.bit_count() != 1 or middle & ~cns:
@@ -449,7 +444,7 @@ CHECKS: dict[str, tuple[Callable[[Graph], _CheckResult], str]] = {
     "BIP-II": (lambda g: _check_bip(g, 0), "bipartite identity relations match even-path reachability in g-uv"),
     "IE2-EQ": (_check_ie2, "definition route agrees with the independent-set route on every pair"),
     "CIS-INV": (_check_cis_inv, "relations survive removing critical independent sets, iterated"),
-    "KEMPE": (_check_kempe, "every coloring carries the chains each relation demands"),
+    "KEMPE": (_check_kempe, "every coloring carries the chains in g-uv each relation demands"),
     "POLY-IE": (lambda g: _check_poly(g, RelationKind.EDGE), "edge relations zero the merged graph's polynomial at k"),
     "POLY-II": (lambda g: _check_poly(g, RelationKind.IDENTITY), "identity relations equate the merged and original polynomials at k"),
     "PLANAR-ADD": (_check_planar_add, "adding a related nonadjacent pair to planar 4-chromatic g breaks planarity"),

@@ -86,6 +86,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.dot == "-" and args.output in (None, "-"):
         # DOT text ahead of the JSON would leave stdout unparseable
         raise CliError("--dot - needs -o to send the JSON to a file")
+    if (
+        args.dot not in (None, "-")
+        and args.output not in (None, "-")
+        and Path(args.dot).resolve() == Path(args.output).resolve()
+    ):
+        # the JSON would overwrite the DOT view
+        raise CliError(f"--dot and -o name one file: {args.output}")
     g = _read_graph(args.file, args.format)
     try:
         result, rels = _analyze(g, args)

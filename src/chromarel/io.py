@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from .graphs import Graph, _bits
 
-FORMATS = ("dimacs", "graph6", "edgelist")
-
 # The largest vertex count a reader accepts. A declared or implied count is
 # checked before anything is allocated, so a one-line file cannot ask for
 # gigabytes of adjacency rows.
@@ -47,37 +45,29 @@ def format_for_path(path: str) -> str:
 
 
 def parse_graph(text: str, fmt: str) -> Graph:
-    if fmt == "dimacs":
-        return _parse_dimacs(text)
-    if fmt == "graph6":
-        return _parse_graph6(text)
-    if fmt == "edgelist":
-        return _parse_edgelist(text)
-    raise FormatError(f"unknown format {fmt!r}")
+    if fmt not in FORMATS:
+        raise FormatError(f"unknown format {fmt!r}")
+    return _CODECS[fmt][0](text)
 
 
 def serialize_graph(g: Graph, fmt: str) -> str:
-    if fmt == "dimacs":
-        return _write_dimacs(g)
-    if fmt == "graph6":
-        return _write_graph6(g)
-    if fmt == "edgelist":
-        return _write_edgelist(g)
-    raise FormatError(f"unknown format {fmt!r}")
+    if fmt not in FORMATS:
+        raise FormatError(f"unknown format {fmt!r}")
+    return _CODECS[fmt][1](g)
 
 
 def _parse_dimacs(text: str) -> Graph:
-    n = None
-    declared_m = 0
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    # the rows fill in as each edge line is checked, so a duplicate edge is
+    # a bit already set
+    rows: list[int] | None = None
+    declared_m = m = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         fields = line.split()
         if fields[0] == "p":
-            if n is not None:
+            if rows is not None:
                 raise FormatError(f"line {lineno}: second problem line")
             if len(fields) != 4 or fields[1] != "edge":
                 raise FormatError(f"line {lineno}: expected 'p edge <n> <m>'")
@@ -89,8 +79,9 @@ def _parse_dimacs(text: str) -> Graph:
                 raise FormatError(f"line {lineno}: negative problem sizes")
             if n > _MAX_VERTICES:
                 raise FormatError(f"line {lineno}: more than {_MAX_VERTICES} vertices")
+            rows = [0] * n
         elif fields[0] == "e":
-            if n is None:
+            if rows is None:
                 raise FormatError(f"line {lineno}: edge before problem line")
             if len(fields) != 3:
                 raise FormatError(f"line {lineno}: expected 'e <u> <v>'")
@@ -102,24 +93,23 @@ def _parse_dimacs(text: str) -> Graph:
                 raise FormatError(f"line {lineno}: endpoint outside 1..{n}")
             if u == v:
                 raise FormatError(f"line {lineno}: loop at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
+            if rows[u - 1] >> (v - 1) & 1:
                 raise FormatError(f"line {lineno}: duplicate edge {u} {v}")
-            seen.add(key)
-            edges.append((u - 1, v - 1))
+            rows[u - 1] |= 1 << (v - 1)
+            rows[v - 1] |= 1 << (u - 1)
+            m += 1
         else:
             raise FormatError(f"line {lineno}: unrecognized line {line!r}")
-    if n is None:
+    if rows is None:
         raise FormatError("missing problem line")
-    if len(edges) != declared_m:
-        raise FormatError(f"problem line declares {declared_m} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges)
+    if m != declared_m:
+        raise FormatError(f"problem line declares {declared_m} edges, found {m}")
+    return Graph._make(tuple(rows))
 
 
-def _write_dimacs(g: Graph) -> str:
-    lines = [f"p edge {g.n} {g.m}"]
-    for u, v in sorted(g.edges()):
-        lines.append(f"e {u + 1} {v + 1}")
+def _write_lines(g: Graph, header: str, prefix: str, base: int) -> str:
+    # edges() is already in lexicographic order
+    lines = [header] + [f"{prefix}{u + base} {v + base}" for u, v in g.edges()]
     return "\n".join(lines) + "\n"
 
 
@@ -187,10 +177,10 @@ def _write_graph6(g: Graph) -> str:
 
 
 def _parse_edgelist(text: str) -> Graph:
+    # the rows fill in as each line is checked, and grow to the largest id
+    # seen when no header fixed n
     n = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    maxv = -1
+    rows: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -198,7 +188,7 @@ def _parse_edgelist(text: str) -> Graph:
         if line.startswith("n="):
             if n is not None:
                 raise FormatError(f"line {lineno}: second vertex-count header")
-            if edges:
+            if rows:
                 raise FormatError(f"line {lineno}: header after edges")
             try:
                 n = int(line[2:])
@@ -208,6 +198,7 @@ def _parse_edgelist(text: str) -> Graph:
                 raise FormatError(f"line {lineno}: negative vertex count")
             if n > _MAX_VERTICES:
                 raise FormatError(f"line {lineno}: more than {_MAX_VERTICES} vertices")
+            rows = [0] * n
             continue
         fields = line.split()
         if len(fields) != 2:
@@ -222,21 +213,19 @@ def _parse_edgelist(text: str) -> Graph:
             raise FormatError(f"line {lineno}: vertex id above {_MAX_VERTICES - 1}")
         if u == v:
             raise FormatError(f"line {lineno}: loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
+        rows += [0] * (max(u, v) + 1 - len(rows))
+        if rows[u] >> v & 1:
             raise FormatError(f"line {lineno}: duplicate edge {u} {v}")
-        seen.add(key)
-        edges.append((u, v))
-        maxv = max(maxv, u, v)
-    if n is None:
-        n = maxv + 1
-    elif maxv >= n:
-        raise FormatError(f"vertex {maxv} outside declared n={n}")
-    return Graph.from_edges(n, edges)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    if n is not None and len(rows) > n:
+        raise FormatError(f"vertex {len(rows) - 1} outside declared n={n}")
+    return Graph._make(tuple(rows))
 
 
-def _write_edgelist(g: Graph) -> str:
-    lines = [f"n={g.n}"]
-    for u, v in sorted(g.edges()):
-        lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"
+_CODECS = {
+    "dimacs": (_parse_dimacs, lambda g: _write_lines(g, f"p edge {g.n} {g.m}", "e ", 1)),
+    "graph6": (_parse_graph6, _write_graph6),
+    "edgelist": (_parse_edgelist, lambda g: _write_lines(g, f"n={g.n}", "", 0)),
+}
+FORMATS = tuple(_CODECS)

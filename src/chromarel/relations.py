@@ -253,7 +253,9 @@ def _chain(rows: tuple[int, ...], u: int, v: int, within: int) -> int:
     g and g-uv differ only in the pair uv. The walk takes u's step itself,
     to u's neighbors other than v, and then stays inside `within` minus u,
     so no later step can cross uv: it reads g's own rows, with no copy of
-    the rows of g-uv.
+    the rows of g-uv. The witness pool's flips and the KEMPE check pass
+    two color classes; the BIP checks pass every vertex, so that 0 says u
+    reaches v in g-uv at all.
     """
     first = rows[u] & ~(1 << v) & within
     if not first:

@@ -34,7 +34,7 @@ import oracles
 
 SMALL = CorpusSpec(families=("p4", "c4", "c5", "k4", "w5"), exhaustive_n=4)
 # KEMPE's report on C5 when the relation scan claims both kinds on every pair
-KEMPE_C5_DIGEST = "e47accc7f57642b9199b69fb88305265e16432a6aef6b73f2edd46f3cde8319a"
+KEMPE_C5_DIGEST = "d6846121bda84079477b3126e75a172e8d03cb18b3396f25b1f176b3e6b10741"
 
 
 def test_every_check_passes_on_small_corpus():
@@ -401,9 +401,34 @@ def test_kempe_reports_every_broken_chain_obligation(monkeypatch):
     assert report.verdict == "fail"
     assert report.instances_run == 660
     got = Counter(f.got for f in report.failures)
-    assert got == {"distinct": 240, "chain misses it": 120, "equal": 60}
+    assert got == {"distinct": 240, "chain misses it": 270, "equal": 60}
+    # the chains walk g-uv, so each of C5's five edges, claimed as an edge
+    # relation, misses its chain in all 30 colorings: the walk may not
+    # cross uv itself
+    missed = Counter(
+        f.locus.split(" in ")[0] for f in report.failures if f.got == "chain misses it"
+    )
+    edges = {f"edge pair ({u},{v})": 30 for u, v in cycle_graph(5).edges()}
+    assert {p: c for p, c in missed.items() if p in edges} == edges
+    assert sum(c for p, c in missed.items() if p not in edges) == 120
     text = json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == KEMPE_C5_DIGEST
+
+
+def test_kempe_fails_an_adjacent_edge_claim(monkeypatch):
+    # P4's edge (1,2) is no edge relation: with the edge removed, 1 and 2
+    # lie in different components. A chain walked in g itself would cross
+    # the edge and reach 2; the walk in g-uv misses it in both 2-colorings
+    p4 = path_graph(4)
+    claim = (ImplicitRelation(1, 2, RelationKind.EDGE, 2, True),)
+    monkeypatch.setattr(checks_mod, "_relations_of", lambda h: claim if h == p4 else ())
+    report = run_check("KEMPE", CorpusSpec(families=("p4",)))
+    assert report.verdict == "fail"
+    assert report.instances_run == 2
+    assert [(f.locus, f.got) for f in report.failures] == [
+        ("edge pair (1,2) in (1, 2, 1, 2)", "chain misses it"),
+        ("edge pair (1,2) in (2, 1, 2, 1)", "chain misses it"),
+    ]
 
 
 def test_dc_bound_reports_every_broken_chain(monkeypatch):

@@ -130,6 +130,16 @@ def test_analyze_refuses_dot_on_stdout_beside_the_json(capsys, tmp_path, output)
     assert (code, out, err) == (2, "", "error: --dot - needs -o to send the JSON to a file\n")
 
 
+@pytest.mark.parametrize("output", ["same.txt", "./same.txt"])
+def test_analyze_refuses_dot_and_json_to_one_file(capsys, tmp_path, monkeypatch, output):
+    # the JSON would overwrite the DOT view; the refusal comes before the
+    # graph is read, so the missing file is never opened and nothing is written
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "analyze", "missing.col", "--dot", "same.txt", "-o", output)
+    assert (code, out, err) == (2, "", f"error: --dot and -o name one file: {output}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_writes_dot_to_stdout_when_the_json_goes_to_a_file(capsys, p4_file, tmp_path):
     json_path = tmp_path / "p4.json"
     code, out, _ = run_cli(capsys, "analyze", p4_file, "--dot", "-", "-o", str(json_path))
