@@ -37,7 +37,6 @@ from .relations import (
     RelationKind,
     RouteDisagreementError,
     _chain,
-    _critical_sets,
     _related,
     _set_relations,
     criticality,
@@ -99,16 +98,12 @@ def _relations_of(g: Graph):
     return tuple(scan_relations(g))
 
 
-@_memo
-def _criticality_of(g: Graph):
-    return criticality(g)
-
-
 def _check_bip(g: Graph, parity: int) -> _CheckResult:
     # On connected bipartite graphs, once uv is removed, the edge relation is
     # exactly "joined by an odd path" (parity 1) and the identity relation
     # exactly "joined by an even path" (parity 0). A u-v path in g-uv has
     # odd length exactly when g's bipartition puts u and v on opposite sides.
+    # For a nonadjacent pair, g-uv is g, which is connected: only edges walk.
     parts = bipartition(g) if g.m and is_connected(g) else None
     if parts is None:
         return 0, [], []
@@ -121,7 +116,7 @@ def _check_bip(g: Graph, parity: int) -> _CheckResult:
     failures: list[_Finding] = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            joined = not _chain(rows, u, v, full)
+            joined = not rows[u] >> v & 1 or not _chain(rows, u, v, full)
             expected = joined and ((u in left) != (v in left)) == bool(parity)
             got = (u, v) in related
             ran += 1
@@ -166,7 +161,7 @@ def _cis_recurse(
     ran = 0
     full = (1 << g.n) - 1
     uv = 1 << u | 1 << v
-    for s in _critical_sets(g.rows):
+    for s in _set_relations(g.rows).critical_sets:
         if s & uv:
             continue
         # g-S renumbers its survivors densely: x becomes the count of kept
@@ -286,7 +281,7 @@ def _check_planar_add(g: Graph) -> _CheckResult:
 
 def _check_subdiv(g: Graph) -> _CheckResult:
     k = chromatic_number(g)
-    if k < 3 or not _criticality_of(g).is_critical:
+    if k < 3 or not criticality(g).is_critical:
         return 0, [], []
     ran = 0
     failures: list[_Finding] = []
@@ -318,7 +313,7 @@ def _check_crit_adj(g: Graph) -> _CheckResult:
     rels = _relations_of(g)
     if not rels:
         return 0, [], []
-    crit_vertices = _criticality_of(g).critical_vertices
+    crit_vertices = criticality(g).critical_vertices
     ran = 0
     failures: list[_Finding] = []
     for r in rels:
@@ -340,7 +335,7 @@ def _check_crit_adj(g: Graph) -> _CheckResult:
 
 
 def _check_dc_bound(g: Graph) -> _CheckResult:
-    if g.m == 0 or not _criticality_of(g).is_double_critical:
+    if g.m == 0 or not criticality(g).is_double_critical:
         return 0, [], []
     k = chromatic_number(g)
     rows = g.rows

@@ -116,21 +116,30 @@ def _coloring_of(rows: tuple[int, ...], k: int) -> tuple[int, ...] | None:
     return None if c is None else c.assignment
 
 
+class CriticalityReport(NamedTuple):
+    k: int
+    critical_vertices: tuple[int, ...]
+    critical_edges: tuple[tuple[int, int], ...]
+    is_vertex_critical: bool
+    is_critical: bool
+    is_double_critical: bool
+
+
 class _SetTable:
-    """The set route's answers for one graph g, k = chi(g) >= 1.
+    """The set route's facts about one graph g, k = chi(g) >= 1.
 
     A vertex set S lowers when g-S is (k-1)-colorable: the one decision
-    behind the relation questions, the critical independent sets and the
-    critical vertices. _lowers decides an independent set by the solver, or
-    with no call when it holds a set already known to lower (deleting more
-    vertices never raises chi) or lies inside one known not to. A
-    (k-1)-coloring of g-S is, with S, a k-coloring of g, so each of its
-    classes lowers as well: S and those classes are the table's
-    certificates. They come only from the table's own solver calls on
-    independent sets of g. The maximal independent sets that lower are
-    listed once, when a relation question or _critical_sets first needs
-    them, so criticality alone never enumerates them. The memo hands every
-    caller the same table, which only ever learns facts about g.
+    behind the relation answers, critical_sets and criticality. _lowers
+    decides an independent set by the solver, or with no call when it holds
+    a set already known to lower (deleting more vertices never raises chi)
+    or lies inside one known not to. A (k-1)-coloring of g-S is, with S, a
+    k-coloring of g, so each of its classes lowers as well: S and those
+    classes are the table's certificates. They come only from the table's
+    own solver calls on independent sets of g. The maximal independent sets
+    that lower are listed once, when a relation question or critical_sets
+    first needs them, so criticality alone never enumerates them. The memo
+    hands every caller the same table, which only ever learns facts about g
+    and computes each cached fact once; the catalog clears it per graph.
     """
 
     def __init__(self, rows: tuple[int, ...]):
@@ -183,6 +192,56 @@ class _SetTable:
             classes[c - 1] |= 1 << kept[i]
         self.certs.update(dict.fromkeys([s, *filter(None, classes)]))
         return True
+
+    @functools.cached_property
+    def critical_sets(self) -> tuple[int, ...]:
+        """Masks of the nonempty independent S with chi(g - S) = chi(g) - 1, in
+        lexicographic order.
+
+        Removing an independent set lowers chi by at most one, so these are the
+        sets that lower. Each lies inside a maximal independent set, which
+        lowers too, so the candidates are the nonempty subsets of the lowering
+        maximal sets; the certificates settle most of them with no solver call.
+        """
+        if not self.rows:
+            return ()
+        candidates = set()
+        for m in self.lowering:
+            s = m
+            while s:
+                candidates.add(s)
+                s = (s - 1) & m
+        ordered = sorted(candidates, key=lambda s: tuple(_bits(s)))
+        return tuple(s for s in ordered if self._lowers(s))
+
+    @functools.cached_property
+    def criticality(self) -> CriticalityReport:
+        """g's criticality report; see criticality."""
+        rows, k, full = self.rows, self.k, self.full
+        crit = 0
+        for v in range(len(rows)):
+            if self._lowers(1 << v):
+                crit |= 1 << v
+        edges = Graph._make(rows).edges()
+        crit_e = [
+            (u, v)
+            for u, v in edges
+            if crit >> u & crit >> v & 1
+            and _coloring_of(_toggle_rows(rows, u, v), k - 1) is not None
+        ]
+        double = not any(rows[x] for x in _bits(full ^ crit)) and all(
+            _coloring_of(_keep_rows(rows, full ^ (1 << u | 1 << v)), k - 2) is not None
+            for u, v in edges
+        )
+        vertex_critical = crit == full
+        return CriticalityReport(
+            k=k,
+            critical_vertices=tuple(_bits(crit)),
+            critical_edges=tuple(crit_e),
+            is_vertex_critical=vertex_critical,
+            is_critical=vertex_critical and len(crit_e) == len(edges),
+            is_double_critical=double,
+        )
 
     def edge(self, u: int, v: int) -> bool:
         if not self.rows[u] >> v & 1:
@@ -430,39 +489,6 @@ def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelati
     return out
 
 
-@_memo
-def _critical_sets(rows: tuple[int, ...]) -> tuple[int, ...]:
-    """Masks of the nonempty independent S with chi(g - S) = chi(g) - 1, in
-    lexicographic order.
-
-    Removing an independent set lowers chi by at most one, so these are the
-    sets the graph's set table finds lowering. Each lies inside a maximal
-    independent set, which lowers too, so the candidates are the nonempty
-    subsets of the table's lowering maximal sets; its certificates settle
-    most of them with no solver call.
-    """
-    if not rows:
-        return ()
-    table = _set_relations(rows)
-    candidates = set()
-    for m in table.lowering:
-        s = m
-        while s:
-            candidates.add(s)
-            s = (s - 1) & m
-    ordered = sorted(candidates, key=lambda s: tuple(_bits(s)))
-    return tuple(s for s in ordered if table._lowers(s))
-
-
-class CriticalityReport(NamedTuple):
-    k: int
-    critical_vertices: tuple[int, ...]
-    critical_edges: tuple[tuple[int, int], ...]
-    is_vertex_critical: bool
-    is_critical: bool
-    is_double_critical: bool
-
-
 def criticality(g: Graph) -> CriticalityReport:
     """Which vertices and edges lower chi when removed, plus summary flags.
 
@@ -474,36 +500,10 @@ def criticality(g: Graph) -> CriticalityReport:
     g-u is a subgraph of g-uv, so chi(g-uv) < chi(g) forces u and v to be
     critical vertices: only edges between two of them are tested. Likewise
     a noncritical vertex x with a neighbour y leaves chi(g-x-y) >= chi(g)-1,
-    so g is then not double-critical and no vertex pair is tested.
+    so g is then not double-critical and no vertex pair is tested. The
+    report is computed once per set table, and each call returns it.
     """
-    rows = g.rows
-    table = _set_relations(rows)
-    k = table.k
-    full = table.full
-    crit = 0
-    for v in range(g.n):
-        if table._lowers(1 << v):
-            crit |= 1 << v
-    edges = g.edges()
-    crit_e = [
-        (u, v)
-        for u, v in edges
-        if crit >> u & crit >> v & 1
-        and _coloring_of(_toggle_rows(rows, u, v), k - 1) is not None
-    ]
-    double = not any(rows[x] for x in _bits(full ^ crit)) and all(
-        _coloring_of(_keep_rows(rows, full ^ (1 << u | 1 << v)), k - 2) is not None
-        for u, v in edges
-    )
-    vertex_critical = crit == full
-    return CriticalityReport(
-        k=k,
-        critical_vertices=tuple(_bits(crit)),
-        critical_edges=tuple(crit_e),
-        is_vertex_critical=vertex_critical,
-        is_critical=vertex_critical and len(crit_e) == len(edges),
-        is_double_critical=double,
-    )
+    return _set_relations(g.rows).criticality
 
 
 class NonExtensibleCertificate(NamedTuple):
@@ -623,7 +623,7 @@ def to_dot(g: Graph, relations=()) -> str:
     lines = ["graph G {"]
     for u in range(g.n):
         lines.append(f'  {u} [label="{u}"];')
-    for u, v in sorted(g.edges()):
+    for u, v in g.edges():
         lines.append(f"  {u} -- {v}{styled.pop((u, v), '')};")
     for (u, v), style in sorted(styled.items()):
         lines.append(f"  {u} -- {v}{style};")

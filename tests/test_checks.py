@@ -386,6 +386,22 @@ def test_bipartite_parity_over_all_small_bipartite_graphs():
     assert report.instances_run == 47539
 
 
+def test_bipartite_checks_walk_only_the_edges(monkeypatch):
+    # P5 is connected, so g-uv joins each of its six nonadjacent pairs with
+    # no walk; each of its four edges is a bridge and needs one
+    calls = []
+    real = checks_mod._chain
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(checks_mod, "_chain", counting)
+    ran, failures, _ = checks_mod._check_bip(path_graph(5), 1)
+    assert (ran, failures) == (10, [])
+    assert len(calls) == 4
+
+
 def test_default_corpus_resolves():
     names = [name for name, _ in iter_corpus(default_corpus())]
     assert "moser_spindle" in names and "grotzsch" in names

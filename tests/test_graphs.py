@@ -122,21 +122,24 @@ def test_identify_path_ends_gives_triangle():
 
 
 def test_every_memo_has_the_one_shared_cap():
-    import chromarel.checks as checks
-    import chromarel.coloring as coloring
-    import chromarel.polynomial as polynomial
-    import chromarel.relations as relations
+    # every functools LRU wrapper bound at module level in the package, so a
+    # memo added later is held to the cap without being listed here
+    import importlib
+    import pkgutil
+
+    import chromarel
     from chromarel.graphs import _MEMO_SIZE
 
-    memos = [
-        coloring._chromatic,
-        coloring._independent_partition_counts,
-        polynomial._poly,
-        checks._relations_of,
-        checks._criticality_of,
-        relations._critical_sets,
-    ]
-    assert all(f.cache_info().maxsize == _MEMO_SIZE for f in memos)
+    memos = {
+        f"{obj.__module__}.{obj.__qualname__}": obj
+        for info in pkgutil.iter_modules(chromarel.__path__)
+        for obj in vars(importlib.import_module(f"chromarel.{info.name}")).values()
+        if hasattr(obj, "cache_info")
+    }
+    assert "chromarel.relations._set_relations" in memos
+    assert {name: f.cache_info().maxsize for name, f in memos.items()} == dict.fromkeys(
+        memos, _MEMO_SIZE
+    )
 
 
 def test_induced_subgraph_and_delete_vertices():

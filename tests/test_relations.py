@@ -32,7 +32,7 @@ from chromarel.graphs import _bits, _component_of, _keep_rows, _toggle_rows
 from chromarel.io import parse_graph
 from chromarel.checks import run_check
 import chromarel.checks as checks_mod
-from chromarel.relations import _WitnessPool, _chain, _critical_sets, _flip, _related
+from chromarel.relations import _WitnessPool, _chain, _flip, _related, _set_relations
 from hypothesis import given
 import hypothesis.strategies as st
 
@@ -502,6 +502,17 @@ def test_criticality_alone_lists_no_maximal_sets(monkeypatch):
     assert calls
 
 
+def test_criticality_is_computed_once_per_set_table():
+    g = gnp(12, 0.5, 1)
+    relations_mod._set_relations.cache_clear()
+    report = criticality(g)
+    assert criticality(g) is report
+    # a cleared memo builds a fresh table, which computes the report again
+    relations_mod._set_relations.cache_clear()
+    fresh = criticality(g)
+    assert fresh is not report and fresh == report
+
+
 def test_k4_plus_isolated_vertex_is_double_critical_but_not_vertex_critical():
     # the isolated vertex is not critical, yet removing the two ends of any
     # edge of the K4 lowers chi by two: not vertex-critical does not rule
@@ -514,7 +525,7 @@ def test_k4_plus_isolated_vertex_is_double_critical_but_not_vertex_critical():
 
 def test_critical_independent_sets_on_c5():
     g = cycle_graph(5)
-    sets = [list(_bits(s)) for s in _critical_sets(g.rows)]
+    sets = [list(_bits(s)) for s in _set_relations(g.rows).critical_sets]
     # 5 singletons and 5 nonadjacent pairs, in lexicographic order
     assert sets == [[0], [0, 2], [0, 3], [1], [1, 3], [1, 4], [2], [2, 4], [3], [4]]
 
@@ -526,7 +537,7 @@ def test_critical_independent_sets_match_subset_oracle():
     # lexicographic order
     wrong = []
     for g in [Graph(0, ())] + [g for n in range(1, 6) for g in enumerate_graphs(n)]:
-        got = [tuple(_bits(s)) for s in _critical_sets(g.rows)]
+        got = [tuple(_bits(s)) for s in _set_relations(g.rows).critical_sets]
         if got != oracles.critical_sets_by_subsets(g):
             wrong.append((g.n, g.edges()))
     assert wrong == []
