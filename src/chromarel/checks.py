@@ -150,7 +150,7 @@ def _disagreement(g: Graph, e: RouteDisagreementError) -> _CheckResult:
 
 
 def _cis_recurse(
-    g: Graph,
+    rows: tuple[int, ...],
     u: int,
     v: int,
     kind: RelationKind,
@@ -159,15 +159,15 @@ def _cis_recurse(
     failures: list[_Finding],
 ) -> int:
     ran = 0
-    full = (1 << g.n) - 1
+    full = (1 << len(rows)) - 1
     uv = 1 << u | 1 << v
-    for s in _set_relations(g.rows).critical_sets:
+    for s in _set_relations(rows).critical_sets:
         if s & uv:
             continue
         # g-S renumbers its survivors densely: x becomes the count of kept
         # vertices below it
         keep = full ^ s
-        h = Graph._make(_keep_rows(g.rows, keep))
+        h = _keep_rows(rows, keep)
         hu = (keep & ((1 << u) - 1)).bit_count()
         hv = (keep & ((1 << v) - 1)).bit_count()
         holds = _related(h, hu, hv, kind)
@@ -189,7 +189,7 @@ def _check_cis_inv(g: Graph) -> _CheckResult:
     failures: list[_Finding] = []
     for r in rels:
         ran += _cis_recurse(
-            g, r.u, r.v, r.kind, max(1, k - 2), f"pair ({r.u},{r.v})", failures
+            g.rows, r.u, r.v, r.kind, max(1, k - 2), f"pair ({r.u},{r.v})", failures
         )
     return ran, failures, []
 
@@ -288,12 +288,8 @@ def _check_subdiv(g: Graph) -> _CheckResult:
     w = g.n
     for u, v in g.edges():
         # the path u-w-v replaces the edge uv, with w appended at id n
-        rows = list(g.rows)
-        rows[u] ^= 1 << v | 1 << w
-        rows[v] ^= 1 << u | 1 << w
-        rows.append(1 << u | 1 << v)
-        h = Graph._make(tuple(rows))
-        chi_h = chromatic_number(h)
+        h = _toggle_rows(_toggle_rows(_toggle_rows(g.rows + (0,), u, v), u, w), v, w)
+        chi_h = chromatic_number(Graph._make(h))
         ran += 1
         if chi_h != k - 1:
             failures.append((f"subdivide ({u},{v})", f"chi = {k - 1}", str(chi_h)))
@@ -354,14 +350,14 @@ def _check_dc_bound(g: Graph) -> _CheckResult:
         # every coloring of g-uv merges only u,v and each of the k-2 chains
         # runs through its own common neighbor
         for u, v in g.edges():
-            h = Graph._make(_toggle_rows(rows, u, v))
+            h = _toggle_rows(rows, u, v)
             ran += 1
             if not _related(h, u, v, RelationKind.IDENTITY):
                 failures.append((f"edge ({u},{v})", "identity pair in g-uv", "not identity"))
                 continue
             cns = rows[u] & rows[v]
             ends = 1 << u | 1 << v
-            for colors, cls in _colorings(h.rows, k - 1):
+            for colors, cls in _colorings(h, k - 1):
                 a = colors[u]
                 if colors[v] != a:
                     ran += 1
@@ -376,7 +372,7 @@ def _check_dc_bound(g: Graph) -> _CheckResult:
                     ran += 1
                     # its own walk, not relations._chain: the check needs
                     # the whole chain u-m-v, not whether it reaches v
-                    chain = _component_of(h.rows, 1 << u, cls[a - 1] | cls[i - 1])
+                    chain = _component_of(h, 1 << u, cls[a - 1] | cls[i - 1])
                     middle = chain & ~ends
                     if not chain >> v & 1 or middle.bit_count() != 1 or middle & ~cns:
                         failures.append(
@@ -513,9 +509,10 @@ def _evaluate(
                 result = 0, [("graph", "an evaluation", str(e))], []
             row.append((result, time.monotonic() - start))
         rows.append(row)
-        # the graph's checks are done, so its set tables, the largest
-        # per-graph state, go: later graphs build their own
+        # the graph's checks are done, so its relation list and set tables,
+        # the largest per-graph state, go: later graphs build their own
         _set_relations.cache_clear()
+        _relations_of.cache_clear()
     return rows
 
 

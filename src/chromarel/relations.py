@@ -9,8 +9,8 @@ searching the maximal independent sets for one whose removal drops the
 chromatic number (the set route). scan_relations runs both and refuses to
 return if they ever disagree. The public way to decide one pair alone is
 implicit_via_sets, the set route; the catalog checks that ask about one pair
-of a derived graph use the private _related, one solver call of the
-definition route.
+of a derived graph use the private _related, one memoized solver call on the
+pair rows that the definition route colors.
 """
 
 from __future__ import annotations
@@ -76,44 +76,46 @@ class RouteDisagreementError(RuntimeError):
                             self.definition_answer, self.set_answer)
 
 
-def _witness(g: Graph, u: int, v: int, kind: RelationKind, k: int) -> tuple[int, ...] | None:
-    """Colors of a k-coloring of g-uv that refutes uv as a relation of the
-    kind, or None: one solver call.
+def _pair_rows(rows: tuple[int, ...], u: int, v: int, kind: RelationKind) -> tuple[int, ...]:
+    """Rows of the graph a pair question colors: g-uv with u and v merged
+    for an edge, which a coloring giving them one color refutes, and g+uv
+    for an identity, which one separating them refutes. The merge keeps the
+    other vertices in order, with the merged vertex last."""
+    if kind is RelationKind.EDGE:
+        return _merge_rows(rows, u, v)
+    return rows if rows[u] >> v & 1 else _toggle_rows(rows, u, v)
 
-    An edge is refuted by a coloring that gives u and v one color: the solver
-    colors g-uv with u and v merged. The merge drops any uv edge and keeps
-    the other vertices in order, with the merged vertex last, so slices of
-    its colors give back those of g. An identity is refuted by a coloring
-    that separates u and v: the solver colors g+uv.
-    """
-    rows = g.rows
-    if kind is RelationKind.IDENTITY:
-        c = k_colorable(g if rows[u] >> v & 1 else Graph._make(_toggle_rows(rows, u, v)), k)
-        return None if c is None else c.assignment
-    a, b = min(u, v), max(u, v)
-    c = k_colorable(Graph._make(_merge_rows(rows, a, b)), k)
+
+def _witness(rows: tuple[int, ...], u: int, v: int, kind: RelationKind,
+             k: int) -> tuple[int, ...] | None:
+    """Colors of a k-coloring of g-uv that refutes uv as a relation of the
+    kind, or None: one solver call on the pair rows, outside the memo, as
+    the scan's witness pool keeps what it learns."""
+    c = k_colorable(Graph._make(_pair_rows(rows, u, v, kind)), k)
     if c is None:
         return None
     colors = c.assignment
+    if kind is RelationKind.IDENTITY:
+        return colors
+    a, b = min(u, v), max(u, v)
     merged = colors[-1:]
     return colors[:a] + merged + colors[a : b - 1] + merged + colors[b - 1 : -1]
 
 
 @_memo
-def _related(g: Graph, u: int, v: int, kind: RelationKind) -> bool:
-    """Whether uv is a relation of the kind, by one solver call at chi(g).
-    Memoized: the catalog checks ask the same question of the same derived
-    graph again and again."""
-    return _witness(g, u, v, kind, chromatic_number(g)) is None
-
-
-@_memo
 def _coloring_of(rows: tuple[int, ...], k: int) -> tuple[int, ...] | None:
     """Colors of the solver's k-coloring of the graph with these rows, or
-    None. Memoized: across a corpus of small graphs the set route meets the
-    same g-S again and again."""
+    None. The relation layer's one memo of solver answers: across a corpus
+    of small graphs the set route, criticality and the catalog's pair
+    questions meet the same graph again and again."""
     c = k_colorable(Graph._make(rows), k)
     return None if c is None else c.assignment
+
+
+def _related(rows: tuple[int, ...], u: int, v: int, kind: RelationKind) -> bool:
+    """Whether uv is a relation of the kind: one memoized solver call at
+    chi(g) on the pair rows."""
+    return _coloring_of(_pair_rows(rows, u, v, kind), _chromatic(rows)) is None
 
 
 class CriticalityReport(NamedTuple):
@@ -336,13 +338,12 @@ class _WitnessPool:
     pool too, but reads only its colorings and bits and never asks it.
     """
 
-    def __init__(self, g: Graph, k: int):
-        self.g = g
-        self.rows = g.rows
+    def __init__(self, rows: tuple[int, ...], k: int):
+        self.rows = rows
         self.k = k
-        self.full = (1 << g.n) - 1
-        self.same = [0] * g.n
-        self.differ = [0] * g.n
+        self.full = (1 << len(rows)) - 1
+        self.same = [0] * len(rows)
+        self.differ = [0] * len(rows)
         self.colorings: list[tuple[list[int], list[int]]] = []  # (classes, index)
 
     def add(self, assignment: tuple[int, ...]) -> None:
@@ -395,7 +396,7 @@ class _WitnessPool:
                     if not adjacent:
                         self._add_classes(_flip(classes, a, b, chain))
                     return True
-        colors = _witness(self.g, u, v, kind, self.k)
+        colors = _witness(rows, u, v, kind, self.k)
         if colors is None:
             return False
         if not adjacent:
@@ -438,7 +439,7 @@ def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelati
     """
     k = chromatic_number(g)
     rows = g.rows
-    pool = _WitnessPool(g, k)
+    pool = _WitnessPool(rows, k)
     pool.add(k_colorable(g, k).assignment)
     # ident[x]: x's identity class so far; apart[x]: the vertices that every
     # k-coloring of g separates from some member of that class, as they are
@@ -551,8 +552,6 @@ def _pool_extends(pool: _WitnessPool, domain: tuple[int, ...], pattern: tuple[in
     """
     if not pool.colorings:
         return False
-    if len(domain) == 1:
-        return True
     if len(domain) == 2:
         u, v = domain
         bits = pool.same[u] if pattern[0] == pattern[1] else pool.differ[u]
@@ -589,8 +588,8 @@ def min_nonextensible(g: Graph, k: int, max_size: int = 3) -> NonExtensibleCerti
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    pool = _WitnessPool(g, k)
     rows = g.rows
+    pool = _WitnessPool(rows, k)
     for size in range(1, min(max_size, g.n) + 1):
         patterns = _growth_patterns(size, k)
         pairs = list(enumerate(itertools.combinations(range(size), 2)))

@@ -27,6 +27,7 @@ from chromarel.checks import CHECKS
 import chromarel.checks as checks_mod
 import chromarel.relations as relations_mod
 from chromarel.families import gnp
+from chromarel.graphs import _memo
 from chromarel.io import parse_graph
 
 import oracles
@@ -83,7 +84,7 @@ def test_unknown_check_rejected():
 
 def test_failures_carry_graph6_and_locus(monkeypatch):
     # make the relation scan lie so the reporting path gets exercised
-    monkeypatch.setattr(checks_mod, "_relations_of", lambda g: ())
+    monkeypatch.setattr(checks_mod, "_relations_of", _memo(lambda g: ()))
     report = run_check("BIP-IE", CorpusSpec(families=("p4",)))
     assert report.verdict == "fail"
     assert report.failures
@@ -225,7 +226,7 @@ def test_failures_fold_in_corpus_order_under_jobs(monkeypatch):
     # the workers are forked from this process, so they inherit the lie
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("workers that are not forked do not see the monkeypatch")
-    monkeypatch.setattr(checks_mod, "_relations_of", _lie_on_every_pair)
+    monkeypatch.setattr(checks_mod, "_relations_of", _memo(_lie_on_every_pair))
     report = run_check("KEMPE", CorpusSpec(families=("c5",)), jobs=2)
     text = json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == KEMPE_C5_DIGEST
@@ -257,11 +258,21 @@ def test_one_corpus_pass_and_one_serialization_per_graph(monkeypatch):
     assert calls["serialize_graph"] <= 782
     # with every relation hidden, the BIP checks fail on bipartite graphs
     calls.clear()
-    monkeypatch.setattr(checks_mod, "_relations_of", lambda g: ())
+    monkeypatch.setattr(checks_mod, "_relations_of", _memo(lambda g: ()))
     reports = checks_mod._run_checks(["BIP-IE", "BIP-II", "KEMPE"], SMALL)
     failing = {f.graph6 for r in reports for f in r.failures}
     assert len(failing) > 5
     assert calls["serialize_graph"] <= reports[0].corpus_size + len(failing)
+
+
+def test_each_graph_leaves_no_relation_list_behind():
+    # a sweep would otherwise keep the relation tuple of every graph it met
+    checks_mod._relations_of.cache_clear()
+    reports = checks_mod._run_checks(
+        ["BIP-IE", "KEMPE"], [("p4", path_graph(4)), ("c5", cycle_graph(5))]
+    )
+    assert all(r.verdict == "pass" and r.corpus_size == 2 for r in reports)
+    assert checks_mod._relations_of.cache_info().currsize == 0
 
 
 def test_budget_holds_under_jobs():
@@ -412,7 +423,7 @@ def test_kempe_reports_every_broken_chain_obligation(monkeypatch):
     # make the relation scan claim both kinds on every pair of C5, so each
     # of KEMPE's three failure texts fires; the digest pins their wording,
     # their assignment tuples and their order
-    monkeypatch.setattr(checks_mod, "_relations_of", _lie_on_every_pair)
+    monkeypatch.setattr(checks_mod, "_relations_of", _memo(_lie_on_every_pair))
     report = run_check("KEMPE", CorpusSpec(families=("c5",)))
     assert report.verdict == "fail"
     assert report.instances_run == 660
@@ -437,7 +448,7 @@ def test_kempe_fails_an_adjacent_edge_claim(monkeypatch):
     # the edge and reach 2; the walk in g-uv misses it in both 2-colorings
     p4 = path_graph(4)
     claim = (ImplicitRelation(1, 2, RelationKind.EDGE, 2, True),)
-    monkeypatch.setattr(checks_mod, "_relations_of", lambda h: claim if h == p4 else ())
+    monkeypatch.setattr(checks_mod, "_relations_of", _memo(lambda h: claim if h == p4 else ()))
     report = run_check("KEMPE", CorpusSpec(families=("p4",)))
     assert report.verdict == "fail"
     assert report.instances_run == 2
@@ -528,9 +539,13 @@ def test_cis_inv_removes_each_critical_set_and_follows_the_pair(monkeypatch, g):
             orig = [x for x in parent["orig"] if x not in parent["last"]]
             want_kind = parent["kind"]
         else:
-            orig = list(range(h.n))
+            orig = list(range(len(h)))
             want_kind = kind
-        sets = [s for s in oracles.critical_sets_by_subsets(h) if u not in s and v not in s]
+        sets = [
+            s
+            for s in oracles.critical_sets_by_subsets(Graph(len(h), h))
+            if u not in s and v not in s
+        ]
         frames.append(
             {"orig": orig, "sets": sets, "next": 0, "pair": (orig[u], orig[v]), "kind": want_kind}
         )
@@ -551,7 +566,7 @@ def test_cis_inv_removes_each_critical_set_and_follows_the_pair(monkeypatch, g):
         )
         ou, ov = frame["pair"]
         calls.append(
-            (len(frames), h == want, (hu, hv) == (index[ou], index[ov]), kind is frame["kind"])
+            (len(frames), h == want.rows, (hu, hv) == (index[ou], index[ov]), kind is frame["kind"])
         )
         return real_related(h, hu, hv, kind)
 
@@ -599,7 +614,7 @@ def test_dc_bound_reports_a_lost_identity_on_a_complete_graph(monkeypatch):
     asked = []
 
     def refute(h, u, v, kind):
-        asked.append((h.m, u, v, kind))
+        asked.append((sum(map(int.bit_count, h)) // 2, u, v, kind))
         return False
 
     monkeypatch.setattr(checks_mod, "_related", refute)

@@ -205,12 +205,14 @@ def test_scan_solver_calls_are_pinned(monkeypatch, g, sat, unsat):
 def _record_questions(monkeypatch):
     """Record every pair question the scan asks, of the pool or of the
     solver, as (sweep, u, v): sweep 0 is a nonadjacent pair's identity
-    question, 1 its edge question and 2 an adjacent pair's edge question."""
+    question, 1 its edge question and 2 an adjacent pair's edge question.
+    The pool is asked as its owner, the solver by g's rows."""
     asked = []
 
     def recording(real):
         def ask(owner, u, v, kind, *rest):
-            adjacent = owner.rows[u] >> v & 1
+            rows = owner if isinstance(owner, tuple) else owner.rows
+            adjacent = rows[u] >> v & 1
             asked.append((2 if adjacent else int(kind is RelationKind.EDGE), u, v))
             return real(owner, u, v, kind, *rest)
 
@@ -397,8 +399,30 @@ def _related_mismatches(g):
             (RelationKind.EDGE, oracles.is_implicit_edge),
             (RelationKind.IDENTITY, oracles.is_implicit_identity),
         )
-        if _related(g, u, v, kind) != oracle(g, u, v)
+        if _related(g.rows, u, v, kind) != oracle(g, u, v)
     ]
+
+
+def test_related_is_one_lookup_in_the_memo_of_solver_answers(monkeypatch):
+    # _related keeps no memo of its own: its answer is the shared memo's
+    # entry for the pair rows, so asking again calls no solver
+    assert not hasattr(_related, "cache_info")
+    g = grotzsch()
+    chromatic_number(g)
+    relations_mod._coloring_of.cache_clear()
+    assert _related(g.rows, 0, 2, RelationKind.IDENTITY) is False
+    assert relations_mod._coloring_of.cache_info().currsize == 1
+    calls = []
+    real = relations_mod.k_colorable
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(relations_mod, "k_colorable", counting)
+    assert _related(g.rows, 0, 2, RelationKind.IDENTITY) is False
+    assert calls == []
+    assert relations_mod._coloring_of.cache_info().currsize == 1
 
 
 def test_related_matches_the_oracles_on_every_small_labeled_graph():
@@ -686,7 +710,7 @@ def test_chain_is_the_kempe_chain_in_g_minus_uv(g):
     # the pool walks g's own rows; the chain must be the one a walk over
     # the rows of g-uv finds, and 0 exactly when that walk reaches v
     k = chromatic_number(g)
-    pool = _WitnessPool(g, k)
+    pool = _WitnessPool(g.rows, k)
     pool.add(k_colorable(g, k).assignment)
     for u, v in itertools.combinations(range(g.n), 2):
         for kind in RelationKind:
