@@ -7,7 +7,8 @@ embedded in reports as graph6 strings.
 
 IE2-EQ is the relation scan's own cross-validation: scan_relations compares
 the definition route with the independent-set route on every decision, and
-IE2-EQ reads that one memoized scan rather than deciding each pair again.
+IE2-EQ reads that one scan, cached on the graph's set table with every
+other per-graph fact, rather than deciding each pair again.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .graphs import (
     _bits,
     _component_of,
     _keep_rows,
-    _memo,
     _merge_rows,
     _toggle_rows,
 )
@@ -41,7 +41,6 @@ from .relations import (
     _set_relations,
     criticality,
     min_nonextensible,
-    scan_relations,
 )
 
 _Finding = tuple[str, str, str]  # locus, expected, got
@@ -93,11 +92,6 @@ def iter_corpus(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
             yield f"gnp({n},{p},{seed + i})", first if i == 0 else gnp(n, p, seed + i)
 
 
-@_memo
-def _relations_of(g: Graph):
-    return tuple(scan_relations(g))
-
-
 def _check_bip(g: Graph, parity: int) -> _CheckResult:
     # On connected bipartite graphs, once uv is removed, the edge relation is
     # exactly "joined by an odd path" (parity 1) and the identity relation
@@ -109,7 +103,7 @@ def _check_bip(g: Graph, parity: int) -> _CheckResult:
         return 0, [], []
     left = parts[0]
     kind = RelationKind.EDGE if parity else RelationKind.IDENTITY
-    related = {(r.u, r.v) for r in _relations_of(g) if r.kind is kind}
+    related = {(r.u, r.v) for r in _set_relations(g.rows).relations if r.kind is kind}
     rows = g.rows
     full = (1 << g.n) - 1
     ran = 0
@@ -130,7 +124,7 @@ def _check_bip(g: Graph, parity: int) -> _CheckResult:
 def _check_ie2(g: Graph) -> _CheckResult:
     # The cross-validating scan compares the two routes on each (pair, kind)
     # decision; a disagreement raises, and _evaluate records it
-    _relations_of(g)
+    _set_relations(g.rows).relations
     return g.n * (g.n - 1), [], []
 
 
@@ -181,13 +175,10 @@ def _cis_recurse(
 
 
 def _check_cis_inv(g: Graph) -> _CheckResult:
-    rels = _relations_of(g)
-    if not rels:
-        return 0, [], []
     k = chromatic_number(g)
     ran = 0
     failures: list[_Finding] = []
-    for r in rels:
+    for r in _set_relations(g.rows).relations:
         ran += _cis_recurse(
             g.rows, r.u, r.v, r.kind, max(1, k - 2), f"pair ({r.u},{r.v})", failures
         )
@@ -201,7 +192,7 @@ def _check_kempe(g: Graph) -> _CheckResult:
     # every other color i at an identity. relations._chain is that walk, the
     # one the witness pool's Kempe flips take; it returns 0 once it reaches
     # v. The assignment tuple is built only for a failure's locus.
-    rels = _relations_of(g)
+    rels = _set_relations(g.rows).relations
     if not rels:
         return 0, [], []
     k = chromatic_number(g)
@@ -242,7 +233,7 @@ def _check_poly(g: Graph, kind: RelationKind) -> _CheckResult:
     # Merging a related pair in g-uv leaves P(merged, k) = 0 for an edge
     # relation and P(merged, k) = P(g, k) for an identity. The merge kernel
     # drops any uv edge, so it merges in g-uv straight from g's rows.
-    rels = [r for r in _relations_of(g) if r.kind is kind]
+    rels = [r for r in _set_relations(g.rows).relations if r.kind is kind]
     if not rels:
         return 0, [], []
     k = chromatic_number(g)
@@ -268,7 +259,7 @@ def _check_planar_add(g: Graph) -> _CheckResult:
         return 0, [], []
     ran = 0
     failures: list[_Finding] = []
-    for r in _relations_of(g):
+    for r in _set_relations(g.rows).relations:
         if r.adjacent:
             continue
         ran += 1
@@ -306,7 +297,7 @@ def _check_subdiv(g: Graph) -> _CheckResult:
 def _check_crit_adj(g: Graph) -> _CheckResult:
     # The set table decides the critical vertices and the definition route
     # gives the relations, so the check still joins two mechanisms.
-    rels = _relations_of(g)
+    rels = _set_relations(g.rows).relations
     if not rels:
         return 0, [], []
     crit_vertices = criticality(g).critical_vertices
@@ -412,7 +403,7 @@ def _check_min_pre(g: Graph) -> _CheckResult:
             failures.append((f"size-1 p({v0})=1 at k={kk}", "extends", "stuck"))
     # A precoloring can pin only a nonadjacent relation: an adjacent pair
     # cannot share a color, and with one color no pair can differ.
-    rels = _relations_of(g)
+    rels = _set_relations(g.rows).relations
     certifiable = k > 1 and any(not r.adjacent for r in rels)
     ran += 1
     if (cert is not None) != certifiable:
@@ -509,10 +500,9 @@ def _evaluate(
                 result = 0, [("graph", "an evaluation", str(e))], []
             row.append((result, time.monotonic() - start))
         rows.append(row)
-        # the graph's checks are done, so its relation list and set tables,
-        # the largest per-graph state, go: later graphs build their own
+        # the graph's checks are done, so its set tables, holding its relation
+        # list and every other per-graph fact, go: later graphs build their own
         _set_relations.cache_clear()
-        _relations_of.cache_clear()
     return rows
 
 
@@ -527,18 +517,20 @@ def _run_checks(
     A check's budget is its own summed evaluation seconds, as measured in
     the workers under jobs > 1. A check that has spent it skips the rest of
     the corpus with verdict "budget-exhausted", which never counts as a
-    pass. An empty or unknown id, jobs below 1, and a budget that is
-    negative or NaN are refused before any check runs. Results are
+    pass. An empty, unknown or repeated id, jobs below 1, and a budget that
+    is negative or NaN are refused before any check runs. Results are
     identical for any jobs value; each report takes its instances in corpus
     order.
     """
     reports = [CheckReport(cid) for cid in ids]
     if not reports:
         raise ValueError("no checks named")
-    for report in reports:
+    for i, report in enumerate(reports):
         if report.check_id not in CHECKS:
             known = ", ".join(sorted(CHECKS))
             raise ValueError(f"unknown check {report.check_id!r}; known checks: {known}")
+        if any(r.check_id == report.check_id for r in reports[:i]):
+            raise ValueError(f"check {report.check_id!r} is named twice")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     # NaN fails every comparison, so it would never stop a run

@@ -10,7 +10,8 @@ chromatic number (the set route). scan_relations runs both and refuses to
 return if they ever disagree. The public way to decide one pair alone is
 implicit_via_sets, the set route; the catalog checks that ask about one pair
 of a derived graph use the private _related, one memoized solver call on the
-pair rows that the definition route colors.
+pair rows that the definition route colors. The catalog reads a graph's
+relation list from its set table, which caches the scan's output.
 """
 
 from __future__ import annotations
@@ -141,7 +142,8 @@ class _SetTable:
     that lower are listed once, when a relation question or critical_sets
     first needs them, so criticality alone never enumerates them. The memo
     hands every caller the same table, which only ever learns facts about g
-    and computes each cached fact once; the catalog clears it per graph.
+    and computes each cached fact once: critical_sets, criticality and the
+    scan's output, relations, which the definition route never reads.
     """
 
     def __init__(self, rows: tuple[int, ...]):
@@ -244,6 +246,11 @@ class _SetTable:
             is_critical=vertex_critical and len(crit_e) == len(edges),
             is_double_critical=double,
         )
+
+    @functools.cached_property
+    def relations(self) -> tuple[ImplicitRelation, ...]:
+        """g's cross-validated scan, whose set route fills this same table."""
+        return tuple(scan_relations(Graph._make(self.rows)))
 
     def edge(self, u: int, v: int) -> bool:
         if not self.rows[u] >> v & 1:

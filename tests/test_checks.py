@@ -27,7 +27,6 @@ from chromarel.checks import CHECKS
 import chromarel.checks as checks_mod
 import chromarel.relations as relations_mod
 from chromarel.families import gnp
-from chromarel.graphs import _memo
 from chromarel.io import parse_graph
 
 import oracles
@@ -36,6 +35,14 @@ import oracles
 SMALL = CorpusSpec(families=("p4", "c4", "c5", "k4", "w5"), exhaustive_n=4)
 # KEMPE's report on C5 when the relation scan claims both kinds on every pair
 KEMPE_C5_DIGEST = "d6846121bda84079477b3126e75a172e8d03cb18b3396f25b1f176b3e6b10741"
+
+
+def _fake_relations(monkeypatch, fake):
+    # the checks read g's relation list from its set table; a property in
+    # the class answers for every table, and forked workers inherit it
+    monkeypatch.setattr(
+        relations_mod._SetTable, "relations", property(lambda t: fake(Graph._make(t.rows)))
+    )
 
 
 def test_every_check_passes_on_small_corpus():
@@ -84,7 +91,7 @@ def test_unknown_check_rejected():
 
 def test_failures_carry_graph6_and_locus(monkeypatch):
     # make the relation scan lie so the reporting path gets exercised
-    monkeypatch.setattr(checks_mod, "_relations_of", _memo(lambda g: ()))
+    _fake_relations(monkeypatch, lambda g: ())
     report = run_check("BIP-IE", CorpusSpec(families=("p4",)))
     assert report.verdict == "fail"
     assert report.failures
@@ -97,7 +104,7 @@ def test_failures_carry_graph6_and_locus(monkeypatch):
 def test_ie2_reports_the_first_route_disagreement(monkeypatch):
     assert run_check("IE2-EQ", [("p4", path_graph(4))]).instances_run == 12
     # make the set route lie so the scan's cross-validation aborts
-    checks_mod._relations_of.cache_clear()
+    relations_mod._set_relations.cache_clear()
     real = relations_mod.implicit_via_sets
     monkeypatch.setattr(
         relations_mod, "implicit_via_sets", lambda *args: not real(*args)
@@ -130,7 +137,7 @@ P4_SCAN_READERS = {
 
 
 def _lie_about_edges(monkeypatch):
-    checks_mod._relations_of.cache_clear()
+    relations_mod._set_relations.cache_clear()
     real = relations_mod.implicit_via_sets
     monkeypatch.setattr(relations_mod, "implicit_via_sets", lambda *args: not real(*args))
 
@@ -185,7 +192,7 @@ def test_ie2_reports_a_lie_on_an_adjacent_pair_edge(monkeypatch):
     # a lie on adjacent pairs' edges only, the questions the set route
     # still answers from the maximal sets of g-uv; in the path 0-2-1-3 the
     # first adjacent pair is (0,2), the scan's second pair
-    checks_mod._relations_of.cache_clear()
+    relations_mod._set_relations.cache_clear()
     real = relations_mod.implicit_via_sets
     monkeypatch.setattr(
         relations_mod,
@@ -226,7 +233,7 @@ def test_failures_fold_in_corpus_order_under_jobs(monkeypatch):
     # the workers are forked from this process, so they inherit the lie
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("workers that are not forked do not see the monkeypatch")
-    monkeypatch.setattr(checks_mod, "_relations_of", _memo(_lie_on_every_pair))
+    _fake_relations(monkeypatch, _lie_on_every_pair)
     report = run_check("KEMPE", CorpusSpec(families=("c5",)), jobs=2)
     text = json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == KEMPE_C5_DIGEST
@@ -240,8 +247,10 @@ def test_failures_fold_in_corpus_order_under_jobs(monkeypatch):
 
 def test_one_corpus_pass_and_one_serialization_per_graph(monkeypatch):
     # one default-corpus verify enumerates each order once, not once per
-    # check, and writes a graph's graph6 string at most once: for an
-    # exhaustive graph's name, or for a failure's report
+    # check; writes a graph's graph6 string at most once, for an exhaustive
+    # graph's name or for a failure's report; and scans each of its 782
+    # graphs once, so K2-K5 and C5, which the n <= 5 sweep yields again,
+    # are scanned twice
     calls = Counter()
 
     def counted(name, fn):
@@ -253,12 +262,15 @@ def test_one_corpus_pass_and_one_serialization_per_graph(monkeypatch):
 
     for name in ("enumerate_graphs", "serialize_graph"):
         monkeypatch.setattr(checks_mod, name, counted(name, getattr(checks_mod, name)))
+    scan = counted("scan_relations", relations_mod.scan_relations)
+    monkeypatch.setattr(relations_mod, "scan_relations", scan)
     assert cli.main(["verify", "--jobs", "1", "-o", os.devnull]) == 0
     assert calls["enumerate_graphs"] == 5
     assert calls["serialize_graph"] <= 782
+    assert calls["scan_relations"] == 782
     # with every relation hidden, the BIP checks fail on bipartite graphs
     calls.clear()
-    monkeypatch.setattr(checks_mod, "_relations_of", _memo(lambda g: ()))
+    _fake_relations(monkeypatch, lambda g: ())
     reports = checks_mod._run_checks(["BIP-IE", "BIP-II", "KEMPE"], SMALL)
     failing = {f.graph6 for r in reports for f in r.failures}
     assert len(failing) > 5
@@ -267,12 +279,12 @@ def test_one_corpus_pass_and_one_serialization_per_graph(monkeypatch):
 
 def test_each_graph_leaves_no_relation_list_behind():
     # a sweep would otherwise keep the relation tuple of every graph it met
-    checks_mod._relations_of.cache_clear()
+    relations_mod._set_relations.cache_clear()
     reports = checks_mod._run_checks(
         ["BIP-IE", "KEMPE"], [("p4", path_graph(4)), ("c5", cycle_graph(5))]
     )
     assert all(r.verdict == "pass" and r.corpus_size == 2 for r in reports)
-    assert checks_mod._relations_of.cache_info().currsize == 0
+    assert relations_mod._set_relations.cache_info().currsize == 0
 
 
 def test_budget_holds_under_jobs():
@@ -349,9 +361,18 @@ def test_a_run_that_would_pass_vacuously_is_refused_before_any_check(
     assert ran == []
 
 
-def test_an_empty_id_list_is_refused():
-    with pytest.raises(ValueError, match="no checks named"):
-        checks_mod._run_checks((), SMALL)
+@pytest.mark.parametrize(
+    "ids, message",
+    [((), "no checks named"), (("KEMPE", "BIP-IE", "KEMPE"), "check 'KEMPE' is named twice")],
+    ids=["empty", "repeated"],
+)
+def test_an_empty_id_list_is_refused(monkeypatch, ids, message):
+    # a repeated id would run its check twice and print two equal reports
+    ran = []
+    monkeypatch.setitem(CHECKS, "KEMPE", (lambda g: ran.append(g) or (1, [], []), ""))
+    with pytest.raises(ValueError, match=message):
+        checks_mod._run_checks(ids, SMALL)
+    assert ran == []
 
 
 def test_a_graph_a_check_cannot_evaluate_fails_that_check_alone(monkeypatch):
@@ -423,7 +444,7 @@ def test_kempe_reports_every_broken_chain_obligation(monkeypatch):
     # make the relation scan claim both kinds on every pair of C5, so each
     # of KEMPE's three failure texts fires; the digest pins their wording,
     # their assignment tuples and their order
-    monkeypatch.setattr(checks_mod, "_relations_of", _memo(_lie_on_every_pair))
+    _fake_relations(monkeypatch, _lie_on_every_pair)
     report = run_check("KEMPE", CorpusSpec(families=("c5",)))
     assert report.verdict == "fail"
     assert report.instances_run == 660
@@ -448,7 +469,7 @@ def test_kempe_fails_an_adjacent_edge_claim(monkeypatch):
     # the edge and reach 2; the walk in g-uv misses it in both 2-colorings
     p4 = path_graph(4)
     claim = (ImplicitRelation(1, 2, RelationKind.EDGE, 2, True),)
-    monkeypatch.setattr(checks_mod, "_relations_of", _memo(lambda h: claim if h == p4 else ()))
+    _fake_relations(monkeypatch, lambda h: claim if h == p4 else ())
     report = run_check("KEMPE", CorpusSpec(families=("p4",)))
     assert report.verdict == "fail"
     assert report.instances_run == 2

@@ -515,11 +515,13 @@ def test_verify_refuses_a_bad_family_token_or_p_before_any_check(capsys, monkeyp
     [
         (["--seed", "5", "--checks", "KEMPE", "--families", "k4"], "--seed needs --random"),
         (["--all", "--checks", "KEMPE", "--families", "k4"], "--all and --checks exclude each other"),
+        (["--checks", "KEMPE,kempe", "--families", "p4"], "check 'KEMPE' is named twice"),
     ],
 )
 def test_verify_refuses_an_option_it_would_ignore(capsys, monkeypatch, argv, message):
     # --seed seeds only --random, and --all names every check; beside what
-    # they would not change, each is bad usage before any check runs
+    # they would not change, each is bad usage before any check runs, as is
+    # a repeated id, which would run its check twice
     ran = []
     monkeypatch.setitem(CHECKS, "KEMPE", (lambda g: ran.append(g) or (1, [], []), ""))
     code, out, err = run_cli(capsys, "verify", *argv)

@@ -31,7 +31,6 @@ import chromarel.relations as relations_mod
 from chromarel.graphs import _bits, _component_of, _keep_rows, _toggle_rows
 from chromarel.io import parse_graph
 from chromarel.checks import run_check
-import chromarel.checks as checks_mod
 from chromarel.relations import _WitnessPool, _chain, _flip, _related, _set_relations
 from hypothesis import given
 import hypothesis.strategies as st
@@ -309,7 +308,7 @@ def test_first_disagreement_is_lexicographic_after_the_reorder(monkeypatch):
     with pytest.raises(RouteDisagreementError) as err:
         scan_relations(g)
     assert (err.value.u, err.value.v, err.value.kind) == (0, 2, RelationKind.EDGE)
-    checks_mod._relations_of.cache_clear()
+    relations_mod._set_relations.cache_clear()
     report = run_check("IE2-EQ", [("p4", g)])
     (f,) = report.failures
     assert f.locus == "pair (0,2) edge"
@@ -526,14 +525,18 @@ def test_criticality_alone_lists_no_maximal_sets(monkeypatch):
     assert calls
 
 
-def test_criticality_is_computed_once_per_set_table():
+@pytest.mark.parametrize(
+    "fact", [criticality, lambda g: _set_relations(g.rows).relations],
+    ids=["criticality", "relations"],
+)
+def test_criticality_is_computed_once_per_set_table(fact):
     g = gnp(12, 0.5, 1)
     relations_mod._set_relations.cache_clear()
-    report = criticality(g)
-    assert criticality(g) is report
-    # a cleared memo builds a fresh table, which computes the report again
+    report = fact(g)
+    assert report and fact(g) is report
+    # a cleared memo builds a fresh table, which computes the fact again
     relations_mod._set_relations.cache_clear()
-    fresh = criticality(g)
+    fresh = fact(g)
     assert fresh is not report and fresh == report
 
 
