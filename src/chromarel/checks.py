@@ -45,6 +45,10 @@ from .relations import (
 
 _Finding = tuple[str, str, str]  # locus, expected, got
 _CheckResult = tuple[int, list[_Finding], list[str]]  # ran, failures, notes
+# the most worker processes a run may ask for. Under fork a process pool
+# starts every worker at its first submit; 61 is the ceiling the standard
+# library sets for one on Windows, held here on every platform
+_MAX_JOBS = 61
 
 
 class CorpusSpec(NamedTuple):
@@ -517,10 +521,10 @@ def _run_checks(
     A check's budget is its own summed evaluation seconds, as measured in
     the workers under jobs > 1. A check that has spent it skips the rest of
     the corpus with verdict "budget-exhausted", which never counts as a
-    pass. An empty, unknown or repeated id, jobs below 1, and a budget that
-    is negative or NaN are refused before any check runs. Results are
-    identical for any jobs value; each report takes its instances in corpus
-    order.
+    pass. An empty, unknown or repeated id, jobs outside 1.._MAX_JOBS, and
+    a budget that is negative or NaN are refused before any check runs.
+    Results are identical for any jobs value; each report takes its
+    instances in corpus order.
     """
     reports = [CheckReport(cid) for cid in ids]
     if not reports:
@@ -533,6 +537,8 @@ def _run_checks(
             raise ValueError(f"check {report.check_id!r} is named twice")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs > _MAX_JOBS:
+        raise ValueError(f"jobs must be at most {_MAX_JOBS}, got {jobs}")
     # NaN fails every comparison, so it would never stop a run
     if not budget >= 0:
         raise ValueError(f"budget must be a nonnegative number of seconds, got {budget}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -42,6 +43,37 @@ def _read_graph(path: str, fmt: str | None) -> Graph:
         return parse_graph(text, use)
     except FormatError as exc:
         raise CliError(f"{path}: {exc}") from exc
+
+
+def _file_key(path: str) -> object:
+    """What names one file: its device and inode once it exists, so a hard
+    link matches too, else its resolved path."""
+    # realpath, unlike Path.resolve, takes a symlink loop without raising;
+    # the write then refuses it
+    resolved = os.path.realpath(path)
+    try:
+        st = os.stat(resolved)
+    except OSError:
+        return resolved
+    return st.st_dev, st.st_ino
+
+
+def _check_outputs(infile: str, outputs: dict[str, str | None]) -> None:
+    """Refuse, before the input is read, an output that names the input
+    file or two outputs that name one file: the write would destroy the
+    input, or the second write the first. outputs maps each option to its
+    path, None or "-" (stdout) for none."""
+    named: dict[object, str | None] = {_file_key(infile): None}
+    for option, out in outputs.items():
+        if out in (None, "-"):
+            continue
+        path = _file_key(out)
+        if path in named:
+            other = named[path]
+            if other is None:
+                raise CliError(f"{option} names the input file: {out}")
+            raise CliError(f"{other} and {option} name one file: {out}")
+        named[path] = option
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -86,13 +118,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.dot == "-" and args.output in (None, "-"):
         # DOT text ahead of the JSON would leave stdout unparseable
         raise CliError("--dot - needs -o to send the JSON to a file")
-    if (
-        args.dot not in (None, "-")
-        and args.output not in (None, "-")
-        and Path(args.dot).resolve() == Path(args.output).resolve()
-    ):
-        # the JSON would overwrite the DOT view
-        raise CliError(f"--dot and -o name one file: {args.output}")
+    _check_outputs(args.file, {"--dot": args.dot, "-o": args.output})
     g = _read_graph(args.file, args.format)
     try:
         result, rels = _analyze(g, args)
@@ -214,6 +240,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
+    _check_outputs(args.infile, {"outfile": args.outfile})
     g = _read_graph(args.infile, args.from_format)
     return _write_graph(g, args.to_format or format_for_path(args.outfile), args.outfile)
 
@@ -229,6 +256,7 @@ def _write_graph(g: Graph, fmt: str, out: str | None) -> int:
 def _cmd_poly(args: argparse.Namespace) -> int:
     from .polynomial import chromatic_polynomial, evaluate
 
+    _check_outputs(args.file, {"-o": args.output})
     g = _read_graph(args.file, args.format)
     poly = chromatic_polynomial(g, max_vertices=args.max_vertices)
     evals: dict[str, int] = {}

@@ -1,5 +1,6 @@
 """Exact coloring: decision solver, chromatic number, counting, and the
-color-class enumerator that the Kempe-chain checks walk.
+color-class enumerator that the Kempe-chain checks walk. _coloring_of is the
+package's one memo of solver answers; the chi ladder and the relations share it.
 
 Colors are 1-based, and a k-coloring maps into {1..k}, not necessarily onto.
 """
@@ -238,31 +239,40 @@ def _greedy_coloring_size(rows: tuple[int, ...], order: list[int]) -> int:
     return top
 
 
+@_memo
+def _coloring_of(rows: tuple[int, ...], k: int) -> tuple[int, ...] | None:
+    """Colors of the solver's k-coloring of the graph with these rows, or
+    None. The package's one memo of solver answers, read by the chi ladder,
+    the scan's first coloring, the set tables, criticality and the catalog's
+    pair questions, which meet the same graph again and again."""
+    c = k_colorable(Graph._make(rows), k)
+    return None if c is None else c.assignment
+
+
 def chromatic_number(g: Graph) -> int:
     """Exact chromatic number, memoized on the graph's rows by the package's
-    bounded LRU memo, shared across calls."""
+    bounded LRU memo; its ladder asks the memo of solver answers, _coloring_of."""
     return _chromatic(g.rows)
 
 
 @_memo
 def _chromatic(rows: tuple[int, ...]) -> int:
-    g = Graph._make(rows)
-    if g.n == 0:
+    if not rows:
         return 0
     if all(r == 0 for r in rows):
         return 1
-    if bipartition(g) is not None:
+    if bipartition(Graph._make(rows)) is not None:
         return 2
     comps = _component_masks(rows)
     if len(comps) > 1:
         # chi is the largest chi of a component; the ladder below, run on
         # the whole graph, would refute each k through every component
         return max(_chromatic(_keep_rows(rows, mask)) for mask in comps)
-    order = sorted(range(g.n), key=lambda v: (-rows[v].bit_count(), v))
+    order = sorted(range(len(rows)), key=lambda v: (-rows[v].bit_count(), v))
     ub = _greedy_coloring_size(rows, order)
     lb = max(_greedy_clique_size(rows, order), 3)
     for k in range(lb, ub):
-        if k_colorable(g, k) is not None:
+        if _coloring_of(rows, k) is not None:
             return k
     return ub
 

@@ -7,9 +7,10 @@ when present, so the relations are independent of adjacency. Each relation
 can be decided two ways: by direct colorability (the definition route) or by
 searching the maximal independent sets for one whose removal drops the
 chromatic number (the set route). scan_relations runs both and refuses to
-return if they ever disagree. The public way to decide one pair alone is
+return if they ever disagree; its first witness is g's chi-coloring in
+coloring's memo of solver answers. The public way to decide one pair alone is
 implicit_via_sets, the set route; the catalog checks that ask about one pair
-of a derived graph use the private _related, one memoized solver call on the
+of a derived graph use the private _related, one lookup in that memo on the
 pair rows that the definition route colors. The catalog reads a graph's
 relation list from its set table, which caches the scan's output.
 """
@@ -21,7 +22,7 @@ import itertools
 from enum import Enum
 from typing import NamedTuple
 
-from .coloring import Precoloring, _chromatic, chromatic_number, k_colorable
+from .coloring import Precoloring, _chromatic, _coloring_of, chromatic_number, k_colorable
 from .graphs import (
     Graph,
     _bits,
@@ -103,19 +104,8 @@ def _witness(rows: tuple[int, ...], u: int, v: int, kind: RelationKind,
     return colors[:a] + merged + colors[a : b - 1] + merged + colors[b - 1 : -1]
 
 
-@_memo
-def _coloring_of(rows: tuple[int, ...], k: int) -> tuple[int, ...] | None:
-    """Colors of the solver's k-coloring of the graph with these rows, or
-    None. The relation layer's one memo of solver answers: across a corpus
-    of small graphs the set route, criticality and the catalog's pair
-    questions meet the same graph again and again."""
-    c = k_colorable(Graph._make(rows), k)
-    return None if c is None else c.assignment
-
-
 def _related(rows: tuple[int, ...], u: int, v: int, kind: RelationKind) -> bool:
-    """Whether uv is a relation of the kind: one memoized solver call at
-    chi(g) on the pair rows."""
+    """Whether uv is a relation of the kind: one memo lookup at chi(g)."""
     return _coloring_of(_pair_rows(rows, u, v, kind), _chromatic(rows)) is None
 
 
@@ -415,10 +405,10 @@ def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelati
     """Classify every unordered pair at k = chi(g).
 
     The definition route asks one question per pair and kind: does some
-    k-coloring of g-uv refute it? A pool of witness k-colorings of g answers
-    it by a bit, then by a Kempe flip, and only then by one call of the
-    exact solver, which colors g-uv with u and v merged for the edge
-    question and g+uv for the identity question.
+    k-coloring of g-uv refute it? A pool of witness k-colorings of g, starting
+    from the memo's, answers it by a bit, then by a Kempe flip, and only then
+    by one call of the exact solver, which colors g-uv with u and v merged for
+    the edge question and g+uv for the identity question.
 
     The relations proven so far settle more pairs with no call. Every
     k-coloring of g gives an identity pair one color, so identities form
@@ -447,7 +437,7 @@ def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelati
     k = chromatic_number(g)
     rows = g.rows
     pool = _WitnessPool(rows, k)
-    pool.add(k_colorable(g, k).assignment)
+    pool.add(_coloring_of(rows, k))
     # ident[x]: x's identity class so far; apart[x]: the vertices that every
     # k-coloring of g separates from some member of that class, as they are
     # adjacent or proven edge relations

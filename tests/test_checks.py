@@ -15,6 +15,7 @@ from chromarel import (
     ImplicitRelation,
     RelationKind,
     bipartition,
+    chromatic_number,
     cycle_graph,
     default_corpus,
     iter_corpus,
@@ -348,14 +349,23 @@ def test_a_bad_token_or_p_is_refused_before_the_first_pair(spec, message):
         (CorpusSpec(), 1, "names no graph"),
         (SMALL, 0, "jobs must be at least 1, got 0"),
         (SMALL, -7, "jobs must be at least 1, got -7"),
+        (SMALL, 62, "jobs must be at most 61, got 62"),
     ],
 )
 def test_a_run_that_would_pass_vacuously_is_refused_before_any_check(
     monkeypatch, corpus, jobs, message
 ):
-    # each of these used to pass over 0 graphs, or to run serially
+    # each of these used to pass over 0 graphs, to run serially, or, past
+    # 61 jobs, to fork every worker at the pool's first submit; none of
+    # them may build a pool
+    import concurrent.futures
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a refused run built a process pool")
+
     ran = []
     monkeypatch.setitem(CHECKS, "KEMPE", (lambda g: ran.append(g) or (1, [], []), ""))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
     with pytest.raises(ValueError, match=message):
         run_check("KEMPE", corpus, jobs=jobs)
     assert ran == []
@@ -647,3 +657,74 @@ def test_dc_bound_reports_a_lost_identity_on_a_complete_graph(monkeypatch):
         ("C~", f"edge ({u},{v})", "identity pair in g-uv", "not identity") for u, v in edges
     ]
     assert asked == [(5, u, v, RelationKind.IDENTITY) for u, v in edges]
+
+
+def _claim(*relations):
+    """A fake relation scan that claims these (u, v, kind) relations on
+    every graph, each at g's chi and with g's own adjacency."""
+
+    def fake(h):
+        k = chromatic_number(h)
+        return tuple(ImplicitRelation(u, v, kind, k, h.has_edge(u, v)) for u, v, kind in relations)
+
+    return fake
+
+
+@pytest.mark.parametrize(
+    "check_id, family, lie, failures",
+    [
+        # P3's identity (0,2) survives the removal of {1}; a pair question
+        # that refutes every relation says it is lost
+        (
+            "CIS-INV", "p3", lambda mp: mp.setattr(checks_mod, "_related", lambda *args: False),
+            [("pair (0,2) minus [1]", "lost")],
+        ),
+        # merging P4's 0 and 2 leaves a path, which has two 2-colorings
+        (
+            "POLY-IE", "p4", lambda mp: _fake_relations(mp, _claim((0, 2, RelationKind.EDGE))),
+            [("pair (0,2)", "2")],
+        ),
+        # merging the ends of P4 makes a triangle, which has no 2-coloring
+        (
+            "POLY-II", "p4", lambda mp: _fake_relations(mp, _claim((0, 3, RelationKind.IDENTITY))),
+            [("pair (0,3)", "0")],
+        ),
+        # a chord of W5's rim keeps the wheel planar
+        (
+            "PLANAR-ADD", "w5", lambda mp: _fake_relations(mp, _claim((0, 2, RelationKind.EDGE))),
+            [("edge pair (0,2)", "still planar")],
+        ),
+        # K3 is critical, and chi read as 3 everywhere says that no
+        # subdivision of it drops to 2
+        (
+            "SUBDIV", "k3", lambda mp: mp.setattr(checks_mod, "chromatic_number", lambda h: 3),
+            [("subdivide (0,1)", "3"), ("subdivide (0,2)", "3"), ("subdivide (1,2)", "3")],
+        ),
+        # every vertex of C5 is critical; 3 sees neither end of (0,1), and
+        # 3 and 4 each miss an end of (0,2)
+        (
+            "CRIT-ADJ",
+            "c5",
+            lambda mp: _fake_relations(
+                mp, _claim((0, 1, RelationKind.EDGE), (0, 2, RelationKind.IDENTITY))
+            ),
+            [
+                ("edge pair (0,1), critical vertex 3", "adjacent to neither"),
+                ("identity pair (0,2), critical vertex 3", "misses one"),
+                ("identity pair (0,2), critical vertex 4", "misses one"),
+            ],
+        ),
+        # P3's certificate colors 0 and 2 apart, so it pins an identity,
+        # not the edge relation claimed on that pair
+        (
+            "MIN-PRE", "p3", lambda mp: _fake_relations(mp, _claim((0, 2, RelationKind.EDGE))),
+            [("certificate pair (0,2) distinct colors", "absent")],
+        ),
+    ],
+)
+def test_every_check_can_fail(monkeypatch, check_id, family, lie, failures):
+    # each check's own failure branch, reached by a lie in what it reads
+    lie(monkeypatch)
+    report = run_check(check_id, CorpusSpec(families=(family,)))
+    assert report.verdict == "fail"
+    assert [(f.locus, f.got) for f in report.failures] == failures

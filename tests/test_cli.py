@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -138,6 +139,40 @@ def test_analyze_refuses_dot_and_json_to_one_file(capsys, tmp_path, monkeypatch,
     code, out, err = run_cli(capsys, "analyze", "missing.col", "--dot", "same.txt", "-o", output)
     assert (code, out, err) == (2, "", f"error: --dot and -o name one file: {output}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("link", [False, True], ids=["same-path", "hard-link"])
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["analyze", "{g}", "--dot", "{out}"], "--dot"),
+        (["analyze", "{g}", "-o", "{out}"], "-o"),
+        (["poly", "{g}", "-o", "{out}"], "-o"),
+        (["convert", "{g}", "{out}", "--to", "graph6"], "outfile"),
+    ],
+)
+def test_an_output_that_names_the_input_is_refused(capsys, tmp_path, argv, option, link):
+    # each of these used to exit 0 and replace the input graph
+    path = tmp_path / "g.txt"
+    path.write_text("p edge 4 3\ne 1 2\ne 2 3\ne 3 4\n")
+    before = path.read_bytes()
+    out_path = path
+    if link:
+        out_path = tmp_path / "h.txt"
+        os.link(path, out_path)
+    code, out, err = run_cli(capsys, *(a.format(g=path, out=out_path) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {option} names the input file: {out_path}\n")
+    assert path.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == sorted({path, out_path})
+
+
+def test_an_output_on_a_symlink_loop_is_bad_usage(capsys, p4_file, tmp_path):
+    # the output check resolves the path without raising; the write refuses it
+    loop = tmp_path / "loop"
+    loop.symlink_to(loop)
+    code, out, err = run_cli(capsys, "poly", p4_file, "-o", str(loop))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {loop}: ")
 
 
 def test_analyze_writes_dot_to_stdout_when_the_json_goes_to_a_file(capsys, p4_file, tmp_path):
@@ -459,14 +494,24 @@ def test_console_entry_point():
         ("--random", "0,0.5,3"),
         ("--exhaustive", "2", "--jobs", "0"),
         ("--exhaustive", "2", "--jobs", "-1"),
+        ("--exhaustive", "2", "--jobs", "62"),
     ],
 )
-def test_verify_rejects_empty_or_nonpositive_corpus(capsys, corpus):
-    # these used to run nothing and report a vacuous pass
+def test_verify_rejects_empty_or_nonpositive_corpus(capsys, monkeypatch, corpus):
+    # these used to run nothing and report a vacuous pass, or, past 61
+    # jobs, start every worker process at the pool's first submit; none of
+    # them builds a pool
+    import concurrent.futures
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a refused run built a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
     code, out, err = run_cli(capsys, "verify", "--checks", "BIP-IE", *corpus)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ") and "at least 1" in err
+    want = "at most 61, got 62" if corpus[-1] == "62" else "at least 1"
+    assert err.startswith("error: ") and want in err
 
 
 @pytest.mark.parametrize("families", ["", " , "])

@@ -27,6 +27,7 @@ from chromarel.families import (
     planted,
     wheel_graph,
 )
+import chromarel.coloring as coloring_mod
 import chromarel.relations as relations_mod
 from chromarel.graphs import _bits, _component_of, _keep_rows, _toggle_rows
 from chromarel.io import parse_graph
@@ -164,41 +165,66 @@ def test_closure_scan_matches_pairwise_on_planted_graphs(k):
                 assert _scanned(g) == _pairwise_relations(g), (n, k, p, seed)
 
 
+def _record_solver_calls(monkeypatch) -> list[tuple[tuple[int, ...], bool]]:
+    """Record each exact solver call as the rows it colored and whether it
+    found a coloring, in both namespaces that call the solver: coloring's
+    memo of solver answers, and the relation layer's pair witnesses and
+    precolored questions."""
+    calls = []
+    real = coloring_mod.k_colorable
+
+    def recording(g, *args, **kwargs):
+        c = real(g, *args, **kwargs)
+        calls.append((g.rows, c is not None))
+        return c
+
+    monkeypatch.setattr(coloring_mod, "k_colorable", recording)
+    monkeypatch.setattr(relations_mod, "k_colorable", recording)
+    return calls
+
+
 def test_closure_settles_relations_without_the_solver(monkeypatch):
     # with one refutation per relation the scan would make 431 calls: the
     # first coloring and 430 refutations
-    calls = []
-    real = relations_mod.k_colorable
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(relations_mod, "k_colorable", counting)
+    calls = _record_solver_calls(monkeypatch)
     rels = scan_relations(planted(30, 3, 0.4, 1), cross_validate=False)
     assert len(rels) == 430
     assert len(calls) < len(rels)
 
 
+def _chi_from_a_cold_memo(g: Graph) -> int:
+    """chi(g) with the memos of chromatic numbers and of solver answers
+    emptied first, so the ladder's own calls fill the latter."""
+    coloring_mod._chromatic.cache_clear()
+    coloring_mod._coloring_of.cache_clear()
+    return chromatic_number(g)
+
+
 @pytest.mark.parametrize(
     "g, sat, unsat",
-    [(gnp(12, 0.5, 3), 2, 23), (planted(14, 3, 0.4, 1), 3, 2), (grotzsch(), 1, 0)],
+    [(gnp(12, 0.5, 3), 1, 23), (planted(14, 3, 0.4, 1), 2, 2), (grotzsch(), 1, 0)],
 )
 def test_scan_solver_calls_are_pinned(monkeypatch, g, sat, unsat):
-    # the first coloring, then one call per question that neither the pool's
-    # bits, a Kempe flip nor closure settles; a change to the order of the
-    # questions or to what joins the pool moves these counts
-    found = []
-    real = relations_mod.k_colorable
-
-    def counting(*args, **kwargs):
-        c = real(*args, **kwargs)
-        found.append(c is not None)
-        return c
-
-    monkeypatch.setattr(relations_mod, "k_colorable", counting)
+    # one call per question that neither the pool's bits, a Kempe flip nor
+    # closure settles, and the first coloring unless chi's ladder ended on
+    # it: Grotzsch's chi is its greedy bound, so its ladder makes no call.
+    # A change to the order of the questions or to what joins the pool
+    # moves these counts
+    _chi_from_a_cold_memo(g)
+    calls = _record_solver_calls(monkeypatch)
     scan_relations(g, cross_validate=False)
+    found = [sat for _, sat in calls]
     assert (found.count(True), found.count(False)) == (sat, unsat)
+
+
+def test_the_scan_starts_from_the_coloring_that_settled_chi(monkeypatch):
+    # chi's ladder ends on a solver call that finds a chi-coloring of g; the
+    # scan's first witness is that memo entry, so no call colors g itself
+    g = gnp(12, 0.5, 3)
+    _chi_from_a_cold_memo(g)
+    calls = _record_solver_calls(monkeypatch)
+    scan_relations(g, cross_validate=False)
+    assert calls and g.rows not in [rows for rows, _ in calls]
 
 
 def _record_questions(monkeypatch):
@@ -408,20 +434,13 @@ def test_related_is_one_lookup_in_the_memo_of_solver_answers(monkeypatch):
     assert not hasattr(_related, "cache_info")
     g = grotzsch()
     chromatic_number(g)
-    relations_mod._coloring_of.cache_clear()
+    coloring_mod._coloring_of.cache_clear()
     assert _related(g.rows, 0, 2, RelationKind.IDENTITY) is False
-    assert relations_mod._coloring_of.cache_info().currsize == 1
-    calls = []
-    real = relations_mod.k_colorable
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(relations_mod, "k_colorable", counting)
+    assert coloring_mod._coloring_of.cache_info().currsize == 1
+    calls = _record_solver_calls(monkeypatch)
     assert _related(g.rows, 0, 2, RelationKind.IDENTITY) is False
     assert calls == []
-    assert relations_mod._coloring_of.cache_info().currsize == 1
+    assert coloring_mod._coloring_of.cache_info().currsize == 1
 
 
 def test_related_matches_the_oracles_on_every_small_labeled_graph():
