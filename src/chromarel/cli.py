@@ -86,15 +86,17 @@ def _write_out(text: str, out: str | None) -> None:
             raise CliError(f"cannot write {out}: {exc}") from exc
 
 
+def _items(text: str) -> list[str]:
+    """The items of a comma-separated option, stripped, empty ones dropped."""
+    return [item for piece in text.split(",") if (item := piece.strip())]
+
+
 def _parse_precoloring(text: str) -> dict[int, int]:
     """The VERTEX=COLOR entries of --pre, refused before any work. Without
     --extend the palette is chi, so the colors are checked against it once
     chi is known; g's own refusals come before either."""
     assignment: dict[int, int] = {}
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
+    for piece in _items(text):
         vertex, sep, color = piece.partition("=")
         if not sep:
             raise CliError(f"bad precoloring entry {piece!r}; expected VERTEX=COLOR")
@@ -190,13 +192,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.all and args.checks:
         raise CliError("--all and --checks exclude each other")
     if args.checks:
-        ids = [cid for p in args.checks.split(",") if (cid := p.strip().upper())]
+        ids = [cid.upper() for cid in _items(args.checks)]
     else:
         ids = sorted(CHECKS)
     if args.exhaustive is None and args.families is None and args.random is None:
         corpus = default_corpus()
     else:
-        families = tuple(p.strip() for p in (args.families or "").split(",") if p.strip())
+        families = tuple(_items(args.families or ""))
         random_arg = None
         if args.random:
             try:
@@ -261,10 +263,7 @@ def _cmd_poly(args: argparse.Namespace) -> int:
     poly = chromatic_polynomial(g, max_vertices=args.max_vertices)
     evals: dict[str, int] = {}
     if args.eval:
-        for piece in args.eval.split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
+        for piece in _items(args.eval):
             try:
                 point = int(piece)
             except ValueError as exc:

@@ -127,12 +127,24 @@ def planted(n: int, k: int, p: float, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-_FIXED = {
-    "moser_spindle": moser_spindle,
-    "moser": moser_spindle,
-    "grotzsch": grotzsch,
-    "petersen": petersen,
+_NO_PARAMETERS = "takes no parameters"
+_ONE_SIZE = "needs exactly one size parameter"
+# name -> builder, one converter per parameter, and the refusal of a wrong
+# count of parameters
+_FAMILIES = {
+    "path": (path_graph, (int,), _ONE_SIZE),
+    "cycle": (cycle_graph, (int,), _ONE_SIZE),
+    "complete": (complete_graph, (int,), _ONE_SIZE),
+    "wheel": (wheel_graph, (int,), _ONE_SIZE),
+    "bipartite": (complete_bipartite, (int, int), "needs both part sizes"),
+    "gnp": (gnp, (int, float, int), "needs n, p, seed"),
+    "planted": (planted, (int, int, float, int), "needs n, k, p, seed"),
+    "moser_spindle": (moser_spindle, (), _NO_PARAMETERS),
+    "moser": (moser_spindle, (), _NO_PARAMETERS),
+    "grotzsch": (grotzsch, (), _NO_PARAMETERS),
+    "petersen": (petersen, (), _NO_PARAMETERS),
 }
+_COMPACT = {"p": "path", "c": "cycle", "k": "complete", "w": "wheel"}
 
 
 def generate(family: str, *args) -> Graph:
@@ -144,42 +156,20 @@ def generate(family: str, *args) -> Graph:
     petersen. Compact aliases like p4, c5, k4, w5 work too.
     """
     name = family.lower()
-    if name in _FIXED:
-        if args:
-            raise ValueError(f"{name} takes no parameters")
-        return _FIXED[name]()
     if name == "mycielski":
         if not args:
             raise ValueError("mycielski needs a base family")
         return mycielski(generate(str(args[0]), *args[1:]))
-    if name == "gnp":
-        if len(args) != 3:
-            raise ValueError("gnp needs n, p, seed")
-        return gnp(int(args[0]), float(args[1]), int(args[2]))
-    if name == "planted":
-        if len(args) != 4:
-            raise ValueError("planted needs n, k, p, seed")
-        return planted(int(args[0]), int(args[1]), float(args[2]), int(args[3]))
-    if name == "bipartite":
-        if len(args) != 2:
-            raise ValueError("bipartite needs both part sizes")
-        return complete_bipartite(int(args[0]), int(args[1]))
-    simple = {
-        "path": path_graph,
-        "cycle": cycle_graph,
-        "complete": complete_graph,
-        "wheel": wheel_graph,
-    }
-    if name in simple:
-        if len(args) != 1:
-            raise ValueError(f"{name} needs exactly one size parameter")
-        return simple[name](int(args[0]))
-    if len(name) >= 2 and name[0] in "pckw" and name[1:].isdigit():
-        key = {"p": "path", "c": "cycle", "k": "complete", "w": "wheel"}[name[0]]
+    if name[:1] in _COMPACT and name[1:].isdigit():
         if args:
-            raise ValueError(f"{name} takes no parameters")
-        return simple[key](int(name[1:]))
-    raise ValueError(f"unknown family {family!r}")
+            raise ValueError(f"{name} {_NO_PARAMETERS}")
+        name, args = _COMPACT[name[0]], (name[1:],)
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    build, converters, refusal = _FAMILIES[name]
+    if len(args) != len(converters):
+        raise ValueError(f"{name} {refusal}")
+    return build(*(convert(a) for convert, a in zip(converters, args)))
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:

@@ -9,16 +9,17 @@ Three text formats:
 * ``edgelist`` one "u v" pair per line, 0-based, with an optional leading
   "n=<int>" header fixing the vertex count.
 
-A file may declare or imply at most 2^16 vertices.
+A file may declare or imply at most 2^16 vertices, and a writer refuses a
+larger graph, so every file the package writes reads back.
 """
 
 from __future__ import annotations
 
 from .graphs import Graph, _bits
 
-# The largest vertex count a reader accepts. A declared or implied count is
-# checked before anything is allocated, so a one-line file cannot ask for
-# gigabytes of adjacency rows.
+# The largest vertex count a reader accepts, and so a writer too. A declared
+# or implied count is checked before anything is allocated, so a one-line
+# file cannot ask for gigabytes of adjacency rows.
 _MAX_VERTICES = 1 << 16
 
 _EXTENSIONS = {
@@ -53,6 +54,8 @@ def parse_graph(text: str, fmt: str) -> Graph:
 def serialize_graph(g: Graph, fmt: str) -> str:
     if fmt not in FORMATS:
         raise FormatError(f"unknown format {fmt!r}")
+    if g.n > _MAX_VERTICES:
+        raise FormatError(f"{g.n} vertices is more than the {_MAX_VERTICES} a reader accepts")
     return _CODECS[fmt][1](g)
 
 
@@ -165,12 +168,8 @@ def _write_graph6(g: Graph) -> str:
     n = g.n
     bits = "".join(format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
     bits += "0" * (-len(bits) % 6)
-    if n <= 62:
-        size = [n]
-    elif n <= 258047:
-        size = [63] + [n >> shift & 63 for shift in (12, 6, 0)]
-    else:
-        size = [63, 63] + [n >> shift & 63 for shift in (30, 24, 18, 12, 6, 0)]
+    # serialize_graph's bound keeps n below the 8-byte size form
+    size = [n] if n <= 62 else [63] + [n >> shift & 63 for shift in (12, 6, 0)]
     chars = [chr(x + 63) for x in size]
     chars += [chr(int(bits[i : i + 6], 2) + 63) for i in range(0, len(bits), 6)]
     return "".join(chars)

@@ -1,9 +1,9 @@
 """Chromatic polynomials by exact reductions and memoized edge recursion.
 
-Each graph is reduced by the first rule that applies: edgeless and complete
-graphs in closed form; a product over components; trees in closed form; a
-simplicial vertex v, whose d neighbors form a clique, gives
-P(G) = (k - d) P(G - v). Otherwise a vertex pair is branched on:
+Each graph is reduced by the first rule that applies: complete graphs in
+closed form; a product over components; trees in closed form; a simplicial
+vertex v, whose d neighbors form a clique, gives P(G) = (k - d) P(G - v).
+Otherwise a vertex pair is branched on:
 addition-contraction P(G) = P(G + uv) + P(G / uv) on a missing pair when
 more than half of all pairs are edges, and deletion-contraction
 P(G) = P(G - uv) - P(G / uv) on an edge otherwise, so both branches head
@@ -106,8 +106,6 @@ def _reduce(rows: tuple[int, ...]) -> list[int]:
     n = len(rows)
     m = sum(r.bit_count() for r in rows) // 2
     pairs = n * (n - 1) // 2
-    if m == 0:
-        return [0] * n + [1]
     if m == pairs:
         return _falling_poly(n)
     comps = _component_masks(rows)

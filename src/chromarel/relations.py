@@ -547,8 +547,6 @@ def _pool_extends(pool: _WitnessPool, domain: tuple[int, ...], pattern: tuple[in
     distinct pattern classes must land in distinct classes: renaming the
     colors then turns that coloring into a completion of the pattern.
     """
-    if not pool.colorings:
-        return False
     if len(domain) == 2:
         u, v = domain
         bits = pool.same[u] if pattern[0] == pattern[1] else pool.differ[u]

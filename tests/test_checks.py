@@ -720,6 +720,14 @@ def _claim(*relations):
             "MIN-PRE", "p3", lambda mp: _fake_relations(mp, _claim((0, 2, RelationKind.EDGE))),
             [("certificate pair (0,2) distinct colors", "absent")],
         ),
+        # an adjacent uv of a planar 4-chromatic g is an edge relation only
+        # if the planar g/uv has no 4-coloring, which the Four Color Theorem
+        # rules out; so one claimed on W5's rim edge (0,1) is wrong, and
+        # deleting that edge leaves the wheel planar
+        (
+            "PLANAR-ADD", "w5", lambda mp: _fake_relations(mp, _claim((0, 1, RelationKind.EDGE))),
+            [("edge pair (0,1)", "still planar")],
+        ),
     ],
 )
 def test_every_check_can_fail(monkeypatch, check_id, family, lie, failures):

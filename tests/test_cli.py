@@ -324,6 +324,40 @@ def test_poly_budget(capsys, c4_file):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--random", "5,0.5"], "bad --random value '5,0.5'; expected N,P,COUNT"),
+        (["verify", "--random", "5,0.5,3,1"], "bad --random value '5,0.5,3,1'; expected N,P,COUNT"),
+        (["verify", "--random", "five,0.5,3"], "bad --random value 'five,0.5,3'; expected N,P,COUNT"),
+        (["verify", "--random", " , , "], "bad --random value ' , , '; expected N,P,COUNT"),
+        (["poly", "C4", "--eval", "3,x"], "bad evaluation point 'x'"),
+        (["poly", "C4", "--eval", "1.5"], "bad evaluation point '1.5'"),
+        (["poly", "C4", "--eval", "3,-1"], "evaluation points must be nonnegative"),
+    ],
+)
+def test_a_malformed_option_list_is_bad_usage(capsys, c4_file, argv, message):
+    argv = [c4_file if a == "C4" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_an_empty_evaluation_point_is_skipped(capsys, c4_file):
+    code, out, _ = run_cli(capsys, "poly", c4_file, "--eval", " 3, ,,")
+    assert code == 0
+    assert out == '{"coeffs":[0,-3,6,-4,1],"eval":{"3":18}}\n'
+
+
+def test_gen_writes_only_a_graph_the_readers_take(capsys, tmp_path):
+    # K(1, 65536) is a star on one vertex more than a reader accepts; the
+    # refusal comes before the file is opened
+    out_file = tmp_path / "star.col"
+    code, out, err = run_cli(capsys, "gen", "bipartite", "1", "65536", "-o", str(out_file))
+    assert (code, out) == (2, "")
+    assert err == "error: 65537 vertices is more than the 65536 a reader accepts\n"
+    assert not out_file.exists()
+
+
 def test_a_polynomial_too_deep_for_its_recursion_is_bad_input(tmp_path):
     # contracting an edge of a cycle leaves a cycle one shorter, so the
     # 400-cycle recurses past Python's limit; a fresh process shows the

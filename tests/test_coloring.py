@@ -77,6 +77,26 @@ def test_k_colorable_basics():
     assert set(c.assignment) <= {1, 2, 3}
 
 
+@pytest.mark.parametrize("solver", [k_colorable, count_colorings])
+def test_a_negative_palette_is_refused(solver):
+    with pytest.raises(ValueError) as exc:
+        solver(path_graph(2), -1)
+    assert str(exc.value) == "k must be nonnegative"
+
+
+@pytest.mark.parametrize(
+    "assignment, k",
+    [
+        ((1, 2), 2),  # one entry short of P3
+        ((1, 2, 3, 1), 2),  # one entry too many
+        ((1, 2, 3), 2),  # color 3 outside 1..2
+        ((0, 1, 0), 2),  # color 0 outside 1..2
+    ],
+)
+def test_a_coloring_of_the_wrong_length_or_palette_is_improper(assignment, k):
+    assert not Coloring(assignment, k).is_proper(path_graph(3))
+
+
 def test_k_colorable_respects_precoloring():
     g = path_graph(3)
     pre = Precoloring({0: 2, 2: 2}, 2)

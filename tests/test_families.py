@@ -156,6 +156,51 @@ def test_generate_rejects_bad_requests():
         generate("planted", "12", "3", "0.5")
 
 
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        (("hypercube",), "unknown family 'hypercube'"),
+        (("Hypercube", "3"), "unknown family 'Hypercube'"),
+        (("",), "unknown family ''"),
+        (("p",), "unknown family 'p'"),
+        (("q4",), "unknown family 'q4'"),
+        (("path",), "path needs exactly one size parameter"),
+        (("cycle", "3", "4"), "cycle needs exactly one size parameter"),
+        (("complete",), "complete needs exactly one size parameter"),
+        (("wheel",), "wheel needs exactly one size parameter"),
+        (("bipartite", "2"), "bipartite needs both part sizes"),
+        (("gnp", "10", "0.5"), "gnp needs n, p, seed"),
+        (("planted", "12", "3", "0.5"), "planted needs n, k, p, seed"),
+        (("k4", "4"), "k4 takes no parameters"),
+        (("W5", "1"), "w5 takes no parameters"),
+        (("moser_spindle", "1"), "moser_spindle takes no parameters"),
+        (("moser", "1"), "moser takes no parameters"),
+        (("grotzsch", "1"), "grotzsch takes no parameters"),
+        (("petersen", "1"), "petersen takes no parameters"),
+        (("mycielski",), "mycielski needs a base family"),
+        (("mycielski", "nosuch"), "unknown family 'nosuch'"),
+        (("mycielski", "c5", "1"), "c5 takes no parameters"),
+        (("path", "x"), "invalid literal for int() with base 10: 'x'"),
+        (("gnp", "10", "half", "3"), "could not convert string to float: 'half'"),
+        (("path", "0"), "path needs at least 1 vertex"),
+        (("cycle", "2"), "cycle needs at least 3 vertices"),
+        (("c2",), "cycle needs at least 3 vertices"),
+        (("complete", "0"), "complete graph needs at least 1 vertex"),
+        (("wheel", "2"), "wheel needs a rim of at least 3 vertices"),
+        (("bipartite", "0", "3"), "both parts must be nonempty"),
+        (("gnp", "-1", "0.5", "3"), "n must be nonnegative"),
+        (("gnp", "5", "1.5", "3"), "p must lie in [0,1]"),
+        (("planted", "-1", "3", "0.5", "1"), "n must be nonnegative"),
+        (("planted", "12", "0", "0.5", "1"), "k must be at least 1"),
+        (("planted", "12", "3", "-0.1", "1"), "p must lie in [0,1]"),
+    ],
+)
+def test_every_generate_refusal_keeps_its_text(token, message):
+    with pytest.raises(ValueError) as exc:
+        generate(*token)
+    assert str(exc.value) == message
+
+
 def test_enumerate_counts():
     # labeled connected graph counts, a standard sequence
     expected = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}

@@ -57,6 +57,23 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(-1, [])
 
 
+@pytest.mark.parametrize(
+    "n, rows, message",
+    [
+        (-1, [], "vertex count must be nonnegative"),
+        (2, [0], "expected 2 adjacency rows, got 1"),
+        (2, [0b100, 0], "row 0 references vertices outside 0..1"),
+        (2, [-1, 0], "row 0 references vertices outside 0..1"),
+        (2, [0b1, 0], "loop at vertex 0"),
+        (2, [0b10, 0], "edge 0-1 lacks its mirror entry"),
+    ],
+)
+def test_the_validating_constructor_refuses_bad_rows(n, rows, message):
+    with pytest.raises(ValueError) as exc:
+        Graph(n, rows)
+    assert str(exc.value) == message
+
+
 @given(graphs())
 def test_from_edges_builds_what_the_validating_constructor_accepts(g):
     assert Graph(g.n, g.rows) == g

@@ -215,3 +215,38 @@ def test_vertex_count_limit_is_inclusive():
     ):
         with pytest.raises(FormatError, match="line 1"):
             parse_graph(text, fmt)
+
+
+@pytest.mark.parametrize(
+    "text, fmt, message",
+    [
+        ("p edge x 3\n", "dimacs", "line 1: non-integer problem sizes"),
+        ("p edge -1 0\n", "dimacs", "line 1: negative problem sizes"),
+        ("p edge 2 -1\n", "dimacs", "line 1: negative problem sizes"),
+        ("p edge 2 1\ne 1\n", "dimacs", "line 2: expected 'e <u> <v>'"),
+        ("p edge 2 1\ne 1 x\n", "dimacs", "line 2: non-integer endpoints"),
+        ("n=3\nn=3\n", "edgelist", "line 2: second vertex-count header"),
+        ("0 1\nn=3\n", "edgelist", "line 2: header after edges"),
+        ("n=-1\n", "edgelist", "line 1: negative vertex count"),
+    ],
+)
+def test_every_reader_refusal_names_its_line(text, fmt, message):
+    with pytest.raises(FormatError) as exc:
+        parse_graph(text, fmt)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_writer_refuses_a_graph_no_reader_takes(fmt):
+    # graph6 would spell this graph's 2^31 pair bits out one character
+    # each, so the refusal must come before any text is built
+    g = Graph._make((0,) * 65537)
+    with pytest.raises(FormatError) as exc:
+        serialize_graph(g, fmt)
+    assert str(exc.value) == "65537 vertices is more than the 65536 a reader accepts"
+
+
+@pytest.mark.parametrize("fmt", ["dimacs", "edgelist"])
+def test_the_largest_readable_graph_round_trips(fmt):
+    g = Graph._make((0,) * 65536)
+    assert parse_graph(serialize_graph(g, fmt), fmt) == g

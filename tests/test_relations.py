@@ -103,6 +103,19 @@ def test_pair_predicates_validate_input():
         implicit_via_sets(g, 0, 4, RelationKind.IDENTITY)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: implicit_via_sets(g, 0, 2, "edge"), "unknown relation kind 'edge'"),
+        (lambda g: min_nonextensible(g, -1), "k must be nonnegative"),
+    ],
+)
+def test_a_bad_kind_or_palette_is_refused(call, message):
+    with pytest.raises(ValueError) as exc:
+        call(path_graph(4))
+    assert str(exc.value) == message
+
+
 def test_scan_matches_assignment_enumeration():
     # every connected graph up to 4 vertices, classified two independent ways
     for n in range(2, 5):
