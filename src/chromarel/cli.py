@@ -4,7 +4,7 @@ All machine-readable output is canonical JSON on stdout: sorted keys, no
 whitespace, one trailing newline, so identical inputs give byte-identical
 output. Timings and progress go to stderr only. Exit status 0 means success,
 1 means a failed check or a non-extensible precoloring, 2 means bad usage
-or unreadable input.
+or unreadable input: a plain ValueError, from the CLI or the library.
 
 Each command imports the modules it uses when it runs, on top of graphs and
 io, so a process loads only those: `poly` needs polynomial, not the relation
@@ -24,11 +24,6 @@ from .graphs import Graph
 from .io import FORMATS, FormatError, format_for_path, parse_graph, serialize_graph
 
 
-class CliError(ValueError):
-    """Bad usage or bad input, with the context the library lacks; main
-    exits with status 2 on it as on any ValueError."""
-
-
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -37,12 +32,12 @@ def _read_graph(path: str, fmt: str | None) -> Graph:
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     use = fmt or format_for_path(path)
     try:
         return parse_graph(text, use)
     except FormatError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _file_key(path: str) -> object:
@@ -71,8 +66,8 @@ def _check_outputs(infile: str, outputs: dict[str, str | None]) -> None:
         if path in named:
             other = named[path]
             if other is None:
-                raise CliError(f"{option} names the input file: {out}")
-            raise CliError(f"{other} and {option} name one file: {out}")
+                raise ValueError(f"{option} names the input file: {out}")
+            raise ValueError(f"{other} and {option} name one file: {out}")
         named[path] = option
 
 
@@ -83,7 +78,7 @@ def _write_out(text: str, out: str | None) -> None:
         try:
             Path(out).write_text(text)
         except OSError as exc:
-            raise CliError(f"cannot write {out}: {exc}") from exc
+            raise ValueError(f"cannot write {out}: {exc}") from exc
 
 
 def _items(text: str) -> list[str]:
@@ -99,16 +94,16 @@ def _parse_precoloring(text: str) -> dict[int, int]:
     for piece in _items(text):
         vertex, sep, color = piece.partition("=")
         if not sep:
-            raise CliError(f"bad precoloring entry {piece!r}; expected VERTEX=COLOR")
+            raise ValueError(f"bad precoloring entry {piece!r}; expected VERTEX=COLOR")
         try:
             v, c = int(vertex), int(color)
         except ValueError as exc:
-            raise CliError(f"bad precoloring entry {piece!r}: {exc}") from exc
+            raise ValueError(f"bad precoloring entry {piece!r}: {exc}") from exc
         if v in assignment:
-            raise CliError(f"vertex {v} precolored twice")
+            raise ValueError(f"vertex {v} precolored twice")
         assignment[v] = c
     if not assignment:
-        raise CliError("empty precoloring")
+        raise ValueError("empty precoloring")
     return assignment
 
 
@@ -116,10 +111,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     from .relations import RouteDisagreementError, to_dot
 
     if args.extend is not None and args.pre is None:
-        raise CliError("--extend needs --pre")
+        raise ValueError("--extend needs --pre")
     if args.dot == "-" and args.output in (None, "-"):
         # DOT text ahead of the JSON would leave stdout unparseable
-        raise CliError("--dot - needs -o to send the JSON to a file")
+        raise ValueError("--dot - needs -o to send the JSON to a file")
     _check_outputs(args.file, {"--dot": args.dot, "-o": args.output})
     g = _read_graph(args.file, args.format)
     try:
@@ -133,7 +128,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         # input the exact search cannot take, such as a graph too deep for
         # its recursion or a precoloring that is malformed or does not fit
         # the graph
-        raise CliError(f"{args.file}: {exc}") from exc
+        raise ValueError(f"{args.file}: {exc}") from exc
     if args.dot:
         _write_out(to_dot(g, rels), args.dot)
     _write_out(_canonical(result), args.output)
@@ -188,9 +183,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .checks import CHECKS, CorpusSpec, _run_checks, default_corpus, run_check
 
     if args.seed is not None and args.random is None:
-        raise CliError("--seed needs --random")
+        raise ValueError("--seed needs --random")
     if args.all and args.checks:
-        raise CliError("--all and --checks exclude each other")
+        raise ValueError("--all and --checks exclude each other")
     if args.checks:
         ids = [cid.upper() for cid in _items(args.checks)]
     else:
@@ -205,7 +200,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 n_str, p_str, count_str = args.random.split(",")
                 random_arg = (int(n_str), float(p_str), args.seed or 0, int(count_str))
             except ValueError as exc:
-                raise CliError(f"bad --random value {args.random!r}; expected N,P,COUNT") from exc
+                raise ValueError(f"bad --random value {args.random!r}; expected N,P,COUNT") from exc
         corpus = CorpusSpec(
             families=families,
             exhaustive_n=args.exhaustive,
@@ -267,9 +262,9 @@ def _cmd_poly(args: argparse.Namespace) -> int:
             try:
                 point = int(piece)
             except ValueError as exc:
-                raise CliError(f"bad evaluation point {piece!r}") from exc
+                raise ValueError(f"bad evaluation point {piece!r}") from exc
             if point < 0:
-                raise CliError("evaluation points must be nonnegative")
+                raise ValueError("evaluation points must be nonnegative")
             evals[str(point)] = evaluate(poly, point)
     payload = {"coeffs": list(poly.coefficients), "eval": evals}
     _write_out(_canonical(payload), args.output)

@@ -44,7 +44,8 @@ class Precoloring:
             raise ValueError("palette size must be nonnegative")
         for v, c in assignment.items():
             if not 1 <= c <= k:
-                raise ValueError(f"color {c} at vertex {v} outside 1..{k}")
+                span = f" outside 1..{k}" if k else ": the palette is empty"
+                raise ValueError(f"color {c} at vertex {v}{span}")
         self.assignment = dict(sorted(assignment.items()))
         self.k = k
 
@@ -257,19 +258,17 @@ def chromatic_number(g: Graph) -> int:
 
 @_memo
 def _chromatic(rows: tuple[int, ...]) -> int:
-    if not rows:
-        return 0
-    if all(r == 0 for r in rows):
-        return 1
-    if bipartition(Graph._make(rows)) is not None:
-        return 2
+    order = sorted(range(len(rows)), key=lambda v: (-rows[v].bit_count(), v))
+    ub = _greedy_coloring_size(rows, order)
+    # greedy with at most two colors is optimal; a bipartite graph it colors
+    # with three, such as a long tree, is too deep for the ladder's k = 2
+    if ub <= 2 or bipartition(Graph._make(rows)) is not None:
+        return min(ub, 2)
     comps = _component_masks(rows)
     if len(comps) > 1:
         # chi is the largest chi of a component; the ladder below, run on
         # the whole graph, would refute each k through every component
         return max(_chromatic(_keep_rows(rows, mask)) for mask in comps)
-    order = sorted(range(len(rows)), key=lambda v: (-rows[v].bit_count(), v))
-    ub = _greedy_coloring_size(rows, order)
     lb = max(_greedy_clique_size(rows, order), 3)
     for k in range(lb, ub):
         if _coloring_of(rows, k) is not None:

@@ -70,7 +70,8 @@ class Graph:
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) outside 0..{n - 1}")
+                span = f" outside 0..{n - 1}" if n else ": the graph has no vertices"
+                raise ValueError(f"edge ({u},{v}){span}")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if rows[u] >> v & 1:
@@ -93,7 +94,8 @@ class Graph:
 
     def _check_vertex(self, u: int) -> None:
         if not (0 <= u < self.n):
-            raise ValueError(f"vertex {u} outside 0..{self.n - 1}")
+            span = f" outside 0..{self.n - 1}" if self.n else ": the graph has no vertices"
+            raise ValueError(f"vertex {u}{span}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

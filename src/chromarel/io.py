@@ -93,7 +93,8 @@ def _parse_dimacs(text: str) -> Graph:
             except ValueError:
                 raise FormatError(f"line {lineno}: non-integer endpoints") from None
             if not (1 <= u <= n and 1 <= v <= n):
-                raise FormatError(f"line {lineno}: endpoint outside 1..{n}")
+                span = f" outside 1..{n}" if n else ", but the graph has no vertices"
+                raise FormatError(f"line {lineno}: endpoint{span}")
             if u == v:
                 raise FormatError(f"line {lineno}: loop at vertex {u}")
             if rows[u - 1] >> (v - 1) & 1:
@@ -125,38 +126,38 @@ def _parse_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<") :]
     if not s:
         raise FormatError("empty graph6 string")
-    data = [ord(ch) - 63 for ch in s]
-    for i, val in enumerate(data):
-        if not (0 <= val <= 63):
-            raise FormatError(f"byte {i} out of graph6 range: {s[i]!r}")
+    if min(s) < "?" or max(s) > "~":
+        i = next(i for i, ch in enumerate(s) if not "?" <= ch <= "~")
+        raise FormatError(f"byte {i} out of graph6 range: {s[i]!r}")
     # the size: one byte below chr(126), or chr(126) and three more bytes,
     # or chr(126) twice and six more bytes, six bits each
-    if data[0] < 63:
-        head, size = 1, data[:1]
-    elif data[1:2] == [63]:
-        head, size = 8, data[2:8]
+    if s[0] != "~":
+        head, size = 1, s[:1]
+    elif s[1:2] == "~":
+        head, size = 8, s[2:8]
     else:
-        head, size = 4, data[1:4]
-    if len(data) < head:
+        head, size = 4, s[1:4]
+    if len(s) < head:
         raise FormatError("truncated graph6 size")
     n = 0
-    for val in size:
-        n = n << 6 | val
+    for ch in size:
+        n = n << 6 | ord(ch) - 63
     if n > _MAX_VERTICES:
         raise FormatError(f"graph6 size {n} is more than {_MAX_VERTICES} vertices")
     nbits = n * (n - 1) // 2
     expect = (nbits + 5) // 6
-    if len(data) - head != expect:
-        raise FormatError(f"expected {expect} data bytes for n={n}, got {len(data) - head}")
-    # the bits run down the columns of the upper triangle: for i < j, bit i
-    # of column j is whether ij is an edge
-    bits = "".join(format(val, "06b") for val in data[head:])
-    if "1" in bits[nbits:]:
+    if len(s) - head != expect:
+        raise FormatError(f"expected {expect} data bytes for n={n}, got {len(s) - head}")
+    if nbits % 6 and (ord(s[-1]) - 63) & (1 << (6 - nbits % 6)) - 1:
         raise FormatError("nonzero padding bits")
+    # the bits run down the columns of the upper triangle: for i < j, bit i
+    # of column j is whether ij is an edge. Each column is cut from the few
+    # bytes that hold it; pos counts bits from the start of s
     rows = [0] * n
-    pos = 0
+    pos = 6 * head
     for j in range(1, n):
-        column = int(bits[pos : pos + j][::-1], 2)
+        bits = "".join([format(ord(ch) - 63, "06b") for ch in s[pos // 6 : (pos + j + 5) // 6]])
+        column = int(bits[pos % 6 : pos % 6 + j][::-1], 2)
         pos += j
         rows[j] |= column
         for i in _bits(column):
@@ -166,13 +167,21 @@ def _parse_graph6(text: str) -> Graph:
 
 def _write_graph6(g: Graph) -> str:
     n = g.n
-    bits = "".join(format(g.rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
-    bits += "0" * (-len(bits) % 6)
     # serialize_graph's bound keeps n below the 8-byte size form
     size = [n] if n <= 62 else [63] + [n >> shift & 63 for shift in (12, 6, 0)]
-    chars = [chr(x + 63) for x in size]
-    chars += [chr(int(bits[i : i + 6], 2) + 63) for i in range(0, len(bits), 6)]
-    return "".join(chars)
+    out = bytearray(x + 63 for x in size)
+    # column by column, as the reader cuts them: bin() with bit j set keeps
+    # all j digits, read back to front from vertex 0; the fewer than six bits
+    # a column leaves over lead the next one's bytes, and the last are padded
+    left = ""
+    for j in range(1, n):
+        bits = left + bin(g.rows[j] & ((1 << j) - 1) | 1 << j)[:2:-1]
+        cut = len(bits) - len(bits) % 6
+        out += bytes([int(bits[i : i + 6], 2) + 63 for i in range(0, cut, 6)])
+        left = bits[cut:]
+    if left:
+        out.append(int(left.ljust(6, "0"), 2) + 63)
+    return out.decode()
 
 
 def _parse_edgelist(text: str) -> Graph:

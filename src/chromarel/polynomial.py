@@ -1,17 +1,18 @@
 """Chromatic polynomials by exact reductions and memoized edge recursion.
 
 Each graph is reduced by the first rule that applies: complete graphs in
-closed form; a product over components; trees in closed form; a simplicial
+closed form; a product over components; a tree on n vertices as
+k (k - 1)^(n-1), its coefficients by the binomial theorem; a simplicial
 vertex v, whose d neighbors form a clique, gives P(G) = (k - d) P(G - v).
-Otherwise a vertex pair is branched on:
-addition-contraction P(G) = P(G + uv) + P(G / uv) on a missing pair when
-more than half of all pairs are edges, and deletion-contraction
-P(G) = P(G - uv) - P(G / uv) on an edge otherwise, so both branches head
-toward the closed forms.
+Otherwise a vertex pair is branched on: addition-contraction
+P(G) = P(G + uv) + P(G / uv) on a missing pair when more than half of all
+pairs are edges, and deletion-contraction P(G) = P(G - uv) - P(G / uv) on
+an edge otherwise, so both branches head toward the closed forms.
 """
 
 from __future__ import annotations
 
+from math import comb
 from typing import NamedTuple
 
 from .graphs import _bits, _component_masks, _keep_rows, _memo, _merge_rows, _toggle_rows
@@ -62,14 +63,6 @@ def _falling_poly(n: int) -> list[int]:
     return out
 
 
-def _power_shifted(n: int, c: int, shift: int) -> list[int]:
-    # k^shift (k + c)^n
-    out = [1]
-    for _ in range(n):
-        out = _mul(out, [c, 1])
-    return [0] * shift + out
-
-
 def _simplicial(rows: tuple[int, ...]) -> int | None:
     """A vertex whose neighborhood is a clique, or None."""
     for v, nb in enumerate(rows):
@@ -115,7 +108,7 @@ def _reduce(rows: tuple[int, ...]) -> list[int]:
             result = _mul(result, _poly(_keep_rows(rows, mask)))
         return result
     if m == n - 1:  # connected, so a tree
-        return _power_shifted(n - 1, -1, 1)
+        return [0] + [comb(n - 1, i) * (-1) ** (n - 1 - i) for i in range(n)]
     v = _simplicial(rows)
     if v is not None:
         # P(G) = (k - d) P(G - v) when N(v) is a d-clique
@@ -134,14 +127,14 @@ def _reduce(rows: tuple[int, ...]) -> list[int]:
 def chromatic_polynomial(g, max_vertices: int = 20) -> ChromaticPolynomial:
     """Exact chromatic polynomial.
 
-    Components, trees and simplicial vertices are peeled off exactly; what
-    remains is branched by addition-contraction when dense and by
-    deletion-contraction when sparse (see the module docstring). Memoized
-    on the exact labeled adjacency by the package's bounded LRU memo, shared
-    across calls. Instances with more than `max_vertices` vertices are
-    refused; pass a larger budget to force the computation. The reductions
-    recurse, so a graph too deep for Python's recursion limit, such as a
-    long cycle, raises BudgetError too.
+    Components, simplicial vertices and trees, k (k - 1)^(n-1) by binomial
+    coefficients, are peeled off exactly; what remains is branched by
+    addition-contraction when dense and by deletion-contraction when sparse
+    (see the module docstring). Memoized on the exact labeled adjacency by
+    the package's bounded LRU memo, shared across calls. Instances with
+    more than `max_vertices` vertices are refused; pass a larger budget to
+    force the computation. The reductions recurse, so a graph too deep for
+    Python's recursion limit, such as a long cycle, raises BudgetError too.
     """
     if g.n > max_vertices:
         raise BudgetError(

@@ -318,7 +318,8 @@ def k_colorable_by_tuple_keys(g, k, pre=None):
             raise ValueError(f"precoloring palette {pre.k} exceeds k={k}")
         for v in pre.assignment:
             if not (0 <= v < n):
-                raise ValueError(f"vertex {v} outside 0..{n - 1}")
+                span = f" outside 0..{n - 1}" if n else ": the graph has no vertices"
+                raise ValueError(f"vertex {v}{span}")
         for v, c in pre.assignment.items():
             for w in _bit_positions(g.rows[v]):
                 if pre.assignment.get(w) == c:

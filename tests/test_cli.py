@@ -9,6 +9,7 @@ import pytest
 
 import chromarel.coloring as coloring_mod
 import chromarel.relations as relations_mod
+from chromarel import Graph
 from chromarel.checks import CHECKS
 from chromarel.cli import main
 from chromarel.families import cycle_graph, gnp, path_graph, wheel_graph
@@ -194,6 +195,29 @@ def test_analyze_rejects_bad_precolorings(capsys, p4_file):
     assert (out, err) == ("", f"error: {p4_file}: precoloring is improper on edge (0,1)\n")
     code, out, err = run_cli(capsys, "analyze", p4_file, "--pre", "9=1")
     assert (out, err) == ("", f"error: {p4_file}: vertex 9 outside 0..3\n")
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        ("p edge 0 0\n", ["--pre", "0=1"], "vertex 0: the graph has no vertices"),
+        ("p edge 0 1\ne 1 2\n", [], "line 2: endpoint, but the graph has no vertices"),
+        ("p edge 1 0\n", ["--pre", "0=1", "--extend", "0"], "color 1 at vertex 0: the palette is empty"),
+        (None, None, "edge (0,1): the graph has no vertices"),
+    ],
+    ids=["vertex", "endpoint", "color", "edge"],
+)
+def test_a_refusal_over_an_empty_range_says_it_is_empty(capsys, tmp_path, text, argv, message):
+    # "outside 0..-1" or "outside 1..0" would name a range with no member
+    if text is None:
+        with pytest.raises(ValueError) as exc:
+            Graph.from_edges(0, [(0, 1)])
+        assert str(exc.value) == message
+        return
+    path = tmp_path / "empty.col"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "analyze", str(path), *argv)
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
 
 MALFORMED_PRE = [

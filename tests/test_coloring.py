@@ -323,6 +323,15 @@ print(chromatic_number(Graph.from_edges(38, [*g.edges(), *k8])))
     assert (proc.returncode, proc.stdout) == (0, "8\n"), proc.stderr
 
 
+def test_chi_of_a_tree_too_deep_for_the_solver_is_two():
+    # the greedy bound colors this tree with three colors, and the solver's
+    # ladder at k = 2 would recurse once per vertex: only the bipartition
+    # can show chi = 2
+    rng = random.Random(0)
+    tree = Graph.from_edges(1500, [(rng.randrange(i), i) for i in range(1, 1500)])
+    assert chromatic_number(tree) == 2
+
+
 def test_equal_graphs_share_one_chi_computation():
     a = cycle_graph(7)
     b = Graph.from_edges(7, [((i + 1) % 7, i) for i in reversed(range(7))])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import networkx as nx
 import pytest
 import hypothesis.strategies as st
@@ -111,6 +113,24 @@ def test_graph6_padding_must_be_zero():
     bad = "B" + chr(ord("w") + 1)
     with pytest.raises(FormatError):
         parse_graph(bad, "graph6")
+
+
+def test_graph6_holds_one_column_at_a_time():
+    # each direction holds one column's bits at a time, so neither peaks far
+    # above the 83 kB text; a str of one character per pair bit is 6 times it
+    g = path_graph(1000)
+    tracemalloc.start()
+    try:
+        text = serialize_graph(g, "graph6")
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        back = parse_graph(text, "graph6")
+        read_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert back == g
+    assert write_peak < 4 * len(text) and read_peak < 4 * len(text)
 
 
 def test_edgelist_round_trip_and_header():

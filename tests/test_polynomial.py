@@ -1,5 +1,7 @@
 import inspect
+import random
 import sys
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from chromarel import (
 )
 from chromarel.graphs import _merge_rows, _toggle_rows
 from chromarel.families import (
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     enumerate_graphs,
@@ -197,6 +200,29 @@ def test_tree_closed_form(picks):
     n = len(picks) + 1
     g = Graph.from_edges(n, [(p % (i + 1), i + 1) for i, p in enumerate(picks)])
     _agrees(g, lambda k: k * (k - 1) ** (n - 1))
+
+
+def _random_tree(n, seed):
+    rng = random.Random(seed)
+    return Graph.from_edges(n, [(rng.randrange(i), i) for i in range(1, n)])
+
+
+@pytest.mark.parametrize(
+    "g", [_random_tree(1500, 0), complete_bipartite(1, 500), path_graph(900)], ids=repr
+)
+def test_a_tree_past_the_recursion_ceiling_has_its_closed_form(g):
+    # the tree rule answers at once, so no depth is reached
+    n = g.n
+    want = [0] + [comb(n - 1, i) * (-1) ** (n - 1 - i) for i in range(n)]
+    assert chromatic_polynomial(g, max_vertices=2000).coefficients == tuple(want)
+
+
+def test_a_complete_graph_past_the_recursion_ceiling_has_its_closed_form():
+    want = [1]
+    for i in range(700):  # times (k - i)
+        want = [a - i * b for a, b in zip([0] + want, want + [0])]
+    p = chromatic_polynomial(complete_graph(700), max_vertices=2000)
+    assert p.coefficients == tuple(want)
 
 
 def test_a_graph_too_deep_for_the_recursion_is_over_budget():
