@@ -5,6 +5,12 @@ every instance that qualifies; instances_run counts conclusion evaluations,
 so a vacuous pass is visible as instances_run == 0. Failing instances are
 embedded in reports as graph6 strings.
 
+A check body takes one graph and returns an iterator, most often a
+generator, with one item per instance whose conclusion it evaluates: None
+when the conclusion holds, or the failure's (locus, expected, got) when it
+does not. A str item is a note, not an instance. _evaluate is the one place
+that counts instances and collects failures and notes.
+
 IE2-EQ is the relation scan's own cross-validation: scan_relations compares
 the definition route with the independent-set route on every decision, and
 IE2-EQ reads that one scan, cached on the graph's set table with every
@@ -15,7 +21,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .coloring import _colorings, chromatic_number
@@ -44,6 +50,7 @@ from .relations import (
 )
 
 _Finding = tuple[str, str, str]  # locus, expected, got
+_Item = _Finding | str | None  # what a check body yields; see the docstring
 _CheckResult = tuple[int, list[_Finding], list[str]]  # ran, failures, notes
 # the most worker processes a run may ask for. Under fork a process pool
 # starts every worker at its first submit; 61 is the ceiling the standard
@@ -96,7 +103,7 @@ def iter_corpus(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
             yield f"gnp({n},{p},{seed + i})", first if i == 0 else gnp(n, p, seed + i)
 
 
-def _check_bip(g: Graph, parity: int) -> _CheckResult:
+def _check_bip(g: Graph, parity: int) -> Iterator[_Item]:
     # On connected bipartite graphs, once uv is removed, the edge relation is
     # exactly "joined by an odd path" (parity 1) and the identity relation
     # exactly "joined by an even path" (parity 0). A u-v path in g-uv has
@@ -104,32 +111,27 @@ def _check_bip(g: Graph, parity: int) -> _CheckResult:
     # For a nonadjacent pair, g-uv is g, which is connected: only edges walk.
     parts = bipartition(g) if g.m and is_connected(g) else None
     if parts is None:
-        return 0, [], []
+        return
     left = parts[0]
     kind = RelationKind.EDGE if parity else RelationKind.IDENTITY
     related = {(r.u, r.v) for r in _set_relations(g.rows).relations if r.kind is kind}
     rows = g.rows
     full = (1 << g.n) - 1
-    ran = 0
-    failures: list[_Finding] = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
             joined = not rows[u] >> v & 1 or not _chain(rows, u, v, full)
             expected = joined and ((u in left) != (v in left)) == bool(parity)
             got = (u, v) in related
-            ran += 1
-            if got != expected:
-                failures.append(
-                    (f"pair ({u},{v})", f"{kind.value} relation {expected}", str(got))
-                )
-    return ran, failures, []
+            yield None if got == expected else (
+                f"pair ({u},{v})", f"{kind.value} relation {expected}", str(got)
+            )
 
 
-def _check_ie2(g: Graph) -> _CheckResult:
+def _check_ie2(g: Graph) -> Iterator[_Item]:
     # The cross-validating scan compares the two routes on each (pair, kind)
     # decision; a disagreement raises, and _evaluate records it
     _set_relations(g.rows).relations
-    return g.n * (g.n - 1), [], []
+    return repeat(None, g.n * (g.n - 1))
 
 
 def _disagreement(g: Graph, e: RouteDisagreementError) -> _CheckResult:
@@ -148,15 +150,8 @@ def _disagreement(g: Graph, e: RouteDisagreementError) -> _CheckResult:
 
 
 def _cis_recurse(
-    rows: tuple[int, ...],
-    u: int,
-    v: int,
-    kind: RelationKind,
-    depth: int,
-    desc: str,
-    failures: list[_Finding],
-) -> int:
-    ran = 0
+    rows: tuple[int, ...], u: int, v: int, kind: RelationKind, depth: int, desc: str
+) -> Iterator[_Item]:
     full = (1 << len(rows)) - 1
     uv = 1 << u | 1 << v
     for s in _set_relations(rows).critical_sets:
@@ -168,28 +163,22 @@ def _cis_recurse(
         h = _keep_rows(rows, keep)
         hu = (keep & ((1 << u) - 1)).bit_count()
         hv = (keep & ((1 << v) - 1)).bit_count()
-        holds = _related(h, hu, hv, kind)
-        ran += 1
         where = f"{desc} minus {list(_bits(s))}"
-        if not holds:
-            failures.append((where, f"{kind.value} relation preserved", "lost"))
-        elif depth > 1:
-            ran += _cis_recurse(h, hu, hv, kind, depth - 1, where, failures)
-    return ran
+        if not _related(h, hu, hv, kind):
+            yield (where, f"{kind.value} relation preserved", "lost")
+            continue
+        yield None
+        if depth > 1:
+            yield from _cis_recurse(h, hu, hv, kind, depth - 1, where)
 
 
-def _check_cis_inv(g: Graph) -> _CheckResult:
+def _check_cis_inv(g: Graph) -> Iterator[_Item]:
     k = chromatic_number(g)
-    ran = 0
-    failures: list[_Finding] = []
     for r in _set_relations(g.rows).relations:
-        ran += _cis_recurse(
-            g.rows, r.u, r.v, r.kind, max(1, k - 2), f"pair ({r.u},{r.v})", failures
-        )
-    return ran, failures, []
+        yield from _cis_recurse(g.rows, r.u, r.v, r.kind, max(1, k - 2), f"pair ({r.u},{r.v})")
 
 
-def _check_kempe(g: Graph) -> _CheckResult:
+def _check_kempe(g: Graph) -> Iterator[_Item]:
     # In every chi-coloring a relation first keeps its color rule: an edge
     # relation's ends differ, an identity's share a color. Then the chain in
     # g-uv through u on {c(u), i} reaches v, for i = c(v) at an edge and for
@@ -198,234 +187,189 @@ def _check_kempe(g: Graph) -> _CheckResult:
     # v. The assignment tuple is built only for a failure's locus.
     rels = _set_relations(g.rows).relations
     if not rels:
-        return 0, [], []
+        return
     k = chromatic_number(g)
     rows = g.rows
-    ran = 0
-    failures: list[_Finding] = []
     for colors, cls in _colorings(rows, k):
         for r in rels:
             u, v = r.u, r.v
             cu, cv = colors[u], colors[v]
             edge = r.kind is RelationKind.EDGE
             if (cu == cv) == edge:
-                ran += 1
-                failures.append(
-                    (
-                        f"{r.kind.value} pair ({u},{v}) in {tuple(colors)}",
-                        "distinct colors" if edge else "equal colors",
-                        "equal" if edge else "distinct",
-                    )
+                yield (
+                    f"{r.kind.value} pair ({u},{v}) in {tuple(colors)}",
+                    "distinct colors" if edge else "equal colors",
+                    "equal" if edge else "distinct",
                 )
                 continue
             for i in (cv,) if edge else range(1, k + 1):
                 if i == cu:
                     continue
-                ran += 1
-                if _chain(rows, u, v, cls[cu - 1] | cls[i - 1]):
-                    failures.append(
-                        (
-                            f"{r.kind.value} pair ({u},{v}) in {tuple(colors)}",
-                            f"chain on {{{cu},{i}}} reaches {v}",
-                            "chain misses it",
-                        )
-                    )
-    return ran, failures, []
+                if not _chain(rows, u, v, cls[cu - 1] | cls[i - 1]):
+                    yield None
+                    continue
+                yield (
+                    f"{r.kind.value} pair ({u},{v}) in {tuple(colors)}",
+                    f"chain on {{{cu},{i}}} reaches {v}",
+                    "chain misses it",
+                )
 
 
-def _check_poly(g: Graph, kind: RelationKind) -> _CheckResult:
+def _check_poly(g: Graph, kind: RelationKind) -> Iterator[_Item]:
     # Merging a related pair in g-uv leaves P(merged, k) = 0 for an edge
     # relation and P(merged, k) = P(g, k) for an identity. The merge kernel
     # drops any uv edge, so it merges in g-uv straight from g's rows.
     rels = [r for r in _set_relations(g.rows).relations if r.kind is kind]
     if not rels:
-        return 0, [], []
+        return
     k = chromatic_number(g)
     if kind is RelationKind.EDGE:
         base, expected = 0, f"P(merged, {k}) = 0"
     else:
         base = evaluate(chromatic_polynomial(g), k)
         expected = f"P(merged, {k}) = P(g, {k}) = {base}"
-    ran = 0
-    failures: list[_Finding] = []
     for r in rels:
         merged = Graph._make(_merge_rows(g.rows, r.u, r.v))
         val = evaluate(chromatic_polynomial(merged), k)
-        ran += 1
-        if val != base:
-            failures.append((f"pair ({r.u},{r.v})", expected, str(val)))
-    return ran, failures, []
+        yield None if val == base else (f"pair ({r.u},{r.v})", expected, str(val))
 
 
-def _check_planar_add(g: Graph) -> _CheckResult:
+def _check_planar_add(g: Graph) -> Iterator[_Item]:
     # the memoized chi rules out most graphs before the planarity test runs
     if chromatic_number(g) != 4 or not is_planar(g):
-        return 0, [], []
-    ran = 0
-    failures: list[_Finding] = []
+        return
     # by the Four Color Theorem no relation here is adjacent; a wrong one
     # is toggled off, and the planar g-uv is reported
     for r in _set_relations(g.rows).relations:
-        ran += 1
-        if is_planar(Graph._make(_toggle_rows(g.rows, r.u, r.v))):
-            failures.append(
-                (f"{r.kind.value} pair ({r.u},{r.v})", "g+uv nonplanar", "still planar")
-            )
-    return ran, failures, []
+        planar = is_planar(Graph._make(_toggle_rows(g.rows, r.u, r.v)))
+        yield None if not planar else (
+            f"{r.kind.value} pair ({r.u},{r.v})", "g+uv nonplanar", "still planar"
+        )
 
 
-def _check_subdiv(g: Graph) -> _CheckResult:
+def _check_subdiv(g: Graph) -> Iterator[_Item]:
     k = chromatic_number(g)
     if k < 3 or not criticality(g).is_critical:
-        return 0, [], []
-    ran = 0
-    failures: list[_Finding] = []
+        return
     w = g.n
     for u, v in g.edges():
         # the path u-w-v replaces the edge uv, with w appended at id n
         h = _toggle_rows(_toggle_rows(_toggle_rows(g.rows + (0,), u, v), u, w), v, w)
         chi_h = chromatic_number(Graph._make(h))
-        ran += 1
         if chi_h != k - 1:
-            failures.append((f"subdivide ({u},{v})", f"chi = {k - 1}", str(chi_h)))
+            yield (f"subdivide ({u},{v})", f"chi = {k - 1}", str(chi_h))
             continue
+        yield None
         for a, b in ((u, w), (w, v)):
-            ran += 1
-            if not _related(h, a, b, RelationKind.EDGE):
-                failures.append(
-                    (f"subdivide ({u},{v})", f"({a},{b}) is an edge relation", "not a relation")
-                )
-    return ran, failures, []
+            yield None if _related(h, a, b, RelationKind.EDGE) else (
+                f"subdivide ({u},{v})", f"({a},{b}) is an edge relation", "not a relation"
+            )
 
 
-def _check_crit_adj(g: Graph) -> _CheckResult:
+def _check_crit_adj(g: Graph) -> Iterator[_Item]:
     # The set table decides the critical vertices and the definition route
     # gives the relations, so the check still joins two mechanisms.
     rels = _set_relations(g.rows).relations
     if not rels:
-        return 0, [], []
+        return
     crit_vertices = criticality(g).critical_vertices
-    ran = 0
-    failures: list[_Finding] = []
     for r in rels:
         identity = r.kind is RelationKind.IDENTITY
         for w in crit_vertices:
             if w == r.u or w == r.v:
                 continue
-            ran += 1
             near = (g.has_edge(r.u, w), g.has_edge(r.v, w))
-            if not (all(near) if identity else any(near)):
-                failures.append(
-                    (
-                        f"{r.kind.value} pair ({r.u},{r.v}), critical vertex {w}",
-                        "adjacent to both endpoints" if identity else "adjacent to an endpoint",
-                        "misses one" if identity else "adjacent to neither",
-                    )
-                )
-    return ran, failures, []
+            yield None if (all(near) if identity else any(near)) else (
+                f"{r.kind.value} pair ({r.u},{r.v}), critical vertex {w}",
+                "adjacent to both endpoints" if identity else "adjacent to an endpoint",
+                "misses one" if identity else "adjacent to neither",
+            )
 
 
-def _check_dc_bound(g: Graph) -> _CheckResult:
+def _check_dc_bound(g: Graph) -> Iterator[_Item]:
     if g.m == 0 or not criticality(g).is_double_critical:
-        return 0, [], []
+        return
     k = chromatic_number(g)
     rows = g.rows
     common = [(u, v, (rows[u] & rows[v]).bit_count()) for u, v in g.edges()]
-    ran = len(common)
-    failures: list[_Finding] = [
-        (f"edge ({u},{v}) common neighbors", f">= {k - 2}", str(cn))
-        for u, v, cn in common
-        if cn < k - 2
-    ]
-    notes = [f"bound k-2 tight on every edge: {all(cn == k - 2 for _, _, cn in common)}"]
+    for u, v, cn in common:
+        yield None if cn >= k - 2 else (f"edge ({u},{v}) common neighbors", f">= {k - 2}", str(cn))
+    yield f"bound k-2 tight on every edge: {all(cn == k - 2 for _, _, cn in common)}"
     if any(cn < k - 1 for _, _, cn in common):
-        notes.append("the stronger k-1 bound fails here (evidence against it)")
+        yield "the stronger k-1 bound fails here (evidence against it)"
     if g.m == g.n * (g.n - 1) // 2 and g.n >= 3:
         # complete double-critical instance: confirm the chain mechanism,
         # every coloring of g-uv merges only u,v and each of the k-2 chains
         # runs through its own common neighbor
         for u, v in g.edges():
             h = _toggle_rows(rows, u, v)
-            ran += 1
             if not _related(h, u, v, RelationKind.IDENTITY):
-                failures.append((f"edge ({u},{v})", "identity pair in g-uv", "not identity"))
+                yield (f"edge ({u},{v})", "identity pair in g-uv", "not identity")
                 continue
+            yield None
             cns = rows[u] & rows[v]
             ends = 1 << u | 1 << v
             for colors, cls in _colorings(h, k - 1):
                 a = colors[u]
                 if colors[v] != a:
-                    ran += 1
-                    failures.append(
-                        (f"edge ({u},{v}) coloring {tuple(colors)}", "u,v share a color", "differ")
+                    yield (
+                        f"edge ({u},{v}) coloring {tuple(colors)}", "u,v share a color", "differ"
                     )
                     continue
                 mids = 0
                 for i in range(1, k):
                     if i == a:
                         continue
-                    ran += 1
                     # its own walk, not relations._chain: the check needs
                     # the whole chain u-m-v, not whether it reaches v
                     chain = _component_of(h, 1 << u, cls[a - 1] | cls[i - 1])
                     middle = chain & ~ends
                     if not chain >> v & 1 or middle.bit_count() != 1 or middle & ~cns:
-                        failures.append(
-                            (
-                                f"edge ({u},{v}) coloring {tuple(colors)} chain color {i}",
-                                "chain is u-m-v with m a common neighbor",
-                                f"chain {list(_bits(chain))}",
-                            )
+                        yield (
+                            f"edge ({u},{v}) coloring {tuple(colors)} chain color {i}",
+                            "chain is u-m-v with m a common neighbor",
+                            f"chain {list(_bits(chain))}",
                         )
-                    else:
-                        mids |= middle
-                ran += 1
-                if mids.bit_count() != k - 2:
-                    failures.append(
-                        (
-                            f"edge ({u},{v}) coloring {tuple(colors)}",
-                            f"{k - 2} distinct chain middles",
-                            str(mids.bit_count()),
-                        )
-                    )
-    return ran, failures, notes
+                        continue
+                    yield None
+                    mids |= middle
+                yield None if mids.bit_count() == k - 2 else (
+                    f"edge ({u},{v}) coloring {tuple(colors)}",
+                    f"{k - 2} distinct chain middles",
+                    str(mids.bit_count()),
+                )
 
 
-def _check_min_pre(g: Graph) -> _CheckResult:
+def _check_min_pre(g: Graph) -> Iterator[_Item]:
     k = chromatic_number(g)
-    ran = 0
-    failures: list[_Finding] = []
     # one sweep per palette; it stops at the first stuck vertex, so only
-    # that vertex is reported. The size-2 sweep at k tries every single
-    # vertex first, so a certificate of size 1 is that sweep's stuck vertex.
+    # that vertex is reported, but every vertex counts. The size-2 sweep at
+    # k tries every single vertex first, so a certificate of size 1 is that
+    # sweep's stuck vertex.
     cert = min_nonextensible(g, k, max_size=2)
     single = cert if cert is not None and cert.size == 1 else None
     for kk, stuck in ((k, single), (k + 1, min_nonextensible(g, k + 1, max_size=1))):
-        ran += g.n
-        if stuck is not None:
-            (v0,) = stuck.precoloring.assignment
-            failures.append((f"size-1 p({v0})=1 at k={kk}", "extends", "stuck"))
+        pinned = stuck.precoloring.assignment if stuck is not None else {}
+        for v in range(g.n):
+            yield (f"size-1 p({v})=1 at k={kk}", "extends", "stuck") if v in pinned else None
     # A precoloring can pin only a nonadjacent relation: an adjacent pair
     # cannot share a color, and with one color no pair can differ.
     rels = _set_relations(g.rows).relations
     certifiable = k > 1 and any(not r.adjacent for r in rels)
-    ran += 1
-    if (cert is not None) != certifiable:
-        failures.append(("size-2 certificate exists", str(certifiable), str(cert is not None)))
+    yield None if (cert is not None) == certifiable else (
+        "size-2 certificate exists", str(certifiable), str(cert is not None)
+    )
     if cert is not None and cert.size == 2:
         (a, ca), (b, cb) = sorted(cert.precoloring.assignment.items())
         kind = next((r.kind for r in rels if (r.u, r.v) == (a, b)), None)
         want = RelationKind.EDGE if ca == cb else RelationKind.IDENTITY
-        ran += 1
-        if kind is not want:
-            colors = "same color" if ca == cb else "distinct colors"
-            failures.append(
-                (f"certificate pair ({a},{b}) {colors}", f"{want.value} relation", "absent")
-            )
-    return ran, failures, []
+        colors = "same color" if ca == cb else "distinct colors"
+        yield None if kind is want else (
+            f"certificate pair ({a},{b}) {colors}", f"{want.value} relation", "absent"
+        )
 
 
-CHECKS: dict[str, tuple[Callable[[Graph], _CheckResult], str]] = {
+CHECKS: dict[str, tuple[Callable[[Graph], Iterator[_Item]], str]] = {
     "BIP-IE": (lambda g: _check_bip(g, 1), "bipartite edge relations match odd-path reachability in g-uv"),
     "BIP-II": (lambda g: _check_bip(g, 0), "bipartite identity relations match even-path reachability in g-uv"),
     "IE2-EQ": (_check_ie2, "definition route agrees with the independent-set route on every pair"),
@@ -484,18 +428,32 @@ def _evaluate(
     ids: tuple[str, ...], graphs: list[Graph]
 ) -> list[list[tuple[_CheckResult, float]]]:
     """Each named check's result on each graph, with the seconds it took.
-    Each graph meets every check before the next one, so the memos that the
-    checks share serve them all while they are warm. A check that meets a
-    route disagreement in g's relation scan records it as IE2-EQ does, and
-    one that raises ValueError on g records the message as g's failure, so
-    the result is always plain data that a worker can send back."""
+    A result is (ran, failures, notes), counted from the items the check's
+    body yields as it streams. Each graph meets every check before the next
+    one, so the memos that the checks share serve them all while they are
+    warm. A check that meets a route disagreement in g's relation scan
+    records it as IE2-EQ does, and one that raises ValueError on g records
+    the message as g's failure; either replaces what it yielded before. The
+    result is always plain data that a worker can send back."""
     rows = []
     for g in graphs:
         row = []
         for cid in ids:
             start = time.monotonic()
+            ran = 0
+            failures: list[_Finding] = []
+            notes: list[str] = []
             try:
-                result = CHECKS[cid][0](g)
+                # None first: it is nearly every item
+                for item in CHECKS[cid][0](g):
+                    if item is None:
+                        ran += 1
+                    elif type(item) is str:
+                        notes.append(item)
+                    else:
+                        ran += 1
+                        failures.append(item)
+                result = ran, failures, notes
             except RouteDisagreementError as e:
                 result = _disagreement(g, e)
             except ValueError as e:

@@ -331,12 +331,11 @@ def k_colorable_by_tuple_keys(g, k, pre=None):
             bit = 1 << (c - 1)
             for w in _bit_positions(g.rows[v]):
                 banned[w] |= bit
-    canonical = pre is None or not pre.assignment
     full = (1 << k) - 1
     rows = g.rows
     deg = [r.bit_count() for r in rows]
 
-    def rec(remaining, max_used):
+    def rec(remaining, used):
         if remaining == 0:
             return True
         best_v = -1
@@ -349,9 +348,9 @@ def k_colorable_by_tuple_keys(g, k, pre=None):
                 best_key = key
                 best_v = v
         v = best_v
-        avail = full & ~banned[v]
-        if canonical and max_used < k:
-            avail &= (1 << (max_used + 1)) - 1
+        # colors no colored vertex holds are interchangeable: try the ones
+        # in use and only the lowest unused one
+        avail = full & ~banned[v] & (used | ((used + 1) & ~used))
         while avail:
             bit = avail & -avail
             avail ^= bit
@@ -362,15 +361,14 @@ def k_colorable_by_tuple_keys(g, k, pre=None):
                 if colors[w] == 0 and not banned[w] & bit:
                     banned[w] |= bit
                     touched.append(w)
-            if rec(remaining - 1, max(max_used, c)):
+            if rec(remaining - 1, used | bit):
                 return True
             for w in touched:
                 banned[w] ^= bit
             colors[v] = 0
         return False
 
-    start_used = max((c for c in colors if c), default=0)
-    if not rec(remaining, start_used):
+    if not rec(remaining, sum({1 << (c - 1) for c in colors if c})):
         return None
     return tuple(colors)
 

@@ -406,6 +406,19 @@ def test_a_graph_a_check_cannot_evaluate_fails_that_check_alone(monkeypatch):
     assert (bip.verdict, bip.corpus_size) == ("pass", 2)
 
 
+def test_a_check_that_raises_midway_counts_nothing_it_yielded(monkeypatch):
+    # the ValueError replaces the graph's whole result for the check: the
+    # instance and the finding yielded before it are dropped
+    def partial(g):
+        yield None
+        yield ("pair (0,1)", "kept", "lost")
+        raise ValueError("gave up midway")
+
+    monkeypatch.setitem(CHECKS, "KEMPE", (partial, ""))
+    [[(result, _)]] = checks_mod._evaluate(("KEMPE",), [path_graph(4)])
+    assert result == (0, [("graph", "an evaluation", "gave up midway")], [])
+
+
 def test_iter_corpus_random_is_seeded():
     spec = CorpusSpec(random=(10, 0.4, 9, 3))
     a = [(name, g.rows) for name, g in iter_corpus(spec)]
@@ -439,7 +452,7 @@ def test_bipartite_checks_walk_only_the_edges(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(checks_mod, "_chain", counting)
-    ran, failures, _ = checks_mod._check_bip(path_graph(5), 1)
+    [[((ran, failures, _), _)]] = checks_mod._evaluate(("BIP-IE",), [path_graph(5)])
     assert (ran, failures) == (10, [])
     assert len(calls) == 4
 
@@ -544,7 +557,7 @@ def test_min_pre_reports_the_first_stuck_vertex_only(monkeypatch):
     # sweep stops at the first one but still counts n instances
     g = cycle_graph(5)
     monkeypatch.setattr(checks_mod, "chromatic_number", lambda h: 2)
-    ran, failures, _ = CHECKS["MIN-PRE"][0](g)
+    [[((ran, failures, _), _)]] = checks_mod._evaluate(("MIN-PRE",), [g])
     size1 = [f for f in failures if f[0].startswith("size-1")]
     assert size1 == [("size-1 p(0)=1 at k=2", "extends", "stuck")]
     assert ran >= 2 * g.n
@@ -563,7 +576,7 @@ def test_cis_inv_removes_each_critical_set_and_follows_the_pair(monkeypatch, g):
     real_recurse = checks_mod._cis_recurse
     real_related = checks_mod._related
 
-    def recurse(h, u, v, kind, depth, desc, failures):
+    def recurse(h, u, v, kind, depth, desc):
         # a deeper frame expects the kind of the relation it follows
         if frames:
             parent = frames[-1]
@@ -580,10 +593,9 @@ def test_cis_inv_removes_each_critical_set_and_follows_the_pair(monkeypatch, g):
         frames.append(
             {"orig": orig, "sets": sets, "next": 0, "pair": (orig[u], orig[v]), "kind": want_kind}
         )
-        ran = real_recurse(h, u, v, kind, depth, desc, failures)
+        yield from real_recurse(h, u, v, kind, depth, desc)
         frame = frames.pop()
         assert frame["next"] == len(frame["sets"])
-        return ran
 
     def related(h, hu, hv, kind):
         frame = frames[-1]

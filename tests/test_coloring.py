@@ -192,9 +192,9 @@ def test_k_colorable_matches_reference_search_under_random_precolorings(n, p, se
 
 def test_k_colorable_matches_reference_search_at_relation_scan_sizes():
     # the relation scan and chi's ladder ask about graphs of 20-40 vertices
-    # at chi - 1 and chi; the comparisons above stop at 10. Precolorings go
-    # only on graphs of up to 30 vertices: the reference keeps no palette
-    # symmetry under a precoloring, and on larger graphs takes seconds
+    # at chi - 1 and chi; the comparisons above stop at 10. The reference
+    # keeps palette symmetry under a precoloring too, so every graph is
+    # also asked with one
     for seed in range(16):
         cases = [gnp(n, 0.5 if seed % 2 else 0.3, seed) for n in (20, 25, 30, 35, 40)]
         cases.append(planted(20 + seed % 3 * 5, 3 + seed % 4, 0.5, seed))
@@ -203,7 +203,7 @@ def test_k_colorable_matches_reference_search_at_relation_scan_sizes():
             rng = random.Random(f"{seed}:{g.n}")
             for k in (chi - 1, chi):
                 assert _search_result(g, k) == oracles.k_colorable_by_tuple_keys(g, k)
-                for size in range(1, 4) if g.n <= 30 else ():
+                for size in range(1, 4):
                     pre: dict[int, int] = {}
                     for v in rng.sample(range(g.n), size):
                         c = rng.randint(1, k)
@@ -303,24 +303,53 @@ def test_class_mask_chains_match_bfs_oracle():
                         assert chain == sum(1 << x for x in want), (g.edges(), colors, u, b)
 
 
-def test_chi_of_a_disconnected_graph_is_its_largest_component_chi():
-    # G(30,0.2,3) plus a disjoint K8. The greedy clique bound seeds from the
-    # highest degrees, all in the sparse part, and finds 4; a ladder over
-    # the whole graph then refutes k = 4..7 by backtracking through the
-    # sparse part, for minutes. A fresh process with a timeout fails
-    # instead of hanging.
-    code = """
+@pytest.mark.parametrize(
+    "code, chi",
+    [
+        # G(30,0.2,3) plus a disjoint K8. The greedy clique bound seeds from
+        # the highest degrees, all in the sparse part, and finds 4; a ladder
+        # over the whole graph then refutes k = 4..7 by backtracking through
+        # the sparse part, for minutes.
+        pytest.param(
+            """
 from chromarel import Graph, chromatic_number
 from chromarel.families import gnp
 
 g = gnp(30, 0.2, 3)
 k8 = [(30 + i, 30 + j) for i in range(8) for j in range(i + 1, 8)]
 print(chromatic_number(Graph.from_edges(38, [*g.edges(), *k8])))
-"""
+""",
+            8,
+            id="gnp-plus-k8",
+        ),
+        # M(M(C5)), chi 5, whose vertex 0 has 30 leaves, joined by one edge
+        # to a K7 whose vertices have 20 leaves each: 200 vertices, 263
+        # edges. Three of the greedy clique bound's four seeds lie in the
+        # K7, so the ladder starts at 7; started at 3, its refutations
+        # through the Mycielski part run past a minute.
+        pytest.param(
+            """
+from chromarel import Graph, chromatic_number
+from chromarel.families import cycle_graph, mycielski
+
+m = mycielski(mycielski(cycle_graph(5)))
+edges = [*m.edges(), *((0, 23 + i) for i in range(30))]
+edges += [(53 + i, 53 + j) for i in range(7) for j in range(i + 1, 7)]
+edges += [(53 + i, 60 + 20 * i + j) for i in range(7) for j in range(20)]
+edges.append((2, 53))
+print(chromatic_number(Graph.from_edges(200, edges)))
+""",
+            7,
+            id="hub",
+        ),
+    ],
+)
+def test_chi_of_a_disconnected_graph_is_its_largest_component_chi(code, chi):
+    # A fresh process with a timeout fails instead of hanging.
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
     )
-    assert (proc.returncode, proc.stdout) == (0, "8\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, f"{chi}\n"), proc.stderr
 
 
 def test_chi_of_a_tree_too_deep_for_the_solver_is_two():
