@@ -9,15 +9,11 @@ import importlib
 _EXPORTS = {
     "graphs": ("Graph", "bipartition", "is_connected"),
     "io": ("FORMATS", "FormatError", "format_for_path", "parse_graph", "serialize_graph"),
-    "coloring": (
-        "Coloring", "Precoloring",
-        "chromatic_number", "count_colorings", "k_colorable",
-    ),
+    "coloring": ("Coloring", "chromatic_number", "count_colorings", "k_colorable"),
     "planarity": ("is_planar",),
     "polynomial": ("BudgetError", "ChromaticPolynomial", "chromatic_polynomial", "evaluate"),
     "relations": (
-        "CriticalityReport", "ImplicitRelation", "NonExtensibleCertificate",
-        "RelationKind", "RouteDisagreementError",
+        "CriticalityReport", "ImplicitRelation", "RelationKind", "RouteDisagreementError",
         "criticality", "implicit_via_sets", "min_nonextensible", "scan_relations", "to_dot",
     ),
     "families": (

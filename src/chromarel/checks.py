@@ -36,7 +36,7 @@ from .graphs import (
     _merge_rows,
     _toggle_rows,
 )
-from .io import serialize_graph
+from .io import _MAX_VERTICES, serialize_graph
 from .planarity import is_planar
 from .polynomial import chromatic_polynomial, evaluate
 from .relations import (
@@ -80,7 +80,8 @@ def iter_corpus(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
     n = 8 only after sweeping every graph on up to seven vertices. The
     named graphs and the first random graph are built before the first
     pair too, so generate and gnp refuse a bad token or p at once, not
-    after the sweep that comes before them.
+    after the sweep that comes before them. A graph whose failure graph6
+    could not name, past _MAX_VERTICES, is refused there too.
     """
     if not (spec.families or spec.exhaustive_n is not None or spec.random is not None):
         raise ValueError("the corpus names no graph")
@@ -91,7 +92,12 @@ def iter_corpus(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
         n, p, seed, count = spec.random
         if n < 1 or count < 1:
             raise ValueError(f"random n and count must be at least 1, got n={n}, count={count}")
+        if n > _MAX_VERTICES:
+            raise ValueError(f"random n={n} is more than the {_MAX_VERTICES} vertices a reader accepts")
     named = [(token, generate(*token.split(":"))) for token in spec.families]
+    for token, g in named:
+        if g.n > _MAX_VERTICES:
+            raise ValueError(f"{token}: {g.n} vertices is more than the {_MAX_VERTICES} a reader accepts")
     first = gnp(n, p, seed) if spec.random is not None else None
     yield from named
     if spec.exhaustive_n is not None:
@@ -347,11 +353,10 @@ def _check_min_pre(g: Graph) -> Iterator[_Item]:
     # k tries every single vertex first, so a certificate of size 1 is that
     # sweep's stuck vertex.
     cert = min_nonextensible(g, k, max_size=2)
-    single = cert if cert is not None and cert.size == 1 else None
+    single = cert if cert is not None and len(cert) == 1 else None
     for kk, stuck in ((k, single), (k + 1, min_nonextensible(g, k + 1, max_size=1))):
-        pinned = stuck.precoloring.assignment if stuck is not None else {}
         for v in range(g.n):
-            yield (f"size-1 p({v})=1 at k={kk}", "extends", "stuck") if v in pinned else None
+            yield (f"size-1 p({v})=1 at k={kk}", "extends", "stuck") if v in (stuck or ()) else None
     # A precoloring can pin only a nonadjacent relation: an adjacent pair
     # cannot share a color, and with one color no pair can differ.
     rels = _set_relations(g.rows).relations
@@ -359,8 +364,8 @@ def _check_min_pre(g: Graph) -> Iterator[_Item]:
     yield None if (cert is not None) == certifiable else (
         "size-2 certificate exists", str(certifiable), str(cert is not None)
     )
-    if cert is not None and cert.size == 2:
-        (a, ca), (b, cb) = sorted(cert.precoloring.assignment.items())
+    if cert is not None and len(cert) == 2:
+        (a, ca), (b, cb) = cert.items()
         kind = next((r.kind for r in rels if (r.u, r.v) == (a, b)), None)
         want = RelationKind.EDGE if ca == cb else RelationKind.IDENTITY
         colors = "same color" if ca == cb else "distinct colors"

@@ -136,17 +136,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _analyze(g: Graph, args: argparse.Namespace) -> tuple[dict, list | None]:
-    from .coloring import Precoloring, chromatic_number, k_colorable
+    from .coloring import _check_palette, _color_masks, chromatic_number, k_colorable
     from .relations import RelationKind, criticality, scan_relations
 
-    assignment = _parse_precoloring(args.pre) if args.pre is not None else None
-    pre = None
-    if assignment is not None:
+    pre = _parse_precoloring(args.pre) if args.pre is not None else None
+    if pre is not None:
         # a vertex outside g or an improper edge needs no chi, and a palette
         # that --extend gives is known before chi too
-        Precoloring._masks(g, assignment)
+        _color_masks(g, pre)
         if args.extend is not None:
-            pre = Precoloring(assignment, args.extend)
+            _check_palette(pre, args.extend)
     k = chromatic_number(g)
     result: dict = {"n": g.n, "m": g.m, "chi": k}
     rels = None
@@ -166,12 +165,11 @@ def _analyze(g: Graph, args: argparse.Namespace) -> tuple[dict, list | None]:
             "is_critical": crit.is_critical,
             "is_double_critical": crit.is_double_critical,
         }
-    if assignment is not None:
-        if pre is None:
-            pre = Precoloring(assignment, k)
-        full = k_colorable(g, pre.k, pre)
+    if pre is not None:
+        palette = k if args.extend is None else args.extend
+        full = k_colorable(g, palette, pre)
         result["extension"] = {
-            "k": pre.k,
+            "k": palette,
             "extends": full is not None,
             "verdict": "extensible" if full is not None else "non-extensible",
             "coloring": full.to_json_dict() if full is not None else None,

@@ -34,53 +34,41 @@ class Coloring(NamedTuple):
         }
 
 
-class Precoloring:
-    """A partial proper assignment; colors drawn from 1..k."""
-
-    __slots__ = ("assignment", "k")
-
-    def __init__(self, assignment: Mapping[int, int], k: int):
-        if k < 0:
-            raise ValueError("palette size must be nonnegative")
-        for v, c in assignment.items():
-            if not 1 <= c <= k:
-                span = f" outside 1..{k}" if k else ": the palette is empty"
-                raise ValueError(f"color {c} at vertex {v}{span}")
-        self.assignment = dict(sorted(assignment.items()))
-        self.k = k
-
-    @staticmethod
-    def _masks(g: Graph, assignment: Mapping[int, int]) -> dict[int, int]:
-        """The vertex mask of each color the assignment uses. Raises
-        ValueError for a precolored vertex outside g or a precolored edge
-        whose ends share a color; a clash names the least precolored vertex
-        that has one, then its least neighbor of the same color. Neither
-        refusal needs the palette, so the CLI makes them before any work."""
-        assignment = dict(sorted(assignment.items()))
-        for v in assignment:
-            g._check_vertex(v)
-        masks: dict[int, int] = {}
-        for v, c in assignment.items():
-            masks[c] = masks.get(c, 0) | 1 << v
-        rows = g.rows
-        for v, c in assignment.items():
-            clash = rows[v] & masks[c]
-            if clash:
-                w = (clash & -clash).bit_length() - 1
-                raise ValueError(f"precoloring is improper on edge ({v},{w})")
-        return masks
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Precoloring):
-            return NotImplemented
-        return self.assignment == other.assignment and self.k == other.k
-
-    def __repr__(self) -> str:
-        return f"Precoloring({self.assignment}, k={self.k})"
+def _check_palette(pre: Mapping[int, int], k: int) -> None:
+    """Raise ValueError for a negative palette or a precolored color outside
+    1..k, naming the first such entry in the mapping's order. It needs no
+    graph, so the CLI makes it before any work when --extend gives k."""
+    if k < 0:
+        raise ValueError("palette size must be nonnegative")
+    for v, c in pre.items():
+        if not 1 <= c <= k:
+            span = f" outside 1..{k}" if k else ": the palette is empty"
+            raise ValueError(f"color {c} at vertex {v}{span}")
 
 
-def k_colorable(g: Graph, k: int, pre: Precoloring | None = None) -> Coloring | None:
-    """Find a proper coloring of g into {1..k} extending `pre`, or None.
+def _color_masks(g: Graph, pre: Mapping[int, int]) -> dict[int, int]:
+    """The vertex mask of each color the precoloring uses. Raises ValueError
+    for a precolored vertex outside g or a precolored edge whose ends share a
+    color; a clash names the least precolored vertex that has one, then its
+    least neighbor of the same color. Neither refusal needs the palette, so
+    the CLI makes them before any work."""
+    items = sorted(pre.items())
+    masks: dict[int, int] = {}
+    for v, c in items:
+        g._check_vertex(v)
+        masks[c] = masks.get(c, 0) | 1 << v
+    for v, c in items:
+        clash = g.rows[v] & masks[c]
+        if clash:
+            w = (clash & -clash).bit_length() - 1
+            raise ValueError(f"precoloring is improper on edge ({v},{w})")
+    return masks
+
+
+def k_colorable(g: Graph, k: int, pre: Mapping[int, int] | None = None) -> Coloring | None:
+    """Find a proper coloring of g into {1..k} extending `pre`, a mapping
+    from vertices to colors, or None. A color of `pre` outside 1..k, then a
+    vertex outside g, then an improper edge raises ValueError.
 
     Exact backtracking search (DSATUR). The branching vertex is the uncolored
     vertex with the most distinctly-colored neighbors (saturation), ties
@@ -124,9 +112,8 @@ def k_colorable(g: Graph, k: int, pre: Precoloring | None = None) -> Coloring | 
     low = k.bit_length() - 1  # index of the counter's lowest bit
     sat = [0] * (low + 1)
     if pre is not None:
-        if pre.k > k:
-            raise ValueError(f"precoloring palette {pre.k} exceeds k={k}")
-        for c, cls in Precoloring._masks(g, pre.assignment).items():
+        _check_palette(pre, k)
+        for c, cls in _color_masks(g, pre).items():
             uncolored &= ~cls
             used |= 1 << (c - 1)
             for v in _bits(cls):

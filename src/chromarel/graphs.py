@@ -37,12 +37,9 @@ class Graph:
     # n is len(rows), kept in a slot that only __init__ and _make fill
     __slots__ = ("n", "rows")
 
-    def __init__(self, n: int, rows: Iterable[int]):
+    def __init__(self, rows: Iterable[int]):
         rows = tuple(rows)
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        if len(rows) != n:
-            raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
+        n = len(rows)
         for u, row in enumerate(rows):
             if row < 0 or row >> n:
                 raise ValueError(f"row {u} references vertices outside 0..{n - 1}")

@@ -22,7 +22,7 @@ import itertools
 from enum import Enum
 from typing import NamedTuple
 
-from .coloring import Precoloring, _chromatic, _coloring_of, chromatic_number, k_colorable
+from .coloring import _chromatic, _coloring_of, chromatic_number, k_colorable
 from .graphs import (
     Graph,
     _bits,
@@ -504,21 +504,6 @@ def criticality(g: Graph) -> CriticalityReport:
     return _set_relations(g.rows).criticality
 
 
-class NonExtensibleCertificate(NamedTuple):
-    """A proper precoloring with no completion, minimal by construction.
-
-    The sweep that produces it tries every smaller size first, so every
-    proper sub-precoloring of the certificate extends.
-    """
-
-    precoloring: Precoloring
-    k: int
-
-    @property
-    def size(self) -> int:
-        return len(self.precoloring.assignment)
-
-
 @_memo
 def _growth_patterns(size: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Color patterns of length `size` into {1..k}, one per palette-permutation
@@ -566,12 +551,14 @@ def _pool_extends(pool: _WitnessPool, domain: tuple[int, ...], pattern: tuple[in
     return False
 
 
-def min_nonextensible(g: Graph, k: int, max_size: int = 3) -> NonExtensibleCertificate | None:
+def min_nonextensible(g: Graph, k: int, max_size: int = 3) -> dict[int, int] | None:
     """Smallest non-extensible proper precoloring with at most max_size vertices.
 
     Sweeps sizes in increasing order, pruning palette permutations, and stops
-    at the first certificate. None means every proper precoloring of size up
-    to max_size extends to a full coloring into {1..k}; nothing is claimed
+    at the first certificate, a vertex-to-color dict sorted by vertex. It is
+    minimal among nonempty precolorings: below chi(g) even the empty one
+    does not extend. None means every proper precoloring of size up to
+    max_size extends to a full coloring into {1..k}; nothing is claimed
     about larger sizes.
 
     The call keeps the k-colorings its own solver calls return in a witness
@@ -597,10 +584,10 @@ def min_nonextensible(g: Graph, k: int, max_size: int = 3) -> NonExtensibleCerti
             for pattern, shared in patterns:
                 if shared & adjacent or _pool_extends(pool, domain, pattern):
                     continue
-                pre = Precoloring(dict(zip(domain, pattern)), k)
+                pre = dict(zip(domain, pattern))
                 full = k_colorable(g, k, pre)
                 if full is None:
-                    return NonExtensibleCertificate(pre, k)
+                    return pre
                 pool.add(full.assignment)
     return None
 

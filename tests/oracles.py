@@ -306,7 +306,8 @@ def k_colorable_by_tuple_keys(g, k, pre=None):
     a fresh (saturation, degree, -index) tuple per uncolored vertex at every
     node, colors tried in ascending order. Returns the assignment of the
     first coloring found, or None, and raises ValueError with the solver's
-    text on a bad precoloring."""
+    text, in the solver's order, on a bad precoloring, a vertex-to-color
+    mapping."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     n = g.n
@@ -314,20 +315,23 @@ def k_colorable_by_tuple_keys(g, k, pre=None):
     banned = [0] * n  # bit c-1 set iff some neighbor has color c
     remaining = n
     if pre is not None:
-        if pre.k > k:
-            raise ValueError(f"precoloring palette {pre.k} exceeds k={k}")
-        for v in pre.assignment:
+        for v, c in pre.items():
+            if not 1 <= c <= k:
+                span = f" outside 1..{k}" if k else ": the palette is empty"
+                raise ValueError(f"color {c} at vertex {v}{span}")
+        pre = dict(sorted(pre.items()))
+        for v in pre:
             if not (0 <= v < n):
                 span = f" outside 0..{n - 1}" if n else ": the graph has no vertices"
                 raise ValueError(f"vertex {v}{span}")
-        for v, c in pre.assignment.items():
+        for v, c in pre.items():
             for w in _bit_positions(g.rows[v]):
-                if pre.assignment.get(w) == c:
+                if pre.get(w) == c:
                     raise ValueError(f"precoloring is improper on edge ({v},{w})")
-        for v, c in pre.assignment.items():
+        for v, c in pre.items():
             colors[v] = c
             remaining -= 1
-        for v, c in pre.assignment.items():
+        for v, c in pre.items():
             bit = 1 << (c - 1)
             for w in _bit_positions(g.rows[v]):
                 banned[w] |= bit
@@ -413,8 +417,8 @@ def min_nonextensible_by_solver(g, k, max_size=3):
     """The non-extensible sweep with one solver call per pattern and no
     witness pool: sizes ascending, domains in combination order, proper
     restricted-growth patterns in lexicographic order. Returns the first
-    stuck precoloring's assignment, or None."""
-    from chromarel import Precoloring, k_colorable
+    stuck precoloring, a vertex-to-color dict, or None."""
+    from chromarel import k_colorable
 
     for size in range(1, max_size + 1):
         patterns = [
@@ -429,9 +433,9 @@ def min_nonextensible_by_solver(g, k, max_size=3):
                     for i, j in itertools.combinations(range(size), 2)
                 ):
                     continue
-                pre = Precoloring(dict(zip(domain, pattern)), k)
+                pre = dict(zip(domain, pattern))
                 if k_colorable(g, k, pre) is None:
-                    return pre.assignment
+                    return pre
     return None
 
 

@@ -308,7 +308,7 @@ def test_exhaustive_order_past_seven_is_refused_before_any_check(monkeypatch):
     # enumerate_graphs refuses n = 8 only once the sweep reaches it, after
     # every graph on up to seven vertices; the corpus refuses it first
     ran = []
-    monkeypatch.setitem(CHECKS, "KEMPE", (lambda g: ran.append(g) or (1, [], []), ""))
+    monkeypatch.setitem(CHECKS, "KEMPE", (lambda g: ran.append(g) or iter(()), ""))
     start = time.monotonic()
     for n in (8, 0):
         spec = CorpusSpec(families=("p4",), exhaustive_n=n)
@@ -317,6 +317,30 @@ def test_exhaustive_order_past_seven_is_refused_before_any_check(monkeypatch):
         with pytest.raises(ValueError, match="at most 7"):
             run_check("KEMPE", spec, budget=2)
     assert time.monotonic() - start < 5
+    assert ran == []
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (CorpusSpec(families=("p4", "bipartite:1:65536")),
+         "bipartite:1:65536: 65537 vertices is more than the 65536 a reader accepts"),
+        (CorpusSpec(families=("p4",), random=(65537, 0.5, 1, 1)),
+         "random n=65537 is more than the 65536 vertices a reader accepts"),
+    ],
+    ids=["named", "random"],
+)
+def test_a_graph_no_failure_could_name_is_refused_before_any_check(monkeypatch, spec, message):
+    # a failure is reported as graph6, which no reader takes past 65 536
+    # vertices; whether a run ends well must not hang on whether a check
+    # fails on such a graph, so the corpus refuses it first
+    ran = []
+    monkeypatch.setitem(CHECKS, "KEMPE", (lambda g: ran.append(g) or iter(()), ""))
+    with pytest.raises(ValueError) as exc:
+        next(iter_corpus(spec))
+    assert str(exc.value) == message
+    with pytest.raises(ValueError, match="a reader accepts"):
+        run_check("KEMPE", spec)
     assert ran == []
 
 
@@ -364,7 +388,7 @@ def test_a_run_that_would_pass_vacuously_is_refused_before_any_check(
         raise AssertionError("a refused run built a process pool")
 
     ran = []
-    monkeypatch.setitem(CHECKS, "KEMPE", (lambda g: ran.append(g) or (1, [], []), ""))
+    monkeypatch.setitem(CHECKS, "KEMPE", (lambda g: ran.append(g) or iter(()), ""))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden)
     with pytest.raises(ValueError, match=message):
         run_check("KEMPE", corpus, jobs=jobs)
@@ -379,7 +403,7 @@ def test_a_run_that_would_pass_vacuously_is_refused_before_any_check(
 def test_an_empty_id_list_is_refused(monkeypatch, ids, message):
     # a repeated id would run its check twice and print two equal reports
     ran = []
-    monkeypatch.setitem(CHECKS, "KEMPE", (lambda g: ran.append(g) or (1, [], []), ""))
+    monkeypatch.setitem(CHECKS, "KEMPE", (lambda g: ran.append(g) or iter(()), ""))
     with pytest.raises(ValueError, match=message):
         checks_mod._run_checks(ids, SMALL)
     assert ran == []
@@ -545,7 +569,7 @@ def test_min_pre_expects_no_certificate_for_unpinnable_relations():
     rels = [(r.u, r.v, r.kind, r.adjacent) for r in scan_relations(g)]
     assert rels == [(0, 5, RelationKind.EDGE, True)]
     # with one color every pair is an identity no precoloring can separate
-    empty = Graph(3, [0, 0, 0])
+    empty = Graph([0, 0, 0])
     assert len(scan_relations(empty)) == 3
     report = run_check("MIN-PRE", [("gnp:9:0.5:107", g), ("empty3", empty)])
     assert report.verdict == "pass", report.failures
@@ -587,7 +611,7 @@ def test_cis_inv_removes_each_critical_set_and_follows_the_pair(monkeypatch, g):
             want_kind = kind
         sets = [
             s
-            for s in oracles.critical_sets_by_subsets(Graph(len(h), h))
+            for s in oracles.critical_sets_by_subsets(Graph(h))
             if u not in s and v not in s
         ]
         frames.append(

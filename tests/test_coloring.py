@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,6 @@ import chromarel.coloring as coloring_mod
 from chromarel import (
     Coloring,
     Graph,
-    Precoloring,
     chromatic_number,
     count_colorings,
     k_colorable,
@@ -99,15 +99,14 @@ def test_a_coloring_of_the_wrong_length_or_palette_is_improper(assignment, k):
 
 def test_k_colorable_respects_precoloring():
     g = path_graph(3)
-    pre = Precoloring({0: 2, 2: 2}, 2)
-    c = k_colorable(g, 2, pre)
+    c = k_colorable(g, 2, {0: 2, 2: 2})
     assert c is not None
     assert c.assignment == (2, 1, 2)
     # same-color ends of an implicit-edge pair cannot extend
     p4 = path_graph(4)
-    assert k_colorable(p4, 2, Precoloring({0: 1, 3: 1}, 2)) is None
+    assert k_colorable(p4, 2, {0: 1, 3: 1}) is None
     with pytest.raises(ValueError):
-        k_colorable(g, 2, Precoloring({0: 3}, 3))  # palette wider than k
+        k_colorable(g, 2, {0: 3})  # a color outside the palette
 
 
 def _search_result(g, k, pre=None):
@@ -134,17 +133,17 @@ def test_k_colorable_matches_reference_search():
     # the same first coloring, not just the same verdict: witnesses, relation
     # lists and CLI bytes all depend on which coloring the search finds first
     for n in range(0, 6):
-        for g in enumerate_graphs(n) if n else [Graph(0, ())]:
+        for g in enumerate_graphs(n) if n else [Graph(())]:
             chi = chromatic_number(g)
             for k in range(0, chi + 2):
                 assert _search_result(g, k) == _reference_result(g, k), (g.edges(), k)
             # colors no colored vertex holds are interchangeable, precolored
             # or not; at chi + 1 a precoloring always leaves some of them
             for k in (chi, chi + 1):
-                pres = [Precoloring({}, k)]
-                pres += [Precoloring({v: c}, k) for v in range(n) for c in range(1, k + 1)]
+                pres = [{}]
+                pres += [{v: c} for v in range(n) for c in range(1, k + 1)]
                 pres += [
-                    Precoloring({u: a, v: b}, k)
+                    {u: a, v: b}
                     for u in range(n)
                     for v in range(u + 1, n)
                     for a in range(1, k + 1)
@@ -166,7 +165,7 @@ def test_k_colorable_matches_reference_search_on_random_graphs(n, p, seed, assig
     g = gnp(n, p, seed)
     k = max(chromatic_number(g) + dk, 0)
     assert _search_result(g, k) == _reference_result(g, k)
-    pre = Precoloring({v: c for v, c in assignment.items() if c <= k}, k)
+    pre = {v: c for v, c in assignment.items() if c <= k}
     # ids past n - 1 hit the range check in both
     assert _search_result(g, k, pre) == _reference_result(g, k, pre)
 
@@ -186,7 +185,6 @@ def test_k_colorable_matches_reference_search_under_random_precolorings(n, p, se
         # keep the precoloring proper and inside g and the palette
         if v < n and c <= k and v not in pre and all(pre.get(w) != c for w in _bits(g.rows[v])):
             pre[v] = c
-    pre = Precoloring(pre, k)
     assert _search_result(g, k, pre) == oracles.k_colorable_by_tuple_keys(g, k, pre)
 
 
@@ -209,7 +207,6 @@ def test_k_colorable_matches_reference_search_at_relation_scan_sizes():
                         c = rng.randint(1, k)
                         if all(pre.get(w) != c for w in _bits(g.rows[v])):
                             pre[v] = c
-                    pre = Precoloring(pre, k)
                     got = _search_result(g, k, pre)
                     assert got == oracles.k_colorable_by_tuple_keys(g, k, pre), (g.rows, k, pre)
 
@@ -220,7 +217,7 @@ def test_precolored_refutation_keeps_palette_symmetry():
     # refutation need not try their permutations (about a minute when it did)
     g = planted(60, 8, 0.5, 1)
     start = time.perf_counter()
-    assert k_colorable(g, 8, Precoloring({0: 1, 1: 1}, 8)) is None
+    assert k_colorable(g, 8, {0: 1, 1: 1}) is None
     assert time.perf_counter() - start < 10
 
 
@@ -228,7 +225,7 @@ def test_too_deep_search_is_a_value_error():
     # one recursion level per colored vertex: past Python's limit the search
     # reports the graph's size instead of a RecursionError
     g = path_graph(1500)
-    for pre in (None, Precoloring({0: 1}, 2)):
+    for pre in (None, {0: 1}):
         with pytest.raises(ValueError, match="1500 vertices"):
             k_colorable(g, 2, pre)
     short = path_graph(500)
@@ -236,16 +233,30 @@ def test_too_deep_search_is_a_value_error():
 
 
 def test_precoloring_validation():
-    with pytest.raises(ValueError):
-        Precoloring({0: 0}, 2)  # colors are 1-based
-    with pytest.raises(ValueError):
-        Precoloring({0: 3}, 2)
+    g = path_graph(2)
+    with pytest.raises(ValueError, match=r"^color 0 at vertex 0 outside 1\.\.2$"):
+        k_colorable(g, 2, {0: 0})  # colors are 1-based
+    with pytest.raises(ValueError, match=r"^color 3 at vertex 0 outside 1\.\.2$"):
+        k_colorable(g, 2, {0: 3})
     # the solver validates a precoloring against the graph it colors
-    pre = Precoloring({0: 1, 1: 1}, 2)
     with pytest.raises(ValueError, match=r"^precoloring is improper on edge \(0,1\)$"):
-        k_colorable(path_graph(2), 2, pre)
+        k_colorable(g, 2, {0: 1, 1: 1})
     with pytest.raises(ValueError, match=r"^vertex 2 outside 0\.\.1$"):
-        k_colorable(path_graph(2), 2, Precoloring({2: 1}, 2))
+        k_colorable(g, 2, {2: 1})
+
+
+def test_a_precoloring_is_any_mapping_checked_palette_then_graph_then_edges():
+    # a read-only mapping is a precoloring too
+    g = path_graph(3)
+    frozen = types.MappingProxyType({0: 2, 2: 2})
+    assert k_colorable(g, 2, frozen).assignment == (2, 1, 2)
+    # a color outside 1..k is refused before a vertex outside g, and a
+    # vertex outside g before an improper edge, whatever the mapping's order
+    for bad in ({5: 1, 0: 1, 1: 1, 2: 3}, types.MappingProxyType({2: 3, 5: 1})):
+        with pytest.raises(ValueError, match=r"^color 3 at vertex 2 outside 1\.\.2$"):
+            k_colorable(g, 2, bad)
+    with pytest.raises(ValueError, match=r"^vertex 5 outside 0\.\.2$"):
+        k_colorable(g, 2, {0: 1, 1: 1, 5: 1})
 
 
 def _color_tuples(g, k):
@@ -273,7 +284,7 @@ def test_enumerator_matches_assignment_oracle():
     # the same color tuples in the same order, and each class mask holds
     # exactly the vertices of its color
     for n in range(0, 6):
-        for g in enumerate_graphs(n) if n else [Graph(0, ()), path_graph(1)]:
+        for g in enumerate_graphs(n) if n else [Graph(()), path_graph(1)]:
             for k in range(0, 5):
                 got = []
                 for colors, classes in _colorings(g.rows, k):

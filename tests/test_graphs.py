@@ -31,7 +31,7 @@ def _remove(g, drop):
     # validating constructor checks the rows are symmetric, loop-free and
     # in range.
     keep = ((1 << g.n) - 1) & ~sum(1 << x for x in set(drop))
-    h = Graph(keep.bit_count(), _keep_rows(g.rows, keep))
+    h = Graph(_keep_rows(g.rows, keep))
     return h, {x: (keep & ((1 << x) - 1)).bit_count() for x in _bits(keep)}
 
 
@@ -60,8 +60,8 @@ def test_from_edges_rejects_bad_input():
 @pytest.mark.parametrize(
     "n, rows, message",
     [
-        (-1, [], "vertex count must be nonnegative"),
-        (2, [0], "expected 2 adjacency rows, got 1"),
+        (1, [0b10], "row 0 references vertices outside 0..0"),
+        (3, [0b10, 0b101, 0], "edge 1-2 lacks its mirror entry"),
         (2, [0b100, 0], "row 0 references vertices outside 0..1"),
         (2, [-1, 0], "row 0 references vertices outside 0..1"),
         (2, [0b1, 0], "loop at vertex 0"),
@@ -69,14 +69,17 @@ def test_from_edges_rejects_bad_input():
     ],
 )
 def test_the_validating_constructor_refuses_bad_rows(n, rows, message):
+    # the rows alone give the vertex count, so a row past the last row is
+    # out of range
+    assert len(rows) == n
     with pytest.raises(ValueError) as exc:
-        Graph(n, rows)
+        Graph(rows)
     assert str(exc.value) == message
 
 
 @given(graphs())
 def test_from_edges_builds_what_the_validating_constructor_accepts(g):
-    assert Graph(g.n, g.rows) == g
+    assert Graph(g.rows) == g
 
 
 def test_equality_and_hash():
@@ -106,7 +109,7 @@ def test_toggle_kernel_flips_exactly_one_pair(g, data):
     rows = _toggle_rows(g.rows, u, v)
     pair = (min(u, v), max(u, v))
     want = Graph.from_edges(g.n, sorted(set(g.edges()) ^ {pair}))
-    assert Graph(g.n, rows) == want
+    assert Graph(rows) == want
     assert _toggle_rows(rows, u, v) == g.rows
 
 
@@ -359,7 +362,7 @@ def test_merge_kernel_matches_from_edges_reference(g):
                 continue
             rows = _merge_rows(g.rows, u, v)
             assert rows == _merge_reference(g, u, v).rows
-            Graph(len(rows), rows)  # symmetric, loop-free, in range
+            Graph(rows)  # symmetric, loop-free, in range
 
 
 def _induced_reference(g, kept):

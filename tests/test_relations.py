@@ -329,7 +329,7 @@ def test_set_table_keeps_each_certificate_once(g):
     for s in certs:
         assert not any(g.rows[x] & s for x in _bits(s))
         keep = table.full ^ s
-        assert chromatic_number(Graph(keep.bit_count(), _keep_rows(g.rows, keep))) == table.k - 1
+        assert chromatic_number(Graph(_keep_rows(g.rows, keep))) == table.k - 1
 
 
 def test_first_disagreement_is_lexicographic_after_the_reorder(monkeypatch):
@@ -595,7 +595,7 @@ def test_critical_independent_sets_match_subset_oracle():
     # independent S with chi(g - S) = chi(g) - 1, each listed once in
     # lexicographic order
     wrong = []
-    for g in [Graph(0, ())] + [g for n in range(1, 6) for g in enumerate_graphs(n)]:
+    for g in [Graph(())] + [g for n in range(1, 6) for g in enumerate_graphs(n)]:
         got = [tuple(_bits(s)) for s in _set_relations(g.rows).critical_sets]
         if got != oracles.critical_sets_by_subsets(g):
             wrong.append((g.n, g.edges()))
@@ -603,19 +603,13 @@ def test_critical_independent_sets_match_subset_oracle():
 
 
 def test_min_nonextensible_p4():
-    cert = min_nonextensible(path_graph(4), 2)
-    assert cert is not None
-    assert cert.size == 2
-    assert cert.k == 2
     # the sweep finds the identity pair {0,2} first, colored apart
-    assert cert.precoloring.assignment == {0: 1, 2: 2}
+    assert min_nonextensible(path_graph(4), 2) == {0: 1, 2: 2}
 
 
 def test_min_nonextensible_diamond():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    cert = min_nonextensible(g, 3)
-    assert cert is not None
-    assert cert.precoloring.assignment == {2: 1, 3: 2}
+    assert min_nonextensible(g, 3) == {2: 1, 3: 2}
 
 
 def test_min_nonextensible_none_cases():
@@ -628,7 +622,11 @@ def test_min_nonextensible_none_cases():
 def test_min_nonextensible_below_chi():
     # below chi even one pinned vertex is already stuck
     cert = min_nonextensible(cycle_graph(5), 2)
-    assert cert is not None and cert.size == 1
+    assert cert is not None and len(cert) == 1
+    # so a certificate is minimal among nonempty precolorings only: K3's
+    # empty precoloring has no 2-coloring either
+    assert min_nonextensible(complete_graph(3), 2) == {0: 1}
+    assert k_colorable(complete_graph(3), 2) is None
 
 
 def test_min_nonextensible_size_three_bowtie():
@@ -637,10 +635,7 @@ def test_min_nonextensible_size_three_bowtie():
     g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
     assert scan_relations(g) == []
     assert min_nonextensible(g, 3, max_size=2) is None
-    cert = min_nonextensible(g, 3, max_size=3)
-    assert cert is not None
-    assert cert.size == 3
-    assert cert.precoloring.assignment == {0: 1, 1: 2, 3: 3}
+    assert min_nonextensible(g, 3, max_size=3) == {0: 1, 1: 2, 3: 3}
 
 
 def test_min_nonextensible_matches_the_solver_sweep_on_small_graphs():
@@ -650,8 +645,7 @@ def test_min_nonextensible_matches_the_solver_sweep_on_small_graphs():
         for g in enumerate_graphs(n):
             chi = chromatic_number(g)
             for k in (chi - 1, chi, chi + 1):
-                cert = min_nonextensible(g, k, max_size=3)
-                got = None if cert is None else cert.precoloring.assignment
+                got = min_nonextensible(g, k, max_size=3)
                 if got != oracles.min_nonextensible_by_solver(g, k, max_size=3):
                     wrong.append((g.edges(), k))
     assert wrong == []
@@ -661,10 +655,10 @@ def test_min_nonextensible_matches_the_solver_sweep_on_small_graphs():
 def test_min_nonextensible_matches_the_solver_sweep(g, dk):
     k = chromatic_number(g) + dk
     cert = min_nonextensible(g, k, max_size=3)
-    got = None if cert is None else cert.precoloring.assignment
-    assert got == oracles.min_nonextensible_by_solver(g, k, max_size=3)
+    assert cert == oracles.min_nonextensible_by_solver(g, k, max_size=3)
     if cert is not None:
-        assert k_colorable(g, k, cert.precoloring) is None
+        assert list(cert) == sorted(cert)
+        assert k_colorable(g, k, cert) is None
 
 
 def test_no_small_certificate_one_color_above_chi():
