@@ -80,8 +80,13 @@ def k_colorable(g: Graph, k: int, pre: Mapping[int, int] | None = None) -> Color
     images of a branch tried before them, so the first coloring found is
     the one the search without this rule finds.
 
+    Fewer than n colors are in use while a vertex is uncolored, so no
+    search tries a color above n or above the largest precolored color: the
+    search sizes its masks to the least of those and k, top, and its memory
+    grows with the graph, not with k. The returned Coloring keeps k.
+
     Saturation is kept bit-sliced, as in San Segundo's bitboard DSATUR:
-    k.bit_length() masks, highest bit first, read as one binary count per
+    top.bit_length() masks, highest bit first, read as one binary count per
     vertex. near[c] masks the vertices with a neighbor of color c+1, so
     coloring v with it adds one to exactly rows[v] & uncolored & ~near[c],
     by a ripple carry into the child node's own copy of the masks. The
@@ -99,20 +104,22 @@ def k_colorable(g: Graph, k: int, pre: Mapping[int, int] | None = None) -> Color
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    pre = pre or {}
+    _check_palette(pre, k)
     n = g.n
     rows = g.rows
+    top = min(k, max([n, *pre.values()]))
     levels = [0] * n  # levels[d] masks the vertices of degree d
     for v, r in enumerate(rows):
         levels[r.bit_count()] |= 1 << v
     by_degree = [level for level in reversed(levels) if level]
-    near = [0] * k
+    near = [0] * top
     colors = [0] * n
     uncolored = (1 << n) - 1
     used = 0  # bit c set iff some colored vertex has color c+1
-    low = k.bit_length() - 1  # index of the counter's lowest bit
+    low = top.bit_length() - 1  # index of the counter's lowest bit
     sat = [0] * (low + 1)
-    if pre is not None:
-        _check_palette(pre, k)
+    if pre:
         for c, cls in _color_masks(g, pre).items():
             uncolored &= ~cls
             used |= 1 << (c - 1)
@@ -127,7 +134,7 @@ def k_colorable(g: Graph, k: int, pre: Mapping[int, int] | None = None) -> Color
                 sat[i] = plane ^ add
                 add &= plane
                 i -= 1
-    full = (1 << k) - 1
+    full = (1 << top) - 1
 
     def rec(uncolored: int, used: int, sat: list[int]) -> bool:
         if not uncolored:

@@ -24,7 +24,8 @@ def cycle_graph(n: int) -> Graph:
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs at least 1 vertex")
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    full = (1 << n) - 1
+    return Graph._make(tuple(full ^ 1 << i for i in range(n)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:

@@ -5,8 +5,8 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Iterator
 
-# The package's one memo. Memoized functions take a graph's value, its rows
-# tuple, or a Graph, which hashes and compares by its rows. Past the cap the
+# The package's one memo. Memoized functions take ints and tuples only: a
+# graph goes in as its rows tuple, never as a Graph. Past the cap the
 # least recently used entry is evicted, so a long computation runs in bounded
 # memory.
 _MEMO_SIZE = 1 << 16
@@ -27,11 +27,11 @@ class Graph:
     Adjacency is stored as one integer bit row per vertex: bit v of
     ``rows[u]`` is set iff uv is an edge. Instances are immutable; a derived
     graph is built from rows by a kernel and wrapped with _make. Flipping a
-    pair with _toggle_rows moves no id. Merging u and v with _merge_rows
-    keeps the other vertices in order, renumbers them densely and puts the
-    merged vertex last, at id n-2. The induced-subgraph kernel _keep_rows
-    keeps the survivors in order too, so survivor x gets the count of kept
-    vertices below it. SUBDIV appends its subdividing vertex w at id n.
+    pair with _toggle_rows moves no id. The other kernels renumber by one
+    rule: survivors keep their order, so survivor x gets the count of kept
+    vertices below it. _keep_rows keeps the vertices of a mask; _merge_rows
+    merges u and v into the lower of the two and drops the higher. SUBDIV
+    appends its subdividing vertex w at id n.
     """
 
     # n is len(rows), kept in a slot that only __init__ and _make fill
@@ -143,27 +143,18 @@ def _keep_rows(rows: tuple[int, ...], keep: int) -> tuple[int, ...]:
 
 
 def _merge_rows(rows: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
-    """Rows after merging u and v into a new last vertex w.
+    """Rows after merging u and v into the lower endpoint a.
 
-    Survivors keep their order and renumber densely: bits a < b are squeezed
-    out by mask-and-shift, and w is set wherever a row touched a or b. Any
-    uv edge disappears, so the relation scan's equal-color question, the
-    polynomial's edge contraction and the POLY-IE/II checks share this
-    kernel.
+    a keeps its id and takes both neighbourhoods; the higher endpoint b goes,
+    and one mask-and-shift per row moves the vertices above it down one, as
+    _keep_rows renumbers them. Any uv edge disappears, so the relation
+    scan's equal-color question, the polynomial's edge contraction and the
+    POLY-IE/II checks share this kernel.
     """
     a, b = min(u, v), max(u, v)
-    ab = 1 << a | 1 << b
-    w = 1 << (len(rows) - 2)
-    low = (1 << a) - 1
-    mid = (1 << b) - (1 << (a + 1))
-    out = []
-    for x, r in enumerate(rows):
-        if x == a or x == b:
-            continue
-        s = r & low | (r & mid) >> 1 | (r >> (b + 1)) << (b - 1)
-        out.append(s | w if r & ab else s)
-    r = (rows[a] | rows[b]) & ~ab
-    out.append(r & low | (r & mid) >> 1 | (r >> (b + 1)) << (b - 1))
+    low = (1 << b) - 1
+    out = [r & low | r >> (b + 1) << b | (r >> b & 1) << a for r in rows]
+    out[a] = (out[a] | out.pop(b)) & ~(1 << a)
     return tuple(out)
 
 

@@ -81,8 +81,7 @@ class RouteDisagreementError(RuntimeError):
 def _pair_rows(rows: tuple[int, ...], u: int, v: int, kind: RelationKind) -> tuple[int, ...]:
     """Rows of the graph a pair question colors: g-uv with u and v merged
     for an edge, which a coloring giving them one color refutes, and g+uv
-    for an identity, which one separating them refutes. The merge keeps the
-    other vertices in order, with the merged vertex last."""
+    for an identity, which one separating them refutes."""
     if kind is RelationKind.EDGE:
         return _merge_rows(rows, u, v)
     return rows if rows[u] >> v & 1 else _toggle_rows(rows, u, v)
@@ -99,9 +98,9 @@ def _witness(rows: tuple[int, ...], u: int, v: int, kind: RelationKind,
     colors = c.assignment
     if kind is RelationKind.IDENTITY:
         return colors
+    # the merge keeps the lower endpoint a and drops b: b takes a's color
     a, b = min(u, v), max(u, v)
-    merged = colors[-1:]
-    return colors[:a] + merged + colors[a : b - 1] + merged + colors[b - 1 : -1]
+    return colors[:b] + colors[a : a + 1] + colors[b:]
 
 
 def _related(rows: tuple[int, ...], u: int, v: int, kind: RelationKind) -> bool:

@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 
 import pytest
@@ -107,6 +108,22 @@ def test_k_colorable_respects_precoloring():
     assert k_colorable(p4, 2, {0: 1, 3: 1}) is None
     with pytest.raises(ValueError):
         k_colorable(g, 2, {0: 3})  # a color outside the palette
+
+
+def test_a_large_palette_costs_no_memory_beyond_the_graph():
+    # no search tries a color above n or the largest precolored color, so a
+    # palette of a million colors finds the coloring a palette of n finds,
+    # in memory that does not grow with k (8 MB at k = 10**6 when it did)
+    g = path_graph(4)
+    want = k_colorable(g, 4, {0: 1}).assignment
+    tracemalloc.start()
+    try:
+        c = k_colorable(g, 10**6, {0: 1})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c == Coloring(want, 10**6)
+    assert peak < 64_000
 
 
 def _search_result(g, k, pre=None):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from chromarel import chromatic_number, is_connected, is_planar
+from chromarel import Graph, chromatic_number, is_connected, is_planar
 from chromarel.families import (
     complete_bipartite,
     complete_graph,
@@ -30,6 +30,12 @@ def test_path_and_cycle():
         cycle_graph(2)
     with pytest.raises(ValueError):
         path_graph(0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_complete_graph_matches_from_edges_reference(n):
+    ref = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    assert complete_graph(n).rows == ref.rows
 
 
 def test_complete_and_bipartite():

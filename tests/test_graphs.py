@@ -130,11 +130,11 @@ def test_delete_and_add_edge():
 
 
 def test_identify_nonadjacent_pair():
-    # 1 and 3 keep their order as 0 and 1; the merged vertex is last, at 2,
-    # and keeps both neighborhoods
+    # 0 keeps its id and takes 2's neighborhood too; 1 stays, and 3 moves
+    # down to 2 past the dropped 2
     h = Graph._make(_merge_rows(path_graph(4).rows, 0, 2))
     assert h.n == 3
-    assert set(h.edges()) == {(0, 2), (1, 2)}
+    assert set(h.edges()) == {(0, 1), (0, 2)}
 
 
 def test_identify_path_ends_gives_triangle():
@@ -323,10 +323,10 @@ def test_maximal_sets_really_maximal(g, data):
 
 
 def _merged_id(n, u, v):
-    # where the merge sends each old id: u and v to the last id, n-2, and
-    # the others down past whichever of u and v lie below them
+    # where the merge sends each old id: u and v to the lower one, a, and
+    # the others above the higher one, b, down by one
     a, b = min(u, v), max(u, v)
-    return {x: n - 2 if x in (u, v) else x - (x > a) - (x > b) for x in range(n)}
+    return {x: a if x == b else x - (x > b) for x in range(n)}
 
 
 @given(graphs(max_n=6))
@@ -341,7 +341,7 @@ def test_identify_merges_neighborhoods(g):
         rows = _merge_rows(g.rows, u, v)
         f = _merged_id(g.n, u, v)
         merged = {f[x] for x in _bits(g.rows[u] | g.rows[v])}
-        assert set(_bits(rows[g.n - 2])) == merged
+        assert set(_bits(rows[min(u, v)])) == merged
 
 
 def _merge_reference(g, u, v):

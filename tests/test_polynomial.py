@@ -21,6 +21,7 @@ from chromarel.families import (
     complete_graph,
     cycle_graph,
     enumerate_graphs,
+    gnp,
     moser_spindle,
     path_graph,
     petersen,
@@ -240,3 +241,12 @@ def test_a_graph_too_deep_for_the_recursion_is_over_budget():
     finally:
         sys.setrecursionlimit(limit)
     assert evaluate(chromatic_polynomial(g, max_vertices=60), 3) == 2**60 + 2
+
+
+def test_contraction_shares_subproblems():
+    # the merge keeps the lower endpoint, so contractions reached along
+    # different branches meet as one labeled graph in the memo; a merge
+    # that labels them apart misses more than twice as often here
+    polynomial_mod._poly.cache_clear()
+    chromatic_polynomial(gnp(16, 0.3, 2))
+    assert polynomial_mod._poly.cache_info().misses == 3395
