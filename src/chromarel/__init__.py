@@ -11,7 +11,7 @@ _EXPORTS = {
     "io": ("FORMATS", "FormatError", "format_for_path", "parse_graph", "serialize_graph"),
     "coloring": ("Coloring", "chromatic_number", "count_colorings", "k_colorable"),
     "planarity": ("is_planar",),
-    "polynomial": ("BudgetError", "ChromaticPolynomial", "chromatic_polynomial", "evaluate"),
+    "polynomial": ("BudgetError", "chromatic_polynomial", "evaluate"),
     "relations": (
         "CriticalityReport", "ImplicitRelation", "RelationKind", "RouteDisagreementError",
         "criticality", "implicit_via_sets", "min_nonextensible", "scan_relations", "to_dot",

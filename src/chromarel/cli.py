@@ -264,7 +264,7 @@ def _cmd_poly(args: argparse.Namespace) -> int:
             if point < 0:
                 raise ValueError("evaluation points must be nonnegative")
             evals[str(point)] = evaluate(poly, point)
-    payload = {"coeffs": list(poly.coefficients), "eval": evals}
+    payload = {"coeffs": list(poly), "eval": evals}
     _write_out(_canonical(payload), args.output)
     return 0
 

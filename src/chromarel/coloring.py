@@ -18,13 +18,6 @@ class Coloring(NamedTuple):
     assignment: tuple[int, ...]
     k: int
 
-    def is_proper(self, g: Graph) -> bool:
-        if len(self.assignment) != g.n:
-            return False
-        if any(not 1 <= c <= self.k for c in self.assignment):
-            return False
-        return all(self.assignment[u] != self.assignment[v] for u, v in g.edges())
-
     def to_json_dict(self) -> dict:
         return {
             "version": 1,
@@ -80,10 +73,14 @@ def k_colorable(g: Graph, k: int, pre: Mapping[int, int] | None = None) -> Color
     images of a branch tried before them, so the first coloring found is
     the one the search without this rule finds.
 
-    Fewer than n colors are in use while a vertex is uncolored, so no
-    search tries a color above n or above the largest precolored color: the
-    search sizes its masks to the least of those and k, top, and its memory
-    grows with the graph, not with k. The returned Coloring keeps k.
+    Fewer than n vertices are colored while one is not, so the lowest
+    unused color is always in the palette: the precolored colors and the
+    lowest colors of 1..min(k, n) outside them, n colors in all when k
+    allows. The search runs on the ranks of the palette's colors, 1..top,
+    which keep their order, and maps the coloring back, so its memory grows
+    with the graph, not with k or with a precolored color. While every
+    precolored color is at most n, the palette is 1..min(k, n) itself. The
+    returned Coloring keeps k.
 
     Saturation is kept bit-sliced, as in San Segundo's bitboard DSATUR:
     top.bit_length() masks, highest bit first, read as one binary count per
@@ -108,7 +105,15 @@ def k_colorable(g: Graph, k: int, pre: Mapping[int, int] | None = None) -> Color
     _check_palette(pre, k)
     n = g.n
     rows = g.rows
-    top = min(k, max([n, *pre.values()]))
+    top = min(k, n)
+    palette: list[int] = []
+    if pre and max(pre.values()) > n:
+        held = set(pre.values())
+        others = [c for c in range(1, top + 1) if c not in held]
+        palette = sorted(held.union(others[: n - len(held)]))
+        rank = {c: i for i, c in enumerate(palette, 1)}
+        pre = {v: rank[c] for v, c in pre.items()}
+        top = len(palette)
     levels = [0] * n  # levels[d] masks the vertices of degree d
     for v, r in enumerate(rows):
         levels[r.bit_count()] |= 1 << v
@@ -201,6 +206,8 @@ def k_colorable(g: Graph, k: int, pre: Mapping[int, int] | None = None) -> Color
         ) from None
     if not found:
         return None
+    if palette:
+        colors = [palette[c - 1] for c in colors]
     return Coloring(tuple(colors), k)
 
 

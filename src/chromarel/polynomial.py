@@ -13,7 +13,6 @@ an edge otherwise, so both branches head toward the closed forms.
 from __future__ import annotations
 
 from math import comb
-from typing import NamedTuple
 
 from .graphs import _bits, _component_masks, _keep_rows, _memo, _merge_rows, _toggle_rows
 
@@ -22,18 +21,13 @@ class BudgetError(ValueError):
     """Instance exceeds the declared resource cutoff."""
 
 
-class ChromaticPolynomial(NamedTuple):
-    """Integer coefficients in ascending degree order, c0 first, monic."""
-
-    coefficients: tuple[int, ...]
-
-
-def evaluate(p: ChromaticPolynomial, k: int) -> int:
-    """Exact integer evaluation at a nonnegative palette size."""
+def evaluate(coefficients: tuple[int, ...], k: int) -> int:
+    """Exact integer evaluation of ascending coefficients, c0 first, at a
+    nonnegative palette size, by Horner's rule."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     acc = 0
-    for c in reversed(p.coefficients):
+    for c in reversed(coefficients):
         acc = acc * k + c
     return acc
 
@@ -124,8 +118,9 @@ def _reduce(rows: tuple[int, ...]) -> list[int]:
     )
 
 
-def chromatic_polynomial(g, max_vertices: int = 20) -> ChromaticPolynomial:
-    """Exact chromatic polynomial.
+def chromatic_polynomial(g, max_vertices: int = 20) -> tuple[int, ...]:
+    """Exact chromatic polynomial as its integer coefficients in ascending
+    degree order, c0 first, monic: (0, -1, 3, -3, 1) for P4.
 
     Components, simplicial vertices and trees, k (k - 1)^(n-1) by binomial
     coefficients, are peeled off exactly; what remains is branched by
@@ -142,7 +137,7 @@ def chromatic_polynomial(g, max_vertices: int = 20) -> ChromaticPolynomial:
             "raise max_vertices to force this computation"
         )
     try:
-        return ChromaticPolynomial(_poly(g.rows))
+        return _poly(g.rows)
     except RecursionError:
         raise BudgetError(
             f"graph with {g.n} vertices is too deep for the polynomial's recursion"

@@ -27,6 +27,7 @@ from .graphs import (
     Graph,
     _bits,
     _component_of,
+    _free_of,
     _keep_rows,
     _maximal_sets,
     _memo,
@@ -124,14 +125,16 @@ class _SetTable:
     behind the relation answers, critical_sets and criticality. _lowers
     decides an independent set by the solver, or with no call when it holds
     a set already known to lower (deleting more vertices never raises chi)
-    or lies inside one known not to. A (k-1)-coloring of g-S is, with S, a
-    k-coloring of g, so each of its classes lowers as well: S and those
-    classes are the table's certificates. They come only from the table's
-    own solver calls on independent sets of g. The maximal independent sets
-    that lower are listed once, when a relation question or critical_sets
-    first needs them, so criticality alone never enumerates them. The memo
-    hands every caller the same table, which only ever learns facts about g
-    and computes each cached fact once: critical_sets, criticality and the
+    or lies inside one known not to. A maximal set lies inside no other
+    independent set, so only the certificates and the solver decide it. A
+    (k-1)-coloring of g-S is, with S, a k-coloring of g, so each of its
+    classes lowers as well: S and those classes are the table's
+    certificates. They come only from the table's own solver calls on
+    independent sets of g. The maximal independent sets that lower are
+    listed once, when a relation question or critical_sets first needs
+    them, so criticality alone never enumerates them. The memo hands every
+    caller the same table, which only ever learns facts about g and
+    computes each cached fact once: critical_sets, criticality and the
     scan's output, relations, which the definition route never reads.
     """
 
@@ -173,7 +176,9 @@ class _SetTable:
         joins the table."""
         if any(not c & ~s for c in self.certs):
             return True
-        if any(not s & ~b for b in self.blocked):
+        # no other independent set holds a maximal one, so only a set with
+        # a free vertex can lie inside a blocked set
+        if _free_of(self.rows, s) and any(not s & ~b for b in self.blocked):
             return False
         coloring = self._coloring_without(s)
         if coloring is None:

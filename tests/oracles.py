@@ -47,6 +47,16 @@ def kempe_chain_by_bfs(g, assignment, u, b):
     return seen
 
 
+def is_proper(g, colors, k):
+    """Whether colors gives each vertex of g one color of 1..k and no edge
+    of g one color at both ends."""
+    if len(colors) != g.n:
+        return False
+    if any(not 1 <= c <= k for c in colors):
+        return False
+    return all(colors[u] != colors[v] for u, v in g.edges())
+
+
 def bipartition_by_bfs(g):
     """Two-color each component by a queue search from its least vertex,
     which goes left; None when an edge joins two vertices of one color."""

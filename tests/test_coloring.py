@@ -74,7 +74,7 @@ def test_k_colorable_basics():
     assert k_colorable(g, 2) is None
     c = k_colorable(g, 3)
     assert c is not None
-    assert c.is_proper(g)
+    assert oracles.is_proper(g, c.assignment, 3)
     assert set(c.assignment) <= {1, 2, 3}
 
 
@@ -95,7 +95,7 @@ def test_a_negative_palette_is_refused(solver):
     ],
 )
 def test_a_coloring_of_the_wrong_length_or_palette_is_improper(assignment, k):
-    assert not Coloring(assignment, k).is_proper(path_graph(3))
+    assert not oracles.is_proper(path_graph(3), assignment, k)
 
 
 def test_k_colorable_respects_precoloring():
@@ -124,6 +124,20 @@ def test_a_large_palette_costs_no_memory_beyond_the_graph():
         tracemalloc.stop()
     assert c == Coloring(want, 10**6)
     assert peak < 64_000
+
+
+def test_a_precolored_color_far_above_n_costs_no_memory_beyond_the_graph():
+    # the search runs on the ranks of the precolored colors and the lowest
+    # n - 1 others, so a color of 10**8 costs what color 4 costs (46 MB at
+    # 5 * 10**6 when the color sized the search)
+    tracemalloc.start()
+    try:
+        c = k_colorable(path_graph(4), 10**8, {0: 10**8})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c == Coloring((10**8, 1, 2, 1), 10**8)
+    assert peak < 1_000_000
 
 
 def _search_result(g, k, pre=None):
@@ -228,6 +242,21 @@ def test_k_colorable_matches_reference_search_at_relation_scan_sizes():
                     assert got == oracles.k_colorable_by_tuple_keys(g, k, pre), (g.rows, k, pre)
 
 
+def test_k_colorable_matches_reference_search_under_precolored_colors_above_n():
+    # the reference searches the whole palette 1..k; the solver searches the
+    # ranks of the precolored colors and the lowest others, which are
+    # 1..min(k, n) themselves while every precolored color is at most n.
+    # Vertex n is outside g, so some precolorings are refused
+    rng = random.Random(44)
+    for _ in range(1500):
+        n = rng.randint(1, 9)
+        g = gnp(n, rng.choice((0.2, 0.4, 0.6)), rng.randrange(10**6))
+        k = rng.randint(1, 3 * n + 3)
+        top = rng.choice((min(k, n), k))
+        pre = {v: rng.randint(1, top) for v in rng.sample(range(n + 1), rng.randint(0, n))}
+        assert _search_result(g, k, pre) == _reference_result(g, k, pre), (g.rows, k, pre)
+
+
 def test_precolored_refutation_keeps_palette_symmetry():
     # planted(60,8,0.5,1) has chi = 8, and 0 and 1 share no 8-coloring; the
     # six colors the precoloring leaves unused are interchangeable, so the
@@ -246,7 +275,7 @@ def test_too_deep_search_is_a_value_error():
         with pytest.raises(ValueError, match="1500 vertices"):
             k_colorable(g, 2, pre)
     short = path_graph(500)
-    assert k_colorable(short, 2).is_proper(short)
+    assert oracles.is_proper(short, k_colorable(short, 2).assignment, 2)
 
 
 def test_precoloring_validation():
@@ -403,7 +432,7 @@ def test_colorings_are_proper_and_distinct():
     g = wheel_graph(5)
     k = chromatic_number(g)
     seen = set(_color_tuples(g, k))
-    assert all(Coloring(c, k).is_proper(g) for c in seen)
+    assert all(oracles.is_proper(g, c, k) for c in seen)
     assert len(seen) == count_colorings(g, k)
 
 
@@ -443,7 +472,7 @@ def test_kempe_chain_on_even_cycle():
 def test_kempe_chain_stops_at_color_boundary():
     g = path_graph(4)
     c = Coloring((1, 2, 1, 3), 3)
-    assert c.is_proper(g)
+    assert oracles.is_proper(g, c.assignment, c.k)
     assert _chain(g, c.assignment, 0, 2) == {0, 1, 2}  # vertex 3 has color 3
     # vertex 2 wears color 1, so the {2,3}-chain through 3 is 3 alone
     assert _chain(g, c.assignment, 3, 2) == {3}
