@@ -25,7 +25,7 @@ from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .coloring import _colorings, chromatic_number
-from .families import enumerate_graphs, generate, gnp
+from .families import _member, enumerate_graphs, gnp
 from .graphs import (
     Graph,
     bipartition,
@@ -81,7 +81,8 @@ def iter_corpus(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
     named graphs and the first random graph are built before the first
     pair too, so generate and gnp refuse a bad token or p at once, not
     after the sweep that comes before them. A graph whose failure graph6
-    could not name, past _MAX_VERTICES, is refused there too.
+    could not name, past _MAX_VERTICES, is refused from its parameters
+    before any named graph is built.
     """
     if not (spec.families or spec.exhaustive_n is not None or spec.random is not None):
         raise ValueError("the corpus names no graph")
@@ -94,10 +95,11 @@ def iter_corpus(spec: CorpusSpec) -> Iterator[tuple[str, Graph]]:
             raise ValueError(f"random n and count must be at least 1, got n={n}, count={count}")
         if n > _MAX_VERTICES:
             raise ValueError(f"random n={n} is more than the {_MAX_VERTICES} vertices a reader accepts")
-    named = [(token, generate(*token.split(":"))) for token in spec.families]
-    for token, g in named:
-        if g.n > _MAX_VERTICES:
-            raise ValueError(f"{token}: {g.n} vertices is more than the {_MAX_VERTICES} a reader accepts")
+    members = [(token, *_member(*token.split(":"))) for token in spec.families]
+    for token, order, _ in members:
+        if order > _MAX_VERTICES:
+            raise ValueError(f"{token}: {order} vertices is more than the {_MAX_VERTICES} a reader accepts")
+    named = [(token, build()) for token, _, build in members]
     first = gnp(n, p, seed) if spec.random is not None else None
     yield from named
     if spec.exhaustive_n is not None:

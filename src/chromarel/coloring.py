@@ -312,49 +312,46 @@ def _colorings(rows: tuple[int, ...], k: int) -> Iterator[tuple[list[int], list[
     return rec(0)
 
 
-@_memo
-def _independent_partition_counts(rows: tuple[int, ...]) -> tuple[int, ...]:
-    """counts[j] = partitions of the vertices into j nonempty independent classes.
-
-    Computed by direct backtracking over vertices in index order, classes kept
-    in first-use order so each partition is visited exactly once.
-    """
-    n = len(rows)
-    counts = [0] * (n + 1)
-    class_masks: list[int] = []
-
-    def rec(v: int) -> None:
-        if v == n:
-            counts[len(class_masks)] += 1
-            return
-        row = rows[v]
-        for i, cm in enumerate(class_masks):
-            if not cm & row:
-                class_masks[i] = cm | 1 << v
-                rec(v + 1)
-                class_masks[i] = cm
-        class_masks.append(1 << v)
-        rec(v + 1)
-        class_masks.pop()
-
-    rec(0)
-    return tuple(counts)
-
-
 def count_colorings(g: Graph, k: int) -> int:
     """Number of proper colorings of g into {1..k}.
 
-    Independent of the polynomial machinery: counts canonical colorings by
-    backtracking, then multiplies by the injections of each class set into
-    the palette.
+    A search of its own, with neither the polynomial nor the solver:
+    vertices go in index order, and each joins an earlier class it has no
+    edge into or opens a new class while fewer than k are open, so each
+    partition of the vertices into at most k independent classes is met
+    once. A partition into j classes has k(k-1)...(k-j+1) colorings.
+
+    The search recurses once per vertex, so a graph too large for Python's
+    recursion limit raises ValueError.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    total = 0
-    for j, nj in enumerate(_independent_partition_counts(g.rows)):
-        if nj and j <= k:
-            ways = 1
-            for i in range(j):
-                ways *= k - i
-            total += nj * ways
-    return total
+    rows = g.rows
+    n = len(rows)
+    ways = [1]  # ways[j] = k(k-1)...(k-j+1)
+    for j in range(min(k, n)):
+        ways.append(ways[j] * (k - j))
+    classes: list[int] = []
+
+    def rec(v: int) -> int:
+        if v == n:
+            return ways[len(classes)]
+        total = 0
+        row = rows[v]
+        for i, cls in enumerate(classes):
+            if not cls & row:
+                classes[i] = cls | 1 << v
+                total += rec(v + 1)
+                classes[i] = cls
+        if len(classes) < k:
+            classes.append(1 << v)
+            total += rec(v + 1)
+            classes.pop()
+        return total
+
+    try:
+        return rec(0)
+    except RecursionError:
+        raise ValueError(
+            f"graph with {n} vertices is too deep for the coloring count's recursion"
+        ) from None

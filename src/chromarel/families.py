@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graphs import Graph, is_connected
+from .io import _MAX_VERTICES
 
 
 def path_graph(n: int) -> Graph:
@@ -128,24 +129,51 @@ def planted(n: int, k: int, p: float, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _n(n: int, *_) -> int:
+    return n
+
+
 _NO_PARAMETERS = "takes no parameters"
 _ONE_SIZE = "needs exactly one size parameter"
-# name -> builder, one converter per parameter, and the refusal of a wrong
-# count of parameters
+# name -> builder, one converter per parameter, the refusal of a wrong count
+# of parameters, and the member's vertex count from its converted parameters
 _FAMILIES = {
-    "path": (path_graph, (int,), _ONE_SIZE),
-    "cycle": (cycle_graph, (int,), _ONE_SIZE),
-    "complete": (complete_graph, (int,), _ONE_SIZE),
-    "wheel": (wheel_graph, (int,), _ONE_SIZE),
-    "bipartite": (complete_bipartite, (int, int), "needs both part sizes"),
-    "gnp": (gnp, (int, float, int), "needs n, p, seed"),
-    "planted": (planted, (int, int, float, int), "needs n, k, p, seed"),
-    "moser_spindle": (moser_spindle, (), _NO_PARAMETERS),
-    "moser": (moser_spindle, (), _NO_PARAMETERS),
-    "grotzsch": (grotzsch, (), _NO_PARAMETERS),
-    "petersen": (petersen, (), _NO_PARAMETERS),
+    "path": (path_graph, (int,), _ONE_SIZE, _n),
+    "cycle": (cycle_graph, (int,), _ONE_SIZE, _n),
+    "complete": (complete_graph, (int,), _ONE_SIZE, _n),
+    "wheel": (wheel_graph, (int,), _ONE_SIZE, lambda n: n + 1),
+    "bipartite": (complete_bipartite, (int, int), "needs both part sizes", lambda a, b: a + b),
+    "gnp": (gnp, (int, float, int), "needs n, p, seed", _n),
+    "planted": (planted, (int, int, float, int), "needs n, k, p, seed", _n),
+    "moser_spindle": (moser_spindle, (), _NO_PARAMETERS, lambda: 7),
+    "moser": (moser_spindle, (), _NO_PARAMETERS, lambda: 7),
+    "grotzsch": (grotzsch, (), _NO_PARAMETERS, lambda: 11),
+    "petersen": (petersen, (), _NO_PARAMETERS, lambda: 10),
 }
 _COMPACT = {"p": "path", "c": "cycle", "k": "complete", "w": "wheel"}
+
+
+def _member(family: str, *args) -> tuple[int, Callable[[], Graph]]:
+    """The vertex count of a generate token from its converted parameters,
+    and the call that builds it. A bad name, count of parameters or number
+    is refused here, before anything is built."""
+    name = family.lower()
+    if name == "mycielski":
+        if not args:
+            raise ValueError("mycielski needs a base family")
+        n, base = _member(str(args[0]), *args[1:])
+        return 2 * n + 1, lambda: mycielski(base())
+    if name[:1] in _COMPACT and name[1:].isdigit():
+        if args:
+            raise ValueError(f"{name} {_NO_PARAMETERS}")
+        name, args = _COMPACT[name[0]], (name[1:],)
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    build, converters, refusal, order = _FAMILIES[name]
+    if len(args) != len(converters):
+        raise ValueError(f"{name} {refusal}")
+    values = [convert(a) for convert, a in zip(converters, args)]
+    return order(*values), lambda: build(*values)
 
 
 def generate(family: str, *args) -> Graph:
@@ -154,23 +182,13 @@ def generate(family: str, *args) -> Graph:
     Names: path, cycle, complete, wheel (one integer each), bipartite (two
     integers), gnp (n, p, seed), planted (n, k, p, seed), mycielski (a
     nested family token), and the fixed instances moser_spindle, grotzsch,
-    petersen. Compact aliases like p4, c5, k4, w5 work too.
+    petersen. Compact aliases like p4, c5, k4, w5 work too. A member on more
+    vertices than a reader accepts is refused before it is built.
     """
-    name = family.lower()
-    if name == "mycielski":
-        if not args:
-            raise ValueError("mycielski needs a base family")
-        return mycielski(generate(str(args[0]), *args[1:]))
-    if name[:1] in _COMPACT and name[1:].isdigit():
-        if args:
-            raise ValueError(f"{name} {_NO_PARAMETERS}")
-        name, args = _COMPACT[name[0]], (name[1:],)
-    if name not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    build, converters, refusal = _FAMILIES[name]
-    if len(args) != len(converters):
-        raise ValueError(f"{name} {refusal}")
-    return build(*(convert(a) for convert, a in zip(converters, args)))
+    n, build = _member(family, *args)
+    if n > _MAX_VERTICES:
+        raise ValueError(f"{n} vertices is more than the {_MAX_VERTICES} a reader accepts")
+    return build()
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:

@@ -1,17 +1,19 @@
 """Planarity testing by path addition (Demoucron, Malgrange & Pertuiset 1964).
 
-Each component sheds its trees, embeds a cycle, then adds one path at a time.
+Each part sheds its trees, embeds a cycle, then adds one path at a time.
 A fragment is a chord between embedded vertices, or a component of the rest
 with the embedded vertices it attaches to; a face fits it when the face holds
 all of them. Each step draws a path of a fragment with the fewest fitting
 faces through one, which splits it; a fragment no face fits means nonplanar.
-A fragment attached at one vertex v is a 1-sum, planar iff both parts are, so
-it is tested apart. Exact, O(n*m), and iterative: no input is too deep.
+A piece attached at fewer than two vertices, such as another component or
+the far side of a cut vertex, leaves the graph planar iff both sides are, so
+it is tested as a part of its own. Exact, O(n*m), and iterative: no input is
+too deep.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, _bits, _component_masks, _component_of, _reach
+from .graphs import Graph, _bits, _component_of, _reach
 
 
 def _low(x: int) -> int:
@@ -46,8 +48,9 @@ def _path(rows: tuple[int, ...], comp: int, attach: int) -> list[int]:
 
 
 def _embeds(rows: tuple[int, ...], part: int, parts: list[int]) -> bool:
-    """Whether the connected part embeds in the plane; the 1-sum parts it
-    sheds go onto parts."""
+    """Whether the component of part that its first cycle lies in embeds in
+    the plane; each piece attached to it at fewer than two vertices, another
+    component among them, goes onto parts."""
     part = _core(rows, part)
     if not part:
         return True
@@ -109,12 +112,14 @@ def _embeds(rows: tuple[int, ...], part: int, parts: list[int]) -> bool:
 
 def is_planar(g: Graph) -> bool:
     """Exact planarity test: at most four vertices are planar, more than
-    3n-6 edges are not, and path addition decides the rest."""
+    3n-6 edges are not, and path addition decides the rest, one part at a
+    time, starting from the whole graph: a part hands on each piece attached
+    to it at fewer than two vertices."""
     if g.n <= 4:
         return True
     if g.m > 3 * g.n - 6:
         return False
-    parts = _component_masks(g.rows)
+    parts = [(1 << g.n) - 1]
     while parts:
         if not _embeds(g.rows, parts.pop(), parts):
             return False

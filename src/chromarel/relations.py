@@ -125,16 +125,16 @@ class _SetTable:
     behind the relation answers, critical_sets and criticality. _lowers
     decides an independent set by the solver, or with no call when it holds
     a set already known to lower (deleting more vertices never raises chi)
-    or lies inside one known not to. A maximal set lies inside no other
-    independent set, so only the certificates and the solver decide it. A
-    (k-1)-coloring of g-S is, with S, a k-coloring of g, so each of its
-    classes lowers as well: S and those classes are the table's
-    certificates. They come only from the table's own solver calls on
-    independent sets of g. The maximal independent sets that lower are
-    listed once, when a relation question or critical_sets first needs
-    them, so criticality alone never enumerates them. The memo hands every
-    caller the same table, which only ever learns facts about g and
-    computes each cached fact once: critical_sets, criticality and the
+    or lies inside one known not to. A set with at most one free vertex lies
+    inside no independent set but itself and one maximal set, so only the
+    certificates and the solver decide it. A (k-1)-coloring of g-S is, with
+    S, a k-coloring of g, so each of its classes lowers as well: S and those
+    classes are the table's certificates. They come only from the table's
+    own solver calls on independent sets of g. The maximal independent sets
+    that lower are listed once, when a relation question or critical_sets
+    first needs them, so criticality alone never enumerates them. The memo
+    hands every caller the same table, which only ever learns facts about g
+    and computes each cached fact once: critical_sets, criticality and the
     scan's output, relations, which the definition route never reads.
     """
 
@@ -176,9 +176,12 @@ class _SetTable:
         joins the table."""
         if any(not c & ~s for c in self.certs):
             return True
-        # no other independent set holds a maximal one, so only a set with
-        # a free vertex can lie inside a blocked set
-        if _free_of(self.rows, s) and any(not s & ~b for b in self.blocked):
+        # a set with no free vertex is maximal, and one whose only free
+        # vertex is x lies inside no independent set but itself and s + x:
+        # the memo of solver answers holds the first, and the second costs
+        # one solver call, so only two or more free vertices pay the scan
+        free = _free_of(self.rows, s)
+        if free & (free - 1) and any(not s & ~b for b in self.blocked):
             return False
         coloring = self._coloring_without(s)
         if coloring is None:
@@ -563,7 +566,8 @@ def min_nonextensible(g: Graph, k: int, max_size: int = 3) -> dict[int, int] | N
     minimal among nonempty precolorings: below chi(g) even the empty one
     does not extend. None means every proper precoloring of size up to
     max_size extends to a full coloring into {1..k}; nothing is claimed
-    about larger sizes.
+    about larger sizes. A max_size below 1 checks nothing, so it raises
+    ValueError.
 
     The call keeps the k-colorings its own solver calls return in a witness
     pool. A pattern that one of them matches up to a palette permutation
@@ -574,6 +578,8 @@ def min_nonextensible(g: Graph, k: int, max_size: int = 3) -> dict[int, int] | N
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
     rows = g.rows
     pool = _WitnessPool(rows, k)
     for size in range(1, min(max_size, g.n) + 1):

@@ -327,8 +327,11 @@ def test_exhaustive_order_past_seven_is_refused_before_any_check(monkeypatch):
          "bipartite:1:65536: 65537 vertices is more than the 65536 a reader accepts"),
         (CorpusSpec(families=("p4",), random=(65537, 0.5, 1, 1)),
          "random n=65537 is more than the 65536 vertices a reader accepts"),
+        # refused from its parameters: building it would take 10^8 edge tuples
+        (CorpusSpec(families=("p4", "path:100000000")),
+         "path:100000000: 100000000 vertices is more than the 65536 a reader accepts"),
     ],
-    ids=["named", "random"],
+    ids=["named", "random", "unbuilt"],
 )
 def test_a_graph_no_failure_could_name_is_refused_before_any_check(monkeypatch, spec, message):
     # a failure is reported as graph6, which no reader takes past 65 536

@@ -382,6 +382,18 @@ def test_gen_writes_only_a_graph_the_readers_take(capsys, tmp_path):
     assert not out_file.exists()
 
 
+def test_gen_refuses_an_oversized_family_before_building_it(capsys, tmp_path):
+    # a path on 10^8 vertices would take about 10^8 edge tuples to build;
+    # its vertex count alone refuses it, so the refusal comes at once
+    out_file = tmp_path / "p.col"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "gen", "path", "100000000", "-o", str(out_file))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "error: 100000000 vertices is more than the 65536 a reader accepts\n"
+    assert not out_file.exists()
+
+
 def test_a_polynomial_too_deep_for_its_recursion_is_bad_input(tmp_path):
     # contracting an edge of a cycle leaves a cycle one shorter, so the
     # 400-cycle recurses past Python's limit; a fresh process shows the

@@ -452,6 +452,31 @@ def test_count_matches_partition_enumeration():
             assert count_colorings(g, k) == oracles.count_by_partition(g, k)
 
 
+def test_counting_stops_at_k_classes():
+    # P30 has 2 two-colorings out of about 7*10^22 partitions into
+    # independent classes; a count that first lists the partitions of
+    # every size never finishes. A fresh process with a timeout fails
+    # instead of hanging
+    code = """
+import time
+from chromarel import count_colorings, path_graph
+g = path_graph(30)
+start = time.perf_counter()
+count = count_colorings(g, 2)
+print(count, time.perf_counter() - start < 1)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
+    )
+    assert (proc.returncode, proc.stdout) == (0, "2 True\n"), proc.stderr
+
+
+def test_a_count_too_deep_for_its_recursion_is_bad_input():
+    # the count recurses once per vertex, as the solver does
+    with pytest.raises(ValueError, match="1500 vertices"):
+        count_colorings(path_graph(1500), 2)
+
+
 def _chain(g, colors, u, b):
     """The {colors[u], b} chain through u, by the class-mask walk."""
     classes = [0] * max(colors)

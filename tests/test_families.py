@@ -4,6 +4,7 @@ import pytest
 
 from chromarel import Graph, chromatic_number, is_connected, is_planar
 from chromarel.families import (
+    _member,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -199,12 +200,27 @@ def test_generate_rejects_bad_requests():
         (("planted", "-1", "3", "0.5", "1"), "n must be nonnegative"),
         (("planted", "12", "0", "0.5", "1"), "k must be at least 1"),
         (("planted", "12", "3", "-0.1", "1"), "p must lie in [0,1]"),
+        # past a reader's 65 536 vertices, refused from the parameters alone
+        (("complete", "100000"), "100000 vertices is more than the 65536 a reader accepts"),
+        (("wheel", "65536"), "65537 vertices is more than the 65536 a reader accepts"),
+        (("mycielski", "p32768"), "65537 vertices is more than the 65536 a reader accepts"),
     ],
 )
 def test_every_generate_refusal_keeps_its_text(token, message):
     with pytest.raises(ValueError) as exc:
         generate(*token)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "token",
+    [("p5",), ("cycle", "6"), ("k4",), ("wheel", "5"), ("bipartite", "2", "3"),
+     ("gnp", "9", "0.5", "1"), ("planted", "8", "3", "0.5", "2"), ("moser_spindle",),
+     ("moser",), ("grotzsch",), ("petersen",), ("mycielski", "mycielski", "w4")],
+)
+def test_a_members_vertex_count_is_known_before_it_is_built(token):
+    n, build = _member(*token)
+    assert n == build().n == generate(*token).n
 
 
 def test_enumerate_counts():

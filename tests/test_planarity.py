@@ -85,6 +85,12 @@ def test_disconnected_graphs():
         6, [(u, v) for u in range(5) for v in range(u + 1, 5)]
     )
     assert not is_planar(k5_plus_isolated)
+    # the K5 lies outside the component of the lowest vertex, so the test
+    # must hand it on rather than stop at the planar triangle
+    triangle_beside_k5 = Graph.from_edges(
+        8, [(0, 1), (1, 2), (0, 2)] + [(u, v) for u in range(3, 8) for v in range(u + 1, 8)]
+    )
+    assert not is_planar(triangle_beside_k5)
 
 
 @given(graphs(max_n=9))

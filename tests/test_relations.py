@@ -28,7 +28,7 @@ from chromarel.families import (
 )
 import chromarel.coloring as coloring_mod
 import chromarel.relations as relations_mod
-from chromarel.graphs import _bits, _component_of, _keep_rows, _toggle_rows
+from chromarel.graphs import _bits, _component_of, _free_of, _keep_rows, _maximal_sets, _toggle_rows
 from chromarel.io import parse_graph
 from chromarel.checks import run_check
 from chromarel.relations import _WitnessPool, _chain, _flip, _related, _set_relations
@@ -107,6 +107,9 @@ def test_pair_predicates_validate_input():
     [
         (lambda g: implicit_via_sets(g, 0, 2, "edge"), "unknown relation kind 'edge'"),
         (lambda g: min_nonextensible(g, -1), "k must be nonnegative"),
+        # below chi even the empty precoloring does not extend, so a sweep of
+        # no size cannot claim that every precoloring does
+        (lambda g: min_nonextensible(g, 1, max_size=0), "max_size must be at least 1"),
     ],
 )
 def test_a_bad_kind_or_palette_is_refused(call, message):
@@ -356,6 +359,44 @@ def test_listing_the_lowering_maximal_sets_never_scans_the_blocked_sets():
         for u in range(20)
         for v in range(u + 2, 20)
     }
+
+
+def test_a_set_with_one_free_vertex_skips_the_blocked_scan():
+    # a set s whose one free vertex is x lies inside no independent set but
+    # s and s + x, so the scan could only find a set the solver memo already
+    # answers or one that costs one memoized call; a set with two free
+    # vertices still scans
+    scans = 0
+
+    class Counted(list):
+        def __iter__(self):
+            nonlocal scans
+            scans += 1
+            return super().__iter__()
+
+    g = path_graph(12)
+    relations_mod._set_relations.cache_clear()
+    table = relations_mod._set_relations(g.rows)
+    table.lowering
+    rejected = tuple(table.blocked)
+    table.blocked = Counted(rejected)
+    assert rejected
+    one_free = two_free = 0
+    for m in _maximal_sets(g.rows, 0):
+        for u in _bits(m):
+            s = m ^ 1 << u
+            free = _free_of(g.rows, s).bit_count()
+            if free == 1:
+                one_free += 1
+                assert table._lowers(s) == (table._coloring_without(s) is not None)
+                assert scans == 0
+    for m in rejected:
+        rest = m & (m - 1)
+        s = rest & (rest - 1)  # m less its two lowest vertices
+        if _free_of(g.rows, s).bit_count() >= 2:
+            two_free += 1
+            assert not table._lowers(s)
+    assert one_free > 0 and two_free > 0 and scans == two_free
 
 
 def test_first_disagreement_is_lexicographic_after_the_reorder(monkeypatch):
