@@ -191,8 +191,9 @@ def _check_kempe(g: Graph) -> Iterator[_Item]:
     # relation's ends differ, an identity's share a color. Then the chain in
     # g-uv through u on {c(u), i} reaches v, for i = c(v) at an edge and for
     # every other color i at an identity. relations._chain is that walk, the
-    # one the witness pool's Kempe flips take; it returns 0 once it reaches
-    # v. The assignment tuple is built only for a failure's locus.
+    # one the witness pool takes for an adjacent pair's edge question; it
+    # returns 0 once it reaches v. The assignment tuple is built only for a
+    # failure's locus.
     rels = _set_relations(g.rows).relations
     if not rels:
         return

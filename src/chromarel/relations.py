@@ -143,7 +143,7 @@ class _SetTable:
         self.full = (1 << len(rows)) - 1
         self.k = _chromatic(rows)
         self.certs: dict[int, None] = {}  # independent sets known to lower, in order
-        self.blocked: list[int] = []  # independent sets known not to lower
+        self.blocked: dict[int, None] = {}  # independent sets known not to lower, in order
 
     @functools.cached_property
     def lowering(self) -> list[int]:
@@ -185,7 +185,7 @@ class _SetTable:
             return False
         coloring = self._coloring_without(s)
         if coloring is None:
-            self.blocked.append(s)
+            self.blocked[s] = None
             return False
         kept = list(_bits(self.full ^ s))
         classes = [0] * (self.k - 1)
@@ -303,14 +303,6 @@ def implicit_via_sets(g: Graph, u: int, v: int, kind: RelationKind) -> bool:
     raise ValueError(f"unknown relation kind {kind!r}")
 
 
-def _flip(classes: list[int], a: int, b: int, chain: int) -> list[int]:
-    """Swap color classes a and b on the Kempe chain `chain`."""
-    out = list(classes)
-    out[a] = classes[a] & ~chain | classes[b] & chain
-    out[b] = classes[b] & ~chain | classes[a] & chain
-    return out
-
-
 def _chain(rows: tuple[int, ...], u: int, v: int, within: int) -> int:
     """The Kempe chain through u inside the mask `within` in g-uv, or 0 when
     it reaches v.
@@ -318,9 +310,9 @@ def _chain(rows: tuple[int, ...], u: int, v: int, within: int) -> int:
     g and g-uv differ only in the pair uv. The walk takes u's step itself,
     to u's neighbors other than v, and then stays inside `within` minus u,
     so no later step can cross uv: it reads g's own rows, with no copy of
-    the rows of g-uv. The witness pool's flips and the KEMPE check pass
-    two color classes; the BIP checks pass every vertex, so that 0 says u
-    reaches v in g-uv at all.
+    the rows of g-uv. The witness pool's adjacent-pair walks and the KEMPE
+    check pass two color classes; the BIP checks pass every vertex, so that
+    0 says u reaches v in g-uv at all.
     """
     first = rows[u] & ~(1 << v) & within
     if not first:
@@ -332,14 +324,14 @@ def _chain(rows: tuple[int, ...], u: int, v: int, within: int) -> int:
 class _WitnessPool:
     """Proper k-colorings of g, and the pair questions they already settle.
 
-    Each coloring is kept as k color-class masks with a vertex-to-class
-    index, so a flip finds the classes of u and v with no scan. same[u] has
-    bit v once some k-coloring of g-uv gives u and v one color, so uv is no
-    edge relation; differ[u] has bit v once one gives them distinct colors,
-    so uv is no identity. Only proper colorings of g enter the pool, and
-    every pool coloring separates each adjacent pair. refutes answers the
-    one pair question of the definition route. min_nonextensible keeps a
-    pool too, but reads only its colorings and bits and never asks it.
+    Each coloring is kept as its k color-class masks with its colors, so the
+    class of a vertex x is colors[x] - 1, read with no scan. same[u] has bit
+    v once some k-coloring of g-uv gives u and v one color, so uv is no edge
+    relation; differ[u] has bit v once one gives them distinct colors, so uv
+    is no identity. Only proper colorings of g enter the pool, and every
+    pool coloring separates each adjacent pair. refutes answers the one pair
+    question of the definition route. min_nonextensible keeps a pool too,
+    but reads only its colorings and bits and never asks it.
     """
 
     def __init__(self, rows: tuple[int, ...], k: int):
@@ -348,57 +340,40 @@ class _WitnessPool:
         self.full = (1 << len(rows)) - 1
         self.same = [0] * len(rows)
         self.differ = [0] * len(rows)
-        self.colorings: list[tuple[list[int], list[int]]] = []  # (classes, index)
+        self.colorings: list[tuple[list[int], tuple[int, ...]]] = []  # (classes, colors)
 
-    def add(self, assignment: tuple[int, ...]) -> None:
+    def add(self, colors: tuple[int, ...]) -> None:
         classes = [0] * self.k
-        for x, c in enumerate(assignment):
+        for x, c in enumerate(colors):
             classes[c - 1] |= 1 << x
-        self._add_classes(classes)
-
-    def _add_classes(self, classes: list[int]) -> None:
-        same, differ = self.same, self.differ
-        index = [0] * len(same)
-        for i, cls in enumerate(classes):
+        for cls in classes:
             other = self.full ^ cls
-            rest = cls
-            while rest:
-                b = rest & -rest
-                x = b.bit_length() - 1
-                same[x] |= cls
-                differ[x] |= other
-                index[x] = i
-                rest ^= b
-        self.colorings.append((classes, index))
+            for x in _bits(cls):
+                self.same[x] |= cls
+                self.differ[x] |= other
+        self.colorings.append((classes, colors))
 
     def refutes(self, u: int, v: int, kind: RelationKind) -> bool:
         """Whether some k-coloring of g-uv refutes uv as a relation of the
         kind: gives u and v one color (edge) or distinct colors (identity).
 
-        The pool's bit answers first. Then Kempe flips of every pool
-        coloring, newest first: a flip costs far less than the solver call
-        it may save, and its walk in g-uv stops once the chain reaches v, the
-        case in which the flip settles nothing. An edge question flips the
-        {c(u),c(v)} chain through u, giving u the color of v; an identity
-        question tries every {c(u),i} chain, moving u off the color of v.
-        Last, one solver call. A nonadjacent pair's flip or witness colors g
-        and joins the pool; an adjacent pair's colors g-uv only, so it
-        answers this question and leaves the pool as it was.
+        The pool's bit answers first; it settles an adjacent pair's identity
+        question, as every pool coloring separates the pair. An adjacent
+        pair's edge question is about g-uv, which no bit of the pool can
+        answer, so each pool coloring, newest first, walks its {c(u),c(v)}
+        Kempe chain through u in g-uv: one that misses v settles the
+        question, since flipping it would give u the color of v. No flipped
+        coloring is built. Last, one solver call. A nonadjacent pair's
+        witness colors g and joins the pool; an adjacent pair's colors g-uv
+        only, so it answers this question and leaves the pool as it was.
         """
-        edge = kind is RelationKind.EDGE
-        if (self.same if edge else self.differ)[u] >> v & 1:
+        if (self.same if kind is RelationKind.EDGE else self.differ)[u] >> v & 1:
             return True
         rows = self.rows
         adjacent = rows[u] >> v & 1
-        for classes, index in reversed(self.colorings):
-            a = index[u]
-            for b in (index[v],) if edge else range(self.k):
-                if b == a:
-                    continue
-                chain = _chain(rows, u, v, classes[a] | classes[b])
-                if chain:
-                    if not adjacent:
-                        self._add_classes(_flip(classes, a, b, chain))
+        if adjacent:
+            for classes, colors in reversed(self.colorings):
+                if _chain(rows, u, v, classes[colors[u] - 1] | classes[colors[v] - 1]):
                     return True
         colors = _witness(rows, u, v, kind, self.k)
         if colors is None:
@@ -413,9 +388,10 @@ def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelati
 
     The definition route asks one question per pair and kind: does some
     k-coloring of g-uv refute it? A pool of witness k-colorings of g, starting
-    from the memo's, answers it by a bit, then by a Kempe flip, and only then
-    by one call of the exact solver, which colors g-uv with u and v merged for
-    the edge question and g+uv for the identity question.
+    from the memo's, answers it by a bit, then, for an adjacent pair only, by
+    a Kempe chain walk in g-uv, and only then by one call of the exact
+    solver, which colors g-uv with u and v merged for the edge question and
+    g+uv for the identity question.
 
     The relations proven so far settle more pairs with no call. Every
     k-coloring of g gives an identity pair one color, so identities form
@@ -432,9 +408,9 @@ def scan_relations(g: Graph, cross_validate: bool = True) -> list[ImplicitRelati
     then the edge question of every adjacent pair. The identity classes are
     thus complete before any edge question, and closure derives every edge
     relation that one edge or one proven edge relation between two classes
-    implies. A nonadjacent pair's flip or witness colors g and joins the
-    pool; an adjacent pair's colors g-uv and does not, so each adjacent pair
-    meets the fullest pool the scan builds.
+    implies. A nonadjacent pair's witness colors g and joins the pool; an
+    adjacent pair's colors g-uv and does not, so each adjacent pair meets
+    the fullest pool the scan builds.
 
     With cross_validate (the default) every answer is then recomputed
     through the independent-set route, pair by pair in lexicographic order,
@@ -546,10 +522,10 @@ def _pool_extends(pool: _WitnessPool, domain: tuple[int, ...], pattern: tuple[in
     parts = [0] * max(pattern)
     for x, c in zip(domain, pattern):
         parts[c - 1] |= 1 << x
-    for classes, index in reversed(pool.colorings):
+    for classes, colors in reversed(pool.colorings):
         used = 0
         for part in parts:
-            i = index[(part & -part).bit_length() - 1]
+            i = colors[(part & -part).bit_length() - 1] - 1
             if part & ~classes[i] or used >> i & 1:
                 break
             used |= 1 << i

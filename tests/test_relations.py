@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from chromarel import (
     RelationKind,
     RouteDisagreementError,
     chromatic_number,
+    chromatic_polynomial,
     criticality,
     implicit_via_sets,
     k_colorable,
@@ -31,7 +33,7 @@ import chromarel.relations as relations_mod
 from chromarel.graphs import _bits, _component_of, _free_of, _keep_rows, _maximal_sets, _toggle_rows
 from chromarel.io import parse_graph
 from chromarel.checks import run_check
-from chromarel.relations import _WitnessPool, _chain, _flip, _related, _set_relations
+from chromarel.relations import _WitnessPool, _chain, _related, _set_relations
 from hypothesis import given
 import hypothesis.strategies as st
 
@@ -217,14 +219,14 @@ def _chi_from_a_cold_memo(g: Graph) -> int:
 
 @pytest.mark.parametrize(
     "g, sat, unsat",
-    [(gnp(12, 0.5, 3), 1, 23), (planted(14, 3, 0.4, 1), 2, 2), (grotzsch(), 1, 0)],
+    [(gnp(12, 0.5, 3), 2, 23), (planted(14, 3, 0.4, 1), 10, 2), (grotzsch(), 8, 0)],
 )
 def test_scan_solver_calls_are_pinned(monkeypatch, g, sat, unsat):
-    # one call per question that neither the pool's bits, a Kempe flip nor
-    # closure settles, and the first coloring unless chi's ladder ended on
-    # it: Grotzsch's chi is its greedy bound, so its ladder makes no call.
-    # A change to the order of the questions or to what joins the pool
-    # moves these counts
+    # one call per question that neither the pool's bits, an adjacent pair's
+    # Kempe chains nor closure settles, and the first coloring unless chi's
+    # ladder ended on it: Grotzsch's chi is its greedy bound, so its ladder
+    # makes no call. A change to the order of the questions or to what joins
+    # the pool moves these counts
     _chi_from_a_cold_memo(g)
     calls = _record_solver_calls(monkeypatch)
     scan_relations(g, cross_validate=False)
@@ -288,7 +290,7 @@ def test_complete_identity_classes_settle_edge_questions(monkeypatch):
 
 def _pool_state(pool):
     return (
-        [(list(classes), list(index)) for classes, index in pool.colorings],
+        [(list(classes), colors) for classes, colors in pool.colorings],
         list(pool.same),
         list(pool.differ),
     )
@@ -296,8 +298,9 @@ def _pool_state(pool):
 
 @given(graphs(min_n=2, max_n=9))
 def test_adjacent_pair_decisions_leave_the_pool_alone(g):
-    # each adjacent pair meets the fullest pool because of this: its flips
-    # and witnesses color g-uv, and the pool already separates it
+    # each adjacent pair meets the fullest pool because of this: its chain
+    # walks build no coloring, its witness colors g-uv, and the pool
+    # already separates it
     pools = []
 
     class Recording(_WitnessPool):
@@ -320,6 +323,75 @@ def test_adjacent_pair_decisions_leave_the_pool_alone(g):
         assert _pool_state(pool) == pool.before
 
 
+@given(graphs(min_n=2, max_n=9))
+def test_the_pool_keeps_proper_colorings_and_their_bits(g):
+    # every stored (classes, colors) is one proper k-coloring of g seen two
+    # ways, and same and differ are exactly what the stored colorings say
+    pools = []
+
+    class Recording(_WitnessPool):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pools.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(relations_mod, "_WitnessPool", Recording)
+        scan_relations(g, cross_validate=False)
+    (pool,) = pools
+    same = [0] * g.n
+    differ = [0] * g.n
+    for classes, colors in pool.colorings:
+        assert oracles.is_proper(g, colors, pool.k)
+        assert classes == [
+            sum(1 << x for x in range(g.n) if colors[x] == i + 1) for i in range(pool.k)
+        ]
+        for u, v in itertools.product(range(g.n), repeat=2):
+            if colors[u] == colors[v]:
+                same[u] |= 1 << v
+            else:
+                differ[u] |= 1 << v
+    assert pool.same == same
+    assert pool.differ == differ
+
+
+def _relabeling_sample():
+    # 96 seeded graphs, n = 5..12
+    for n in range(5, 13):
+        for seed in range(1, 5):
+            yield gnp(n, 0.3, seed)
+            yield gnp(n, 0.5, seed)
+            yield planted(n, 3 + seed % 2, 0.4, seed)
+
+
+def test_relabeling_commutes_with_every_answer():
+    # the answers are facts about the graph, not its labels: a relabeled
+    # copy (a cold entry in every memo) must give the mapped answers
+    rng = random.Random(7)
+    for g in _relabeling_sample():
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        where = (g.n, g.edges(), perm)
+
+        def pair(u, v):
+            return min(perm[u], perm[v]), max(perm[u], perm[v])
+
+        assert {(*pair(r.u, r.v), r.kind, r.adjacent) for r in scan_relations(g)} == {
+            (r.u, r.v, r.kind, r.adjacent) for r in scan_relations(h)
+        }, where
+        k = chromatic_number(g)
+        assert chromatic_number(h) == k, where
+        report, moved = criticality(g), criticality(h)
+        crit = tuple(sorted(perm[x] for x in report.critical_vertices))
+        assert moved.critical_vertices == crit, where
+        assert set(moved.critical_edges) == {pair(u, v) for u, v in report.critical_edges}, where
+        flags = dict(critical_vertices=(), critical_edges=())
+        assert moved._replace(**flags) == report._replace(**flags), where
+        assert chromatic_polynomial(h) == chromatic_polynomial(g), where
+        g_cert, h_cert = (min_nonextensible(x, k, 2) for x in (g, h))
+        assert (g_cert is None, len(g_cert or ())) == (h_cert is None, len(h_cert or ())), where
+
+
 @pytest.mark.parametrize("g", [gnp(12, 0.5, 3), planted(14, 3, 0.4, 1)])
 def test_set_table_keeps_each_certificate_once(g):
     relations_mod._set_relations.cache_clear()
@@ -327,6 +399,8 @@ def test_set_table_keeps_each_certificate_once(g):
     table = relations_mod._set_relations(g.rows)
     certs = list(table.certs)
     assert len(set(certs)) == len(certs)
+    blocked = list(table.blocked)
+    assert len(set(blocked)) == len(blocked)
     # each is an independent set of g whose removal lowers chi
     for s in certs:
         assert not any(g.rows[x] & s for x in _bits(s))
@@ -339,7 +413,7 @@ def test_listing_the_lowering_maximal_sets_never_scans_the_blocked_sets():
     # settle one; on P30 the scan made 10.6 M subset tests when it ran
     scans = 0
 
-    class Counted(list):
+    class Counted(dict):
         def __iter__(self):
             nonlocal scans
             scans += 1
@@ -368,7 +442,7 @@ def test_a_set_with_one_free_vertex_skips_the_blocked_scan():
     # vertices still scans
     scans = 0
 
-    class Counted(list):
+    class Counted(dict):
         def __iter__(self):
             nonlocal scans
             scans += 1
@@ -379,7 +453,7 @@ def test_a_set_with_one_free_vertex_skips_the_blocked_scan():
     table = relations_mod._set_relations(g.rows)
     table.lowering
     rejected = tuple(table.blocked)
-    table.blocked = Counted(rejected)
+    table.blocked = Counted(dict.fromkeys(rejected))
     assert rejected
     one_free = two_free = 0
     for m in _maximal_sets(g.rows, 0):
@@ -764,43 +838,6 @@ def test_to_dot_styles():
     assert "dashed" not in plain
 
 
-def _classes(assignment, k):
-    classes = [0] * k
-    for x, c in enumerate(assignment):
-        classes[c - 1] |= 1 << x
-    return classes
-
-
-def _class_of(classes, x):
-    return next(i for i, cls in enumerate(classes) if cls >> x & 1)
-
-
-def test_flip_swaps_chain_colors():
-    # the witness pool's flip, on color-class masks
-    g = cycle_graph(4)
-    classes = _classes((1, 2, 1, 2), 2)
-    chain = _component_of(g.rows, 1 << 0, classes[0] | classes[1])
-    assert _flip(classes, 0, 1, chain) == _classes((2, 1, 2, 1), 2)
-
-
-@given(graphs(min_n=1, max_n=7), st.data())
-def test_flip_is_an_involution_and_stays_proper(g, data):
-    k = chromatic_number(g) + data.draw(st.integers(min_value=0, max_value=1))
-    classes = _classes(k_colorable(g, k).assignment, k)
-    u = data.draw(st.integers(min_value=0, max_value=g.n - 1))
-    a = _class_of(classes, u)
-    others = [b for b in range(k) if b != a]
-    if not others:
-        return
-    b = data.draw(st.sampled_from(others))
-    chain = _component_of(g.rows, 1 << u, classes[a] | classes[b])
-    once = _flip(classes, a, b, chain)
-    colors = tuple(_class_of(once, x) + 1 for x in range(g.n))
-    assert oracles.is_proper(g, colors, k)
-    back = _component_of(g.rows, 1 << u, once[a] | once[b])
-    assert _flip(once, a, b, back) == classes
-
-
 @pytest.mark.parametrize("g", [gnp(12, 0.5, 1), gnp(14, 0.3, 2), planted(13, 4, 0.5, 3)])
 def test_chain_is_the_kempe_chain_in_g_minus_uv(g):
     # the pool walks g's own rows; the chain must be the one a walk over
@@ -814,8 +851,8 @@ def test_chain_is_the_kempe_chain_in_g_minus_uv(g):
     assert len(pool.colorings) > 1
     for u, v in itertools.permutations(range(g.n), 2):
         cut = _toggle_rows(g.rows, u, v) if g.rows[u] >> v & 1 else g.rows
-        for classes, index in pool.colorings:
-            a = index[u]
+        for classes, colors in pool.colorings:
+            a = colors[u] - 1
             for b in range(k):
                 if b != a:
                     within = classes[a] | classes[b]
