@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping, NamedTuple
 
-from .graphs import Graph, _bits, _component_masks, _keep_rows, _memo, bipartition
+from .graphs import Graph, _bits, _component_masks, _keep_rows, _memo, _merge_rows, bipartition
+
+_TOO_DEEP = "graph with {} vertices is too deep for the exact solver's recursion"
 
 
 class Coloring(NamedTuple):
@@ -58,29 +60,64 @@ def _color_masks(g: Graph, pre: Mapping[int, int]) -> dict[int, int]:
     return masks
 
 
+def _extension(rows: tuple[int, ...], classes: list[int], k: int) -> tuple[int, ...] | None:
+    """Colors of g extending the proper precoloring with these class masks up
+    to a palette permutation, or None: the memo's answer on its pattern graph."""
+    heads = [(cls & -cls).bit_length() - 1 for cls in classes]
+    clique = sum(1 << a for a in heads)
+    out = list(rows)
+    for a in heads:
+        out[a] |= clique ^ 1 << a
+    merges = sorted((b, a) for cls, a in zip(classes, heads) for b in _bits(cls ^ 1 << a))
+    for b, a in reversed(merges):  # highest first, so the ids below b hold
+        out = _merge_rows(out, a, b)
+    colors = _coloring_of(tuple(out), k)
+    if colors is not None:
+        for b, a in merges:  # lowest first: b takes its class vertex a's color
+            colors = colors[:b] + colors[a : a + 1] + colors[b:]
+    return colors
+
+
 def k_colorable(g: Graph, k: int, pre: Mapping[int, int] | None = None) -> Coloring | None:
     """Find a proper coloring of g into {1..k} extending `pre`, a mapping
     from vertices to colors, or None. A color of `pre` outside 1..k, then a
-    vertex outside g, then an improper edge raises ValueError.
+    vertex outside g, then an improper edge raises ValueError, as does a
+    graph too large for the search's recursion.
 
-    Exact backtracking search (DSATUR). The branching vertex is the uncolored
-    vertex with the most distinctly-colored neighbors (saturation), ties
-    broken by higher degree, then lower index; colors are tried in ascending
-    order, so the search is deterministic. Colors that no colored vertex
-    holds, precolored or not, are interchangeable, so a vertex tries only
-    the lowest of them: with no precoloring that caps the palette at one
-    more than the number of colors in use. The pruned branches are palette
-    images of a branch tried before them, so the first coloring found is
-    the one the search without this rule finds.
+    Renaming colors is a symmetry of the palette, so a proper precoloring P
+    extends at k iff its pattern graph is k-colorable: g with each color
+    class of P merged into its lowest vertex, those vertices joined into a
+    clique. The memo's coloring of it is given back to the merged vertices
+    and renamed: each class vertex's color becomes its class's color in P,
+    and the other colors in use, ascending, become the lowest colors that P
+    leaves free. The search colors with 1..m, m <= n, so without P nothing
+    is renamed, and memory grows with the graph, not with k.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    pre = pre or {}
+    _check_palette(pre, k)
+    masks = _color_masks(g, pre)
+    try:
+        colors = _extension(g.rows, list(masks.values()), k)
+    except ValueError:  # the search names the pattern graph's vertex count
+        raise ValueError(_TOO_DEEP.format(g.n)) from None
+    if colors is None:
+        return None
+    rename = {colors[(cls & -cls).bit_length() - 1]: c for c, cls in masks.items()}
+    free = (c for c in range(1, k + 1) if c not in masks)
+    rename.update(zip(sorted(set(colors) - rename.keys()), free))
+    return Coloring(tuple(rename[c] for c in colors), k)
 
-    Fewer than n vertices are colored while one is not, so the lowest
-    unused color is always in the palette: the precolored colors and the
-    lowest colors of 1..min(k, n) outside them, n colors in all when k
-    allows. The search runs on the ranks of the palette's colors, 1..top,
-    which keep their order, and maps the coloring back, so its memory grows
-    with the graph, not with k or with a precolored color. While every
-    precolored color is at most n, the palette is 1..min(k, n) itself. The
-    returned Coloring keeps k.
+
+def _dsatur(rows: tuple[int, ...], k: int) -> tuple[int, ...] | None:
+    """Colors of the first coloring into {1..k} of the graph with these rows
+    that exact backtracking (DSATUR) finds, or None. It branches on the
+    uncolored vertex of most distinct neighbor colors (saturation), then
+    higher degree, then lower index, and tries colors in ascending order.
+    Colors no colored vertex holds are interchangeable, so a vertex tries
+    only the lowest, at most top = min(k, n); a pruned branch is a palette
+    image of an earlier one, so the first coloring found does not change.
 
     Saturation is kept bit-sliced, as in San Segundo's bitboard DSATUR:
     top.bit_length() masks, highest bit first, read as one binary count per
@@ -99,46 +136,15 @@ def k_colorable(g: Graph, k: int, pre: Mapping[int, int] | None = None) -> Color
     The search recurses once per vertex it colors, so a graph too large for
     Python's recursion limit raises ValueError.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    pre = pre or {}
-    _check_palette(pre, k)
-    n = g.n
-    rows = g.rows
+    n = len(rows)
     top = min(k, n)
-    palette: list[int] = []
-    if pre and max(pre.values()) > n:
-        held = set(pre.values())
-        others = [c for c in range(1, top + 1) if c not in held]
-        palette = sorted(held.union(others[: n - len(held)]))
-        rank = {c: i for i, c in enumerate(palette, 1)}
-        pre = {v: rank[c] for v, c in pre.items()}
-        top = len(palette)
     levels = [0] * n  # levels[d] masks the vertices of degree d
     for v, r in enumerate(rows):
         levels[r.bit_count()] |= 1 << v
     by_degree = [level for level in reversed(levels) if level]
     near = [0] * top
     colors = [0] * n
-    uncolored = (1 << n) - 1
-    used = 0  # bit c set iff some colored vertex has color c+1
     low = top.bit_length() - 1  # index of the counter's lowest bit
-    sat = [0] * (low + 1)
-    if pre:
-        for c, cls in _color_masks(g, pre).items():
-            uncolored &= ~cls
-            used |= 1 << (c - 1)
-            for v in _bits(cls):
-                colors[v] = c
-                near[c - 1] |= rows[v]
-        for seen in near:
-            add = seen & uncolored
-            i = low
-            while add:
-                plane = sat[i]
-                sat[i] = plane ^ add
-                add &= plane
-                i -= 1
     full = (1 << top) - 1
 
     def rec(uncolored: int, used: int, sat: list[int]) -> bool:
@@ -199,16 +205,10 @@ def k_colorable(g: Graph, k: int, pre: Mapping[int, int] | None = None) -> Color
         return False
 
     try:
-        found = rec(uncolored, used, sat)
+        found = rec((1 << n) - 1, 0, [0] * (low + 1))
     except RecursionError:
-        raise ValueError(
-            f"graph with {n} vertices is too deep for the exact solver's recursion"
-        ) from None
-    if not found:
-        return None
-    if palette:
-        colors = [palette[c - 1] for c in colors]
-    return Coloring(tuple(colors), k)
+        raise ValueError(_TOO_DEEP.format(n)) from None
+    return tuple(colors) if found else None
 
 
 def _greedy_clique_size(rows: tuple[int, ...], order: list[int]) -> int:
@@ -244,11 +244,10 @@ def _greedy_coloring_size(rows: tuple[int, ...], order: list[int]) -> int:
 @_memo
 def _coloring_of(rows: tuple[int, ...], k: int) -> tuple[int, ...] | None:
     """Colors of the solver's k-coloring of the graph with these rows, or
-    None. The package's one memo of solver answers, read by the chi ladder,
-    the scan's first coloring, the set tables, criticality and the catalog's
-    pair questions, which meet the same graph again and again."""
-    c = k_colorable(Graph._make(rows), k)
-    return None if c is None else c.assignment
+    None. The package's one memo of solver answers: every k_colorable call,
+    the chi ladder, the scan's first coloring, the set tables, criticality
+    and the catalog's pair questions meet the same graph again and again."""
+    return _dsatur(rows, k)
 
 
 def chromatic_number(g: Graph) -> int:

@@ -22,7 +22,7 @@ import itertools
 from enum import Enum
 from typing import NamedTuple
 
-from .coloring import _chromatic, _coloring_of, chromatic_number, k_colorable
+from .coloring import _chromatic, _coloring_of, _dsatur, _extension, chromatic_number
 from .graphs import (
     Graph,
     _bits,
@@ -93,10 +93,9 @@ def _witness(rows: tuple[int, ...], u: int, v: int, kind: RelationKind,
     """Colors of a k-coloring of g-uv that refutes uv as a relation of the
     kind, or None: one solver call on the pair rows, outside the memo, as
     the scan's witness pool keeps what it learns."""
-    c = k_colorable(Graph._make(_pair_rows(rows, u, v, kind)), k)
-    if c is None:
+    colors = _dsatur(_pair_rows(rows, u, v, kind), k)
+    if colors is None:
         return None
-    colors = c.assignment
     if kind is RelationKind.IDENTITY:
         return colors
     # the merge keeps the lower endpoint a and drops b: b takes a's color
@@ -324,14 +323,15 @@ def _chain(rows: tuple[int, ...], u: int, v: int, within: int) -> int:
 class _WitnessPool:
     """Proper k-colorings of g, and the pair questions they already settle.
 
-    Each coloring is kept as its k color-class masks with its colors, so the
-    class of a vertex x is colors[x] - 1, read with no scan. same[u] has bit
-    v once some k-coloring of g-uv gives u and v one color, so uv is no edge
-    relation; differ[u] has bit v once one gives them distinct colors, so uv
-    is no identity. Only proper colorings of g enter the pool, and every
-    pool coloring separates each adjacent pair. refutes answers the one pair
-    question of the definition route. min_nonextensible keeps a pool too,
-    but reads only its colorings and bits and never asks it.
+    Each coloring is kept as its color-class masks, one per color up to its
+    largest, with its colors, so the class of a vertex x is colors[x] - 1,
+    read with no scan. same[u] has bit v once some k-coloring of g-uv gives
+    u and v one color, so uv is no edge relation; differ[u] has bit v once
+    one gives them distinct colors, so uv is no identity. Only proper
+    colorings of g enter the pool, and every pool coloring separates each
+    adjacent pair. refutes answers the one pair question of the definition
+    route. min_nonextensible keeps a pool too, but reads only its colorings
+    and bits and never asks it.
     """
 
     def __init__(self, rows: tuple[int, ...], k: int):
@@ -343,7 +343,7 @@ class _WitnessPool:
         self.colorings: list[tuple[list[int], tuple[int, ...]]] = []  # (classes, colors)
 
     def add(self, colors: tuple[int, ...]) -> None:
-        classes = [0] * self.k
+        classes = [0] * max(colors, default=0)
         for x, c in enumerate(colors):
             classes[c - 1] |= 1 << x
         for cls in classes:
@@ -545,10 +545,12 @@ def min_nonextensible(g: Graph, k: int, max_size: int = 3) -> dict[int, int] | N
     about larger sizes. A max_size below 1 checks nothing, so it raises
     ValueError.
 
-    The call keeps the k-colorings its own solver calls return in a witness
-    pool. A pattern that one of them matches up to a palette permutation
-    extends and needs no solver call; the rest go to the solver, and its
-    colorings join the pool. Every "extends" therefore rests on a proper
+    The call keeps the k-colorings its own solver questions return in a
+    witness pool. A pattern that one of them matches up to a palette
+    permutation extends and needs no question; each other pattern is asked
+    of the memo of solver answers as its pattern graph (see k_colorable),
+    so a size-1 pattern reads g's own entry, and the coloring of g it gives
+    joins the pool unrenamed. Every "extends" therefore rests on a proper
     coloring and the certificate on a solver refutation, and the sweep
     order, hence the certificate, is that of one solver call per pattern.
     """
@@ -570,11 +572,14 @@ def min_nonextensible(g: Graph, k: int, max_size: int = 3) -> dict[int, int] | N
             for pattern, shared in patterns:
                 if shared & adjacent or _pool_extends(pool, domain, pattern):
                     continue
-                pre = dict(zip(domain, pattern))
-                full = k_colorable(g, k, pre)
-                if full is None:
-                    return pre
-                pool.add(full.assignment)
+                # the pattern is proper, so its class masks are the question
+                parts = [0] * max(pattern)
+                for x, c in zip(domain, pattern):
+                    parts[c - 1] |= 1 << x
+                colors = _extension(rows, parts, k)
+                if colors is None:
+                    return dict(zip(domain, pattern))
+                pool.add(colors)
     return None
 
 

@@ -387,6 +387,55 @@ def k_colorable_by_tuple_keys(g, k, pre=None):
     return tuple(colors)
 
 
+def pattern_graph_by_edges(g, pre):
+    """The graph a proper precoloring's extension question colors: g with
+    each color class of pre merged into its least vertex, and those
+    vertices joined into a clique. Returns the graph and, for each vertex
+    of g, the id of the vertex it became; the unmerged vertices keep their
+    order."""
+    from chromarel import Graph
+
+    head = {}
+    for v, c in sorted(pre.items()):
+        head.setdefault(c, v)
+    kept = [v for v in range(g.n) if v not in pre or head[pre[v]] == v]
+    new = {v: i for i, v in enumerate(kept)}
+    image = [new[head[pre[v]]] if v in pre else new[v] for v in range(g.n)]
+    edges = {(min(image[u], image[v]), max(image[u], image[v])) for u, v in g.edges()}
+    edges |= set(itertools.combinations(sorted(new[v] for v in head.values()), 2))
+    return Graph.from_edges(len(kept), sorted(edges)), image
+
+
+def pattern_coloring_by_tuple_keys(g, k, pre):
+    """The coloring of g that extends pre, read from the reference search's
+    coloring of the pattern graph, or None: each vertex takes its image's
+    color, each class's color goes to the color pre gives it, and the
+    other colors in use, ascending, to the least colors pre leaves free."""
+    blocks = {}
+    for v, c in sorted(pre.items()):
+        blocks.setdefault(c, []).append(v)
+    image, colors = _pattern_search(g, tuple(map(tuple, blocks.values())), k)
+    if colors is None:
+        return None
+    rename = {colors[image[v]]: c for v, c in pre.items()}
+    free = 0
+    for c in sorted(set(colors) - set(rename)):
+        free += 1
+        while free in pre.values():
+            free += 1
+        rename[c] = free
+    return tuple(rename[colors[image[v]]] for v in range(g.n))
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _pattern_search(g, blocks, k):
+    """The pattern graph's image map and reference coloring for the
+    precoloring whose color classes are blocks; every precoloring with
+    those classes shares them, whatever its colors."""
+    h, image = pattern_graph_by_edges(g, {v: i for i, b in enumerate(blocks, 1) for v in b})
+    return image, k_colorable_by_tuple_keys(h, k)
+
+
 @functools.lru_cache(maxsize=None)
 def _chromatic_by_tuple_keys(g):
     """The least k at which k_colorable_by_tuple_keys finds a coloring."""

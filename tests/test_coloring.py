@@ -111,8 +111,9 @@ def test_k_colorable_respects_precoloring():
 
 
 def test_a_large_palette_costs_no_memory_beyond_the_graph():
-    # no search tries a color above n or the largest precolored color, so a
-    # palette of a million colors finds the coloring a palette of n finds,
+    # no search tries a color above n, and the rename gives a vertex no
+    # color above n or the largest precolored color, so a palette of a
+    # million colors finds the coloring a palette of n finds,
     # in memory that does not grow with k (8 MB at k = 10**6 when it did)
     g = path_graph(4)
     want = k_colorable(g, 4, {0: 1}).assignment
@@ -127,37 +128,53 @@ def test_a_large_palette_costs_no_memory_beyond_the_graph():
 
 
 def test_a_precolored_color_far_above_n_costs_no_memory_beyond_the_graph():
-    # the search runs on the ranks of the precolored colors and the lowest
-    # n - 1 others, so a color of 10**8 costs what color 4 costs (46 MB at
+    # the search colors the pattern graph with at most its n colors, and
+    # the rename sends them to the precolored color and the lowest free
+    # ones, so a color of 10**8 costs what color 4 costs (46 MB at
     # 5 * 10**6 when the color sized the search)
+    g = path_graph(4)
     tracemalloc.start()
     try:
-        c = k_colorable(path_graph(4), 10**8, {0: 10**8})
+        c = k_colorable(g, 10**8, {0: 10**8})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert c == Coloring((10**8, 1, 2, 1), 10**8)
+    assert c == Coloring(oracles.pattern_coloring_by_tuple_keys(g, 10**8, {0: 10**8}), 10**8)
+    assert c == Coloring((10**8, 1, 10**8, 1), 10**8)
     assert peak < 1_000_000
 
 
 def _search_result(g, k, pre=None):
     """The solver's answer as the reference returns it: an assignment, None,
-    or the ValueError text."""
+    or the ValueError text. A coloring under a precoloring must be proper
+    and extend it."""
     try:
         c = k_colorable(g, k, pre)
     except ValueError as exc:
         return ("error", str(exc))
     if c is not None:
         assert c.k == k
+        if pre:
+            assert oracles.is_proper(g, c.assignment, k)
+            assert all(c.assignment[v] == color for v, color in pre.items())
         return c.assignment
     return None
 
 
 def _reference_result(g, k, pre=None):
+    """The reference search's answer in the same form. Under a precoloring
+    it gives the verdict and the refusals, and the coloring is its coloring
+    of the pattern graph, renamed (oracles.pattern_coloring_by_tuple_keys),
+    whose verdict must agree."""
     try:
-        return oracles.k_colorable_by_tuple_keys(g, k, pre)
+        verdict = oracles.k_colorable_by_tuple_keys(g, k, pre)
     except ValueError as exc:
         return ("error", str(exc))
+    if not pre:
+        return verdict
+    colors = oracles.pattern_coloring_by_tuple_keys(g, k, pre)
+    assert (colors is None) == (verdict is None), (g.rows, k, pre)
+    return colors
 
 
 def test_k_colorable_matches_reference_search():
@@ -168,8 +185,8 @@ def test_k_colorable_matches_reference_search():
             chi = chromatic_number(g)
             for k in range(0, chi + 2):
                 assert _search_result(g, k) == _reference_result(g, k), (g.edges(), k)
-            # colors no colored vertex holds are interchangeable, precolored
-            # or not; at chi + 1 a precoloring always leaves some of them
+            # a precoloring is asked as its pattern graph; at chi + 1 the
+            # rename always has free colors to use
             for k in (chi, chi + 1):
                 pres = [{}]
                 pres += [{v: c} for v in range(n) for c in range(1, k + 1)]
@@ -216,14 +233,14 @@ def test_k_colorable_matches_reference_search_under_random_precolorings(n, p, se
         # keep the precoloring proper and inside g and the palette
         if v < n and c <= k and v not in pre and all(pre.get(w) != c for w in _bits(g.rows[v])):
             pre[v] = c
-    assert _search_result(g, k, pre) == oracles.k_colorable_by_tuple_keys(g, k, pre)
+    assert _search_result(g, k, pre) == _reference_result(g, k, pre)
 
 
 def test_k_colorable_matches_reference_search_at_relation_scan_sizes():
     # the relation scan and chi's ladder ask about graphs of 20-40 vertices
     # at chi - 1 and chi; the comparisons above stop at 10. The reference
     # keeps palette symmetry under a precoloring too, so every graph is
-    # also asked with one
+    # also asked with one, as the verdict oracle beside the pattern graph
     for seed in range(16):
         cases = [gnp(n, 0.5 if seed % 2 else 0.3, seed) for n in (20, 25, 30, 35, 40)]
         cases.append(planted(20 + seed % 3 * 5, 3 + seed % 4, 0.5, seed))
@@ -239,14 +256,14 @@ def test_k_colorable_matches_reference_search_at_relation_scan_sizes():
                         if all(pre.get(w) != c for w in _bits(g.rows[v])):
                             pre[v] = c
                     got = _search_result(g, k, pre)
-                    assert got == oracles.k_colorable_by_tuple_keys(g, k, pre), (g.rows, k, pre)
+                    assert got == _reference_result(g, k, pre), (g.rows, k, pre)
 
 
 def test_k_colorable_matches_reference_search_under_precolored_colors_above_n():
-    # the reference searches the whole palette 1..k; the solver searches the
-    # ranks of the precolored colors and the lowest others, which are
-    # 1..min(k, n) themselves while every precolored color is at most n.
-    # Vertex n is outside g, so some precolorings are refused
+    # the reference's verdict searches the whole palette 1..k; the solver
+    # colors the pattern graph with at most its n colors and renames them
+    # onto the precolored colors and the lowest free ones. Vertex n is
+    # outside g, so some precolorings are refused
     rng = random.Random(44)
     for _ in range(1500):
         n = rng.randint(1, 9)
@@ -259,8 +276,9 @@ def test_k_colorable_matches_reference_search_under_precolored_colors_above_n():
 
 def test_precolored_refutation_keeps_palette_symmetry():
     # planted(60,8,0.5,1) has chi = 8, and 0 and 1 share no 8-coloring; the
-    # six colors the precoloring leaves unused are interchangeable, so the
-    # refutation need not try their permutations (about a minute when it did)
+    # question is g with 0 and 1 merged, whose unused colors are
+    # interchangeable, so the refutation need not try their permutations
+    # (about a minute when a precolored search did)
     g = planted(60, 8, 0.5, 1)
     start = time.perf_counter()
     assert k_colorable(g, 8, {0: 1, 1: 1}) is None

@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -183,20 +184,20 @@ def test_closure_scan_matches_pairwise_on_planted_graphs(k):
 
 
 def _record_solver_calls(monkeypatch) -> list[tuple[tuple[int, ...], bool]]:
-    """Record each exact solver call as the rows it colored and whether it
-    found a coloring, in both namespaces that call the solver: coloring's
-    memo of solver answers, and the relation layer's pair witnesses and
-    precolored questions."""
+    """Record each exact search as the rows it colored and whether it found
+    a coloring, in both namespaces that call the search kernel: coloring's
+    memo of solver answers, which precolored questions reach too, and the
+    relation layer's pair witnesses."""
     calls = []
-    real = coloring_mod.k_colorable
+    real = coloring_mod._dsatur
 
-    def recording(g, *args, **kwargs):
-        c = real(g, *args, **kwargs)
-        calls.append((g.rows, c is not None))
-        return c
+    def recording(rows, k):
+        colors = real(rows, k)
+        calls.append((rows, colors is not None))
+        return colors
 
-    monkeypatch.setattr(coloring_mod, "k_colorable", recording)
-    monkeypatch.setattr(relations_mod, "k_colorable", recording)
+    monkeypatch.setattr(coloring_mod, "_dsatur", recording)
+    monkeypatch.setattr(relations_mod, "_dsatur", recording)
     return calls
 
 
@@ -800,6 +801,20 @@ def test_min_nonextensible_matches_the_solver_sweep(g, dk):
     if cert is not None:
         assert list(cert) == sorted(cert)
         assert k_colorable(g, k, cert) is None
+
+
+def test_a_palette_far_above_n_costs_the_sweep_no_memory_beyond_the_graph():
+    # the witness pool keeps one class mask per color up to a coloring's
+    # largest, not one per palette color (16 MB and 2.1 s at k = 10**6
+    # when it kept k of them)
+    tracemalloc.start()
+    try:
+        got = min_nonextensible(path_graph(4), 10**8, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is None
+    assert peak < 1_000_000
 
 
 def test_no_small_certificate_one_color_above_chi():
